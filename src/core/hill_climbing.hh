@@ -61,6 +61,18 @@ class HillClimbing : public ResourcePolicy
 
     std::string name() const override;
     void attach(SmtCpu &cpu) override;
+
+    /**
+     * Learners act only at epoch boundaries: no per-cycle hook, here
+     * or in any subclass, so nextWake() can never be wrong.
+     */
+    void cycle(SmtCpu &) final {}
+    Cycle
+    nextWake(const SmtCpu &) const final
+    {
+        return kNeverCycle;
+    }
+
     void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
     void threadAttached(SmtCpu &cpu, ThreadId tid) override;
     void threadDetached(SmtCpu &cpu, ThreadId tid) override;

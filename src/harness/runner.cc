@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -127,15 +128,39 @@ makeCpu(const Workload &workload, const RunConfig &config)
     });
 }
 
+void
+advanceToWake(SmtCpu &cpu, ResourcePolicy &policy, Cycle until,
+              bool &probe)
+{
+    policy.cycle(cpu);
+    if (probe) {
+        Cycle now = cpu.now();
+        Cycle wake = cpu.nextActiveCycle();
+        if (wake > now) {
+            // cycle() already ran at now, so now itself is always
+            // skippable whatever nextWake() claims.
+            Cycle target = std::min(
+                {wake, std::max(policy.nextWake(cpu), now + 1), until});
+            cpu.skipQuietTo(target);
+            // Landing on the machine's own wake point means it is
+            // active there; an earlier stop (policy or caller) may
+            // still be quiet.
+            probe = target < wake;
+            return;
+        }
+    }
+    probe = !cpu.step();
+}
+
 IpcSample
 runOneEpoch(SmtCpu &cpu, ResourcePolicy &policy, Cycle epoch_size)
 {
     SMTHILL_PROF_SCOPE("runner.epoch");
     auto before = cpu.stats().committed;
-    for (Cycle c = 0; c < epoch_size; ++c) {
-        policy.cycle(cpu);
-        cpu.step();
-    }
+    const Cycle end = cpu.now() + epoch_size;
+    bool probe = true;
+    while (cpu.now() < end)
+        advanceToWake(cpu, policy, end, probe);
     IpcSample s;
     s.numThreads = cpu.numThreads();
     for (int i = 0; i < s.numThreads; ++i) {

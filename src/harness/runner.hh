@@ -88,8 +88,8 @@ SmtCpu makeCpu(const Workload &workload, const RunConfig &config);
 
 /**
  * Run @p policy on a fresh machine for @p workload.
- * The policy is attached, cycled every cycle, and given an epoch()
- * callback at every epoch boundary.
+ * The policy is attached, cycled at every wake point (advanceToWake),
+ * and given an epoch() callback at every epoch boundary.
  */
 RunResult runPolicy(const Workload &workload, ResourcePolicy &policy,
                     const RunConfig &config);
@@ -106,6 +106,19 @@ using EpochObserver = std::function<void(int epoch, const SmtCpu &cpu)>;
 RunResult runPolicyOn(SmtCpu cpu, ResourcePolicy &policy, int epochs,
                       Cycle epoch_size,
                       const EpochObserver &on_epoch = {});
+
+/**
+ * One wake point of a policy-driven run: call policy.cycle(), then
+ * either jump the quiet stretch up to the earliest of the machine's
+ * nextActiveCycle(), the policy's nextWake() and @p until, or step
+ * one cycle. Calling this until cpu.now() == @p until is
+ * bit-identical to calling policy.cycle() and cpu.step() every cycle.
+ * @param probe in/out: whether to look for a quiet stretch first;
+ *        start a run with true. It is set after a step that did no
+ *        work, so busy machines do not pay for the probe.
+ */
+void advanceToWake(SmtCpu &cpu, ResourcePolicy &policy, Cycle until,
+                   bool &probe);
 
 /**
  * Advance @p cpu by exactly one epoch under @p policy (cycle hooks

@@ -230,23 +230,45 @@ SmtCpu::frontEndCount(ThreadId tid) const
     return occ.ifq[tid] + occ.intIq[tid] + occ.fpIq[tid];
 }
 
-void
+bool
 SmtCpu::step()
 {
     if (curCycle < stalledUntil) {
         // The machine is frozen (hill-climbing software cost), but
         // operations already in flight keep draining.
         ++statCounters.stalledCycles;
-        doCompletions();
+        bool active = doCompletions();
         ++curCycle;
-        return;
+        return active;
     }
-    doCommit();
-    doCompletions();
-    doIssue();
-    doDispatch();
-    doFetch();
+    // Every stage runs every cycle: `|`, never `||`.
+    bool active = doCommit();
+    active |= doCompletions();
+    active |= doIssue();
+    active |= doDispatch();
+    active |= doFetch();
     ++curCycle;
+    return active;
+}
+
+void
+SmtCpu::runUntil(Cycle until)
+{
+    // Probe only after a step that did nothing: on a busy machine the
+    // next cycle is almost always active too, and the probe would be
+    // pure overhead.
+    bool probe = true;
+    while (curCycle < until) {
+        if (probe) {
+            Cycle wake = nextActiveCycle();
+            if (wake > curCycle) {
+                skipQuietTo(std::min(wake, until));
+                probe = false; // the machine is active at wake
+                continue;
+            }
+        }
+        probe = !step();
+    }
 }
 
 void
@@ -255,15 +277,77 @@ SmtCpu::run(Cycle n)
     // One span per batch, never per cycle: step() stays scope-free so
     // the profiler costs nothing measurable on the core loop.
     SMTHILL_PROF_SCOPE("cpu.run");
-    for (Cycle i = 0; i < n; ++i)
-        step();
+    runUntil(curCycle + n);
+}
+
+Cycle
+SmtCpu::nextActiveCycle() const
+{
+    // Completions drain even while the machine is stalled.
+    Cycle wake = events.empty() ? kNeverCycle : events.top().at;
+    if (wake <= curCycle)
+        return curCycle;
+    if (curCycle < stalledUntil)
+        return std::min(wake, stalledUntil);
+
+    for (int i = 0; i < cfg.numThreads; ++i) {
+        auto tid = static_cast<ThreadId>(i);
+        const ThreadState &t = threads[tid];
+        if (t.commitSeq < t.dispatchSeq &&
+            t.ring[t.commitSeq & ringMask].state == SlotCompleted)
+            return curCycle; // commit
+        if (t.dispatchSeq < t.fetchSeq && !dispatchBlocked(tid))
+            return curCycle; // dispatch
+        // A thread waiting out an IL1 miss or a redirect changes the
+        // fetch walk the moment its gate opens.
+        if (t.enabled && !t.policyLocked && t.blockingBranch == kNoSeq &&
+            t.fetchReadyAt > curCycle)
+            wake = std::min(wake, t.fetchReadyAt);
+    }
+    for (const ReadyEntry &e : readyList) {
+        const Slot &s = threads[e.tid].ring[e.slot];
+        if (s.genId != e.genId || s.state != SlotDispatched)
+            continue; // stale: issue drops it without effect
+        if (e.readyAt <= curCycle)
+            return curCycle; // issue
+        wake = std::min(wake, e.readyAt);
+    }
+    std::uint32_t charged = 0;
+    if (fetchWouldAct(charged))
+        return curCycle;
+    return wake;
+}
+
+void
+SmtCpu::skipQuietTo(Cycle target)
+{
+    if (target <= curCycle)
+        return;
+    Cycle k = target - curCycle;
+    if (curCycle < stalledUntil) {
+        // nextActiveCycle() never looks past stalledUntil, so the
+        // whole window is frozen: no stage runs, no pointer rotates.
+        statCounters.stalledCycles += k;
+    } else {
+        std::uint32_t charged = 0;
+        fetchWouldAct(charged);
+        auto nt = static_cast<std::uint32_t>(cfg.numThreads);
+        for (std::uint32_t i = 0; i < nt; ++i) {
+            if ((charged >> i) & 1)
+                statCounters.partitionLockCycles[i] += k;
+        }
+        auto turn = static_cast<std::uint32_t>(k % nt);
+        rrCommit = (rrCommit + turn) % nt;
+        rrDispatch = (rrDispatch + turn) % nt;
+    }
+    curCycle = target;
 }
 
 // --------------------------------------------------------------------
 // Commit
 // --------------------------------------------------------------------
 
-void
+bool
 SmtCpu::doCommit()
 {
     int budget = cfg.commitWidth;
@@ -298,6 +382,7 @@ SmtCpu::doCommit()
         }
     }
     rrCommit = (rrCommit + 1) % nt;
+    return budget != cfg.commitWidth;
 }
 
 void
@@ -339,17 +424,20 @@ SmtCpu::releaseResources(ThreadId tid, Slot &slot)
 // Completion / wakeup
 // --------------------------------------------------------------------
 
-void
+bool
 SmtCpu::doCompletions()
 {
+    bool popped = false;
     while (!events.empty() && events.top().at <= curCycle) {
         CompletionEvent ev = events.top();
         events.pop();
+        popped = true;
         Slot &s = threads[ev.tid].ring[ev.slot];
         if (s.genId != ev.genId || s.state != SlotIssued)
             continue; // squashed incarnation
         complete(ev.tid, ev.slot);
     }
+    return popped;
 }
 
 void
@@ -418,11 +506,11 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
 // Issue
 // --------------------------------------------------------------------
 
-void
+bool
 SmtCpu::doIssue()
 {
     if (readyList.empty())
-        return;
+        return false;
 
     // Oldest-first issue across all threads. (age, tid, slot) is a
     // strict total order, so re-sorting an already-sorted list cannot
@@ -525,21 +613,22 @@ SmtCpu::doIssue()
     // Keep the scratch (old readyList storage) empty so machine
     // checkpoints don't copy stale entries; capacity is retained.
     issueScratch.clear();
+    return budget != cfg.issueWidth;
 }
 
 // --------------------------------------------------------------------
 // Dispatch (rename)
 // --------------------------------------------------------------------
 
-void
+bool
 SmtCpu::doDispatch()
 {
     int nt = cfg.numThreads;
+    int budget = cfg.issueWidth;
     // When the shared ROB is full no thread can dispatch anything —
     // skip the per-thread attempts entirely (commit drains it first
     // within the cycle, so this still fires on truly full cycles).
     if (occT.rob < cfg.robSize) {
-        int budget = cfg.issueWidth;
         std::uint32_t next_tid = rrDispatch;
         for (int i = 0; i < nt && budget > 0; ++i) {
             ThreadId tid = static_cast<ThreadId>(next_tid);
@@ -554,43 +643,57 @@ SmtCpu::doDispatch()
         }
     }
     rrDispatch = (rrDispatch + 1) % nt;
+    return budget != cfg.issueWidth;
 }
 
 bool
-SmtCpu::dispatchOne(ThreadId tid)
+SmtCpu::dispatchBlocked(ThreadId tid) const
 {
-    ThreadState &t = threads[tid];
-    InstSeq seq = t.dispatchSeq;
-    Slot &s = slotOf(t, seq);
-    const OpClass op = s.si.op;
+    const ThreadState &t = threads[tid];
+    const OpClass op = t.ring[t.dispatchSeq & ringMask].si.op;
 
     // Shared-capacity checks, against the running totals.
     if (occT.rob >= cfg.robSize)
-        return false;
+        return true;
     bool int_iq = usesIntIq(op);
     if (int_iq && occT.intIq >= cfg.intIqSize)
-        return false;
+        return true;
     if (!int_iq && occT.fpIq >= cfg.fpIqSize)
-        return false;
+        return true;
     bool int_reg = writesIntReg(op);
-    bool fp_reg = writesFpReg(op);
     if (int_reg && occT.intRegs >= cfg.intRegs)
-        return false;
-    if (fp_reg && occT.fpRegs >= cfg.fpRegs)
-        return false;
+        return true;
+    if (writesFpReg(op) && occT.fpRegs >= cfg.fpRegs)
+        return true;
     if (isMemOp(op) && occT.lsq >= cfg.lsqSize)
-        return false;
+        return true;
 
     // Partition-limit checks (Section 3.2: a thread may not consume
     // beyond its allotment in any partitioned resource).
     if (partitionOn) {
         if (occ.rob[tid] >= limits.rob[tid])
-            return false;
+            return true;
         if (int_iq && occ.intIq[tid] >= limits.intIq[tid])
-            return false;
+            return true;
         if (int_reg && occ.intRegs[tid] >= limits.intRegs[tid])
-            return false;
+            return true;
     }
+    return false;
+}
+
+bool
+SmtCpu::dispatchOne(ThreadId tid)
+{
+    if (dispatchBlocked(tid))
+        return false;
+
+    ThreadState &t = threads[tid];
+    InstSeq seq = t.dispatchSeq;
+    Slot &s = slotOf(t, seq);
+    const OpClass op = s.si.op;
+    bool int_iq = usesIntIq(op);
+    bool int_reg = writesIntReg(op);
+    bool fp_reg = writesFpReg(op);
 
     // Allocate.
     occ.ifq[tid] -= 1;
@@ -722,12 +825,37 @@ SmtCpu::ensureGenerated(ThreadState &t, InstSeq seq)
     }
 }
 
-void
+bool
+SmtCpu::fetchWouldAct(std::uint32_t &charged) const
+{
+    // Mirrors doFetch's walk up to its first IL1 access, with nothing
+    // fetched yet this cycle.
+    charged = 0;
+    if (cfg.fetchThreadsPerCycle <= 0 || cfg.fetchWidth <= 0)
+        return false;
+    std::array<ThreadId, kMaxThreads> order;
+    fetchOrder(order);
+    for (int oi = 0; oi < cfg.numThreads; ++oi) {
+        ThreadId tid = order[oi];
+        if (!canFetch(threads[tid], tid))
+            continue;
+        if (partitionBlocked(tid)) {
+            charged |= std::uint32_t{1} << tid;
+            continue;
+        }
+        // doFetch stops at a full IFQ; otherwise it reaches the IL1.
+        return occT.ifq < cfg.ifqSize;
+    }
+    return false;
+}
+
+bool
 SmtCpu::doFetch()
 {
     std::array<ThreadId, kMaxThreads> order;
     fetchOrder(order);
 
+    bool reached_il1 = false;
     int fetched = 0;
     int threads_used = 0;
     int nt = cfg.numThreads;
@@ -751,6 +879,7 @@ SmtCpu::doFetch()
         ensureGenerated(t, t.fetchSeq);
         Addr group_pc = slotOf(t, t.fetchSeq).si.pc;
         MemAccessResult il1 = mem.instAccess(tid, group_pc);
+        reached_il1 = true;
         if (il1.level != MemLevel::L1) {
             t.fetchReadyAt = curCycle + il1.latency;
             continue;
@@ -802,6 +931,7 @@ SmtCpu::doFetch()
                 break; // fetch group ends at a taken branch
         }
     }
+    return reached_il1;
 }
 
 // --------------------------------------------------------------------

@@ -53,6 +53,8 @@ struct CpuStats
     std::array<std::uint64_t, kMaxThreads> partitionLockCycles{};
     std::uint64_t stalledCycles = 0; ///< cycles frozen by stallUntil()
     std::uint64_t committedTotal() const;
+
+    bool operator==(const CpuStats &) const = default;
 };
 
 /** An in-flight load that missed the DL1 (policy monitors). */
@@ -112,11 +114,50 @@ class SmtCpu
      */
     void restoreFrom(const SmtCpu &checkpoint);
 
-    /** Advance the machine by one cycle. */
-    void step();
+    /**
+     * Advance the machine by one cycle.
+     * @return true if a stage did work (committed, completed, issued,
+     *         dispatched, or reached the IL1); false for a quiet
+     *         cycle, after which nextActiveCycle() is worth asking
+     */
+    bool step();
 
-    /** Advance the machine by @p n cycles. */
+    /**
+     * Advance the machine to cycle @p until, jumping over quiet
+     * stretches with skipQuietTo(). Bit-identical to calling step()
+     * until now() == @p until; no policy is involved, so this is the
+     * warm-up / solo-run / fixed-partition-trial path.
+     */
+    void runUntil(Cycle until);
+
+    /** Advance the machine by @p n cycles (runUntil(now() + n)). */
     void run(Cycle n);
+
+    /**
+     * @return the earliest cycle >= now() at which step() can change
+     * anything beyond the per-cycle counters (now(), stalledCycles,
+     * partitionLockCycles, the round-robin pointers), assuming no
+     * policy intervenes; now() when this cycle is active, kNeverCycle
+     * when nothing is in flight and no thread can ever fetch.
+     */
+    Cycle nextActiveCycle() const;
+
+    /**
+     * Jump to @p target, applying in bulk what each skipped step()
+     * would have done: stalled cycles count into stalledCycles; other
+     * cycles rotate the round-robin pointers and charge
+     * partitionLockCycles to the threads doFetch's ICOUNT walk
+     * reaches while partition-blocked. Requires now() <= @p target <=
+     * nextActiveCycle(); the caller also owes every policy cycle()
+     * hook in the window (see ResourcePolicy::nextWake()).
+     */
+    void skipQuietTo(Cycle target);
+
+    /** @return the thread commit starts from next cycle. */
+    std::uint32_t commitRoundRobin() const { return rrCommit; }
+
+    /** @return the thread dispatch starts from next cycle. */
+    std::uint32_t dispatchRoundRobin() const { return rrDispatch; }
 
     /** @return current simulated cycle. */
     Cycle now() const { return curCycle; }
@@ -343,12 +384,13 @@ class SmtCpu
         return static_cast<std::uint32_t>(seq & ringMask);
     }
 
-    // Pipeline stages, in reverse order within step().
-    void doCommit();
-    void doCompletions();
-    void doIssue();
-    void doDispatch();
-    void doFetch();
+    // Pipeline stages, in reverse order within step(). Each returns
+    // true if it did work this cycle.
+    bool doCommit();
+    bool doCompletions();
+    bool doIssue();
+    bool doDispatch();
+    bool doFetch();
 
     /** Order threads by ascending front-end count (ICOUNT). */
     void fetchOrder(std::array<ThreadId, kMaxThreads> &order) const;
@@ -359,8 +401,24 @@ class SmtCpu
     /** @return true if @p tid is at a partition limit (fetch gate). */
     bool partitionBlocked(ThreadId tid) const;
 
+    /**
+     * Walk doFetch's ICOUNT order as a cycle that fetches nothing
+     * would. @return true if doFetch would reach the IL1 this cycle;
+     * otherwise @p charged holds the bit of every thread doFetch
+     * charges a partitionLockCycle.
+     */
+    bool fetchWouldAct(std::uint32_t &charged) const;
+
     /** Ensure the instruction at @p seq exists in the replay window. */
     void ensureGenerated(ThreadState &t, InstSeq seq);
+
+    /**
+     * @return true if the next instruction of @p tid cannot dispatch
+     * now: a shared structure is full or the thread is at a partition
+     * limit. dispatchOne() and nextActiveCycle() both decide through
+     * this one predicate.
+     */
+    bool dispatchBlocked(ThreadId tid) const;
 
     /** Try to dispatch the next instruction of @p tid; @return ok. */
     bool dispatchOne(ThreadId tid);

@@ -87,6 +87,8 @@ struct Occupancy
     int totalRob() const;
     int totalLsq() const;
     int totalIfq() const;
+
+    bool operator==(const Occupancy &) const = default;
 };
 
 /**

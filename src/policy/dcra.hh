@@ -18,7 +18,7 @@ namespace smthill
 {
 
 /** The DCRA dynamic-partitioning baseline. */
-class DcraPolicy : public ResourcePolicy
+class DcraPolicy final : public ResourcePolicy
 {
   public:
     /**
@@ -30,6 +30,12 @@ class DcraPolicy : public ResourcePolicy
     std::string name() const override { return "DCRA"; }
     void attach(SmtCpu &cpu) override;
     void cycle(SmtCpu &cpu) override;
+    /** Shares follow the enabled and missing sets; only steps move them. */
+    Cycle
+    nextWake(const SmtCpu &) const override
+    {
+        return kNeverCycle;
+    }
     std::unique_ptr<ResourcePolicy> clone() const override;
 
   private:

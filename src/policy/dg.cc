@@ -125,7 +125,7 @@ PdgPolicy::cycle(SmtCpu &cpu)
             if (p.stampedAt == 0)
                 p.stampedAt = now;
         std::erase_if(pend, [now](const PendingLoad &p) {
-            return p.stampedAt != 0 && now - p.stampedAt > 2000;
+            return p.stampedAt != 0 && now - p.stampedAt > kPendingExpiry;
         });
 
         bool gate = !pend.empty() ||
@@ -135,6 +135,22 @@ PdgPolicy::cycle(SmtCpu &cpu)
             cpu.setFetchLocked(tid, gate);
         }
     }
+}
+
+Cycle
+PdgPolicy::nextWake(const SmtCpu &cpu) const
+{
+    Cycle wake = kNeverCycle;
+    for (int i = 0; i < cpu.numThreads(); ++i) {
+        for (const PendingLoad &p : pendingPredicted[i]) {
+            // An unstamped entry (cycle() ran at cycle 0) is stamped
+            // by the next call.
+            if (p.stampedAt == 0)
+                return cpu.now() + 1;
+            wake = std::min(wake, p.stampedAt + kPendingExpiry + 1);
+        }
+    }
+    return wake;
 }
 
 std::unique_ptr<ResourcePolicy>

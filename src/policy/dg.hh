@@ -23,7 +23,7 @@ namespace smthill
 {
 
 /** DG: fetch-gate on outstanding-miss count. */
-class DgPolicy : public ResourcePolicy
+class DgPolicy final : public ResourcePolicy
 {
   public:
     /** @param miss_threshold in-flight misses that trigger the gate */
@@ -32,6 +32,12 @@ class DgPolicy : public ResourcePolicy
     std::string name() const override { return "DG"; }
     void attach(SmtCpu &cpu) override;
     void cycle(SmtCpu &cpu) override;
+    /** The gate follows the in-flight miss count; only steps move it. */
+    Cycle
+    nextWake(const SmtCpu &) const override
+    {
+        return kNeverCycle;
+    }
     std::unique_ptr<ResourcePolicy> clone() const override;
 
   private:
@@ -44,7 +50,7 @@ class DgPolicy : public ResourcePolicy
  * on observed DL1 misses; a thread is gated while it has an
  * in-flight load whose PC predicts a miss.
  */
-class PdgPolicy : public ResourcePolicy
+class PdgPolicy final : public ResourcePolicy
 {
   public:
     /**
@@ -56,6 +62,8 @@ class PdgPolicy : public ResourcePolicy
     std::string name() const override { return "PDG"; }
     void attach(SmtCpu &cpu) override;
     void cycle(SmtCpu &cpu) override;
+    /** The earliest expiry of a stamped predicted-miss entry. */
+    Cycle nextWake(const SmtCpu &cpu) const override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     /** Train the predictor for a load at @p pc that hit or missed. */
@@ -68,6 +76,9 @@ class PdgPolicy : public ResourcePolicy
     void onLoadEvent(const LoadEvent &event);
 
   private:
+    /** Cycles a predicted-miss entry lives without its completion. */
+    static constexpr Cycle kPendingExpiry = 2000;
+
     /** A dispatched load the predictor expects to miss. */
     struct PendingLoad
     {

@@ -58,6 +58,13 @@ FlushPolicy::cycle(SmtCpu &cpu)
     }
 }
 
+Cycle
+FlushPolicy::nextWake(const SmtCpu &cpu) const
+{
+    // Unlocking waits for a miss to complete, which only a step does.
+    return nextMissAge(cpu, triggerCycles, true);
+}
+
 std::unique_ptr<ResourcePolicy>
 FlushPolicy::clone() const
 {

@@ -19,7 +19,7 @@ namespace smthill
 {
 
 /** The FLUSH long-latency-load policy. */
-class FlushPolicy : public ResourcePolicy
+class FlushPolicy final : public ResourcePolicy
 {
   public:
     /**
@@ -33,6 +33,8 @@ class FlushPolicy : public ResourcePolicy
     std::string name() const override { return "FLUSH"; }
     void attach(SmtCpu &cpu) override;
     void cycle(SmtCpu &cpu) override;
+    /** The earliest memory-bound miss to cross the trigger age. */
+    Cycle nextWake(const SmtCpu &cpu) const override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     /** Total instructions this policy has flushed (wasted fetch). */

@@ -15,11 +15,16 @@ namespace smthill
 {
 
 /** The ICOUNT baseline. */
-class IcountPolicy : public ResourcePolicy
+class IcountPolicy final : public ResourcePolicy
 {
   public:
     std::string name() const override { return "ICOUNT"; }
     void attach(SmtCpu &cpu) override;
+    Cycle
+    nextWake(const SmtCpu &) const override
+    {
+        return kNeverCycle;
+    }
     std::unique_ptr<ResourcePolicy> clone() const override;
 };
 

@@ -1,5 +1,7 @@
 #include "policy/policy.hh"
 
+#include <algorithm>
+
 namespace smthill
 {
 
@@ -11,6 +13,12 @@ ResourcePolicy::attach(SmtCpu &)
 void
 ResourcePolicy::cycle(SmtCpu &)
 {
+}
+
+Cycle
+ResourcePolicy::nextWake(const SmtCpu &cpu) const
+{
+    return cpu.now() + 1;
 }
 
 void
@@ -26,6 +34,21 @@ ResourcePolicy::threadAttached(SmtCpu &, ThreadId)
 void
 ResourcePolicy::threadDetached(SmtCpu &, ThreadId)
 {
+}
+
+Cycle
+nextMissAge(const SmtCpu &cpu, Cycle threshold, bool to_memory_only)
+{
+    Cycle wake = kNeverCycle;
+    for (int i = 0; i < cpu.numThreads(); ++i) {
+        for (const OutstandingMiss &m :
+             cpu.outstandingMisses(static_cast<ThreadId>(i))) {
+            Cycle at = m.issuedAt + threshold;
+            if (at > cpu.now() && (m.toMemory || !to_memory_only))
+                wake = std::min(wake, at);
+        }
+    }
+    return wake;
 }
 
 } // namespace smthill

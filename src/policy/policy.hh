@@ -3,11 +3,16 @@
  * Resource-distribution policy interface.
  *
  * A policy observes the machine and controls fetch locks and resource
- * partitions. The experiment runner drives the machine cycle by
- * cycle, invoking cycle() before every SmtCpu::step() and epoch() at
- * every epoch boundary. All policies rely on the ICOUNT fetch
- * priority that is built into the core's fetch stage (Section 3.1.2:
- * fetch bandwidth itself is always distributed by ICOUNT).
+ * partitions. The experiment runner drives the machine through its
+ * wake points (advanceToWake): cycle() runs before every
+ * SmtCpu::step(), and before every jump over a quiet stretch, which
+ * ends no later than the policy's nextWake(); epoch() runs at every
+ * epoch boundary. Skipped cycles are ones where the machine is quiet
+ * and cycle() would do nothing, so the run is bit-identical to
+ * calling cycle() and step() every cycle. All policies rely on the
+ * ICOUNT fetch priority that is built into the core's fetch stage
+ * (Section 3.1.2: fetch bandwidth itself is always distributed by
+ * ICOUNT).
  */
 
 #ifndef SMTHILL_POLICY_POLICY_HH
@@ -37,8 +42,26 @@ class ResourcePolicy
     /** Called once before simulation begins (install initial state). */
     virtual void attach(SmtCpu &cpu);
 
-    /** Called every cycle before the machine steps. */
+    /**
+     * Called before the machine steps, at every cycle the run does
+     * not skip (see nextWake()).
+     */
     virtual void cycle(SmtCpu &cpu);
+
+    /**
+     * The earliest cycle after cpu.now() at which cycle() could act
+     * (change the machine or this policy's state) if the machine
+     * stayed as it is, cycle() having just run at cpu.now(). The
+     * runner may skip every cycle() call before it while the machine
+     * is quiet (SmtCpu::nextActiveCycle()). "As it is" excludes the
+     * counters a quiet cycle advances: now(), stalledCycles,
+     * partitionLockCycles and the round-robin pointers, which cycle()
+     * must not read. The default, cpu.now() + 1, is slow but never
+     * wrong, so a policy that overrides cycle() without this stays
+     * correct. kNeverCycle means cycle() is a pure function of the
+     * machine state.
+     */
+    virtual Cycle nextWake(const SmtCpu &cpu) const;
 
     /**
      * Called at every epoch boundary.
@@ -105,6 +128,15 @@ class ResourcePolicy
     EpochTracer *epochTracerPtr = nullptr;
     EventTraceRef eventTraceRef;
 };
+
+/**
+ * @return the earliest cycle after cpu.now() at which an outstanding
+ * DL1 miss (only misses headed to memory when @p to_memory_only)
+ * has been in flight @p threshold cycles, or kNeverCycle if none
+ * will: the nextWake() of policies that act on miss age.
+ */
+Cycle nextMissAge(const SmtCpu &cpu, Cycle threshold,
+                  bool to_memory_only);
 
 } // namespace smthill
 

@@ -37,6 +37,12 @@ StallPolicy::cycle(SmtCpu &cpu)
     }
 }
 
+Cycle
+StallPolicy::nextWake(const SmtCpu &cpu) const
+{
+    return nextMissAge(cpu, threshold, false);
+}
+
 std::unique_ptr<ResourcePolicy>
 StallPolicy::clone() const
 {

@@ -19,7 +19,7 @@ namespace smthill
 {
 
 /** The STALL fetch-lock policy. */
-class StallPolicy : public ResourcePolicy
+class StallPolicy final : public ResourcePolicy
 {
   public:
     /** @param threshold cycles a load may be outstanding un-locked */
@@ -28,6 +28,8 @@ class StallPolicy : public ResourcePolicy
     std::string name() const override { return "STALL"; }
     void attach(SmtCpu &cpu) override;
     void cycle(SmtCpu &cpu) override;
+    /** The earliest miss to cross the stall threshold. */
+    Cycle nextWake(const SmtCpu &cpu) const override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
   private:

@@ -78,6 +78,13 @@ StallFlushPolicy::cycle(SmtCpu &cpu)
     }
 }
 
+Cycle
+StallFlushPolicy::nextWake(const SmtCpu &cpu) const
+{
+    // Pressure is a function of occupancy, which only a step moves.
+    return nextMissAge(cpu, triggerCycles, true);
+}
+
 std::unique_ptr<ResourcePolicy>
 StallFlushPolicy::clone() const
 {

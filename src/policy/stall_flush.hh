@@ -18,7 +18,7 @@ namespace smthill
 {
 
 /** The STALL-FLUSH hybrid policy. */
-class StallFlushPolicy : public ResourcePolicy
+class StallFlushPolicy final : public ResourcePolicy
 {
   public:
     /**
@@ -33,6 +33,8 @@ class StallFlushPolicy : public ResourcePolicy
     std::string name() const override { return "STALL-FLUSH"; }
     void attach(SmtCpu &cpu) override;
     void cycle(SmtCpu &cpu) override;
+    /** The earliest memory-bound miss to cross the trigger age. */
+    Cycle nextWake(const SmtCpu &cpu) const override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     /** Instructions flushed so far (should be far below FLUSH's). */

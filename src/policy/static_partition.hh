@@ -16,7 +16,7 @@ namespace smthill
 {
 
 /** Fixed-share partitioning; equal shares by default. */
-class StaticPartitionPolicy : public ResourcePolicy
+class StaticPartitionPolicy final : public ResourcePolicy
 {
   public:
     /** Equal split across all threads. */
@@ -27,6 +27,11 @@ class StaticPartitionPolicy : public ResourcePolicy
 
     std::string name() const override { return "STATIC"; }
     void attach(SmtCpu &cpu) override;
+    Cycle
+    nextWake(const SmtCpu &) const override
+    {
+        return kNeverCycle;
+    }
     std::unique_ptr<ResourcePolicy> clone() const override;
 
   private:

@@ -17,8 +17,10 @@
 #include "phase/phase_table.hh"
 #include "policy/bandit.hh"
 #include "policy/dcra.hh"
+#include "policy/dg.hh"
 #include "policy/flush.hh"
 #include "policy/rl_alloc.hh"
+#include "policy/stall.hh"
 #include "validate/checked_cpu.hh"
 #include "workload/open_system.hh"
 
@@ -906,6 +908,120 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
     }
 }
 
+// --- Stage I: quiet-cycle skipping vs step-every-cycle -------------
+
+/** Stage I extra-policy names, indexed like FuzzCase::quietExtra. */
+const char *
+quietExtraName(int which)
+{
+    switch (which % 3) {
+      case 0: return "STALL";
+      case 1: return "DG";
+      default: return "PDG";
+    }
+}
+
+std::unique_ptr<ResourcePolicy>
+makeQuietExtra(int which)
+{
+    switch (which % 3) {
+      case 0: return std::make_unique<StallPolicy>();
+      case 1: return std::make_unique<DgPolicy>();
+      default: return std::make_unique<PdgPolicy>();
+    }
+}
+
+/** The report and (learners only) epoch-trace JSON of one clone. */
+std::string
+exportsOf(const FuzzCase &c, const MachineSnapshot &before,
+          const SmtCpu &cpu, const EpochTracer &tracer)
+{
+    std::string out = buildReport(before, MachineSnapshot::capture(cpu),
+                                  c.workload.benchmarks)
+                          .toJson()
+                          .dump();
+    if (!tracer.empty())
+        out += tracer.toJson(c.hill.metric).dump();
+    return out;
+}
+
+/**
+ * Drive two copies of the same machine, @p skip under @p policy and
+ * @p ref under its clone: @p ref calls cycle() and step() every
+ * cycle, @p skip goes through the runner's advanceToWake(). @p ref
+ * catches up to every wake point of @p skip, where the machines must
+ * match exactly; at the end, so must their exports.
+ */
+void
+lockstepQuietSkip(const FuzzCase &c, FuzzResult &r, SmtCpu skip,
+                  SmtCpu ref, ResourcePolicy &policy, const char *what)
+{
+    static const char *kStage = "I.quiet-skip";
+
+    std::unique_ptr<ResourcePolicy> ref_policy = policy.clone();
+    EpochTracer skip_trace;
+    EpochTracer ref_trace;
+    policy.setEpochTracer(&skip_trace);
+    ref_policy->setEpochTracer(&ref_trace);
+
+    policy.attach(skip);
+    ref_policy->attach(ref);
+    const MachineSnapshot before = MachineSnapshot::capture(ref);
+
+    for (int e = 0; e < c.epochs; ++e) {
+        const Cycle end = skip.now() + c.hill.epochSize;
+        bool probe = true;
+        while (skip.now() < end) {
+            advanceToWake(skip, policy, end, probe);
+            while (ref.now() < skip.now()) {
+                ref_policy->cycle(ref);
+                ref.step();
+            }
+            std::string d = diffMachineState(ref, skip);
+            if (!d.empty()) {
+                finding(r, kStage, "state_divergence",
+                        msg(what, ": epoch ", e, " wake point ",
+                            skip.now(), ": ", d));
+                return;
+            }
+        }
+        policy.epoch(skip, static_cast<std::uint64_t>(e));
+        ref_policy->epoch(ref, static_cast<std::uint64_t>(e));
+        std::string d = diffMachineState(ref, skip);
+        if (!d.empty()) {
+            finding(r, kStage, "epoch_divergence",
+                    msg(what, ": after epoch ", e, ": ", d));
+            return;
+        }
+    }
+    if (exportsOf(c, before, skip, skip_trace) !=
+        exportsOf(c, before, ref, ref_trace)) {
+        finding(r, kStage, "export_divergence",
+                msg(what, ": report/epoch-trace JSON differ"));
+    }
+}
+
+void
+stageQuietSkip(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
+{
+    static const char *kStage = "I.quiet-skip";
+
+    // The warm-up path: run() skips with no policy at all.
+    SmtCpu stepped(c.machine, c.workload.makeGenerators(c.seed));
+    for (Cycle t = 0; t < c.warmup; ++t)
+        stepped.step();
+    std::string d = diffMachineState(stepped, warm);
+    if (!d.empty())
+        finding(r, kStage, "warmup_divergence", d);
+
+    HillClimbing *ignored = nullptr;
+    std::unique_ptr<ResourcePolicy> p = makePolicy(c, &ignored);
+    lockstepQuietSkip(c, r, warm, warm, *p, policyName(c.policyChoice));
+    std::unique_ptr<ResourcePolicy> extra = makeQuietExtra(c.quietExtra);
+    lockstepQuietSkip(c, r, warm, warm, *extra,
+                      quietExtraName(c.quietExtra));
+}
+
 } // namespace
 
 // --- Case construction ---------------------------------------------
@@ -990,6 +1106,9 @@ makeFuzzCase(std::uint64_t seed)
     c.learnerB = static_cast<int>(rng.nextBelow(4));
     if (c.learnerB >= c.learnerA)
         ++c.learnerB; // uniform over distinct pairs
+
+    // Stage I draws come last: older seeds keep their A-H scenarios.
+    c.quietExtra = static_cast<int>(rng.nextBelow(3));
     return c;
 }
 
@@ -1004,7 +1123,7 @@ FuzzCase::str() const
                " epochs=", epochs, " warmup=", warmup, " stride=",
                offlineStride, " osJobs=", osJobs, " osGap=", osMeanGap,
                " osSla=", osSla, " pair=", learnerName(learnerA), "/",
-               learnerName(learnerB));
+               learnerName(learnerB), " quiet=", quietExtraName(quietExtra));
 }
 
 std::string
@@ -1034,6 +1153,7 @@ runFuzzCase(const FuzzCase &c)
     stagePhaseFreeDiff(c, r);
     stageOpenSystemChurn(c, r);
     stageLearnerPairDiff(c, r);
+    stageQuietSkip(c, r, warm);
     return r;
 }
 

@@ -40,7 +40,14 @@
  *     epoch whose installed partitions conserve the register file;
  *     the pair must agree on epoch cadence (final cycle and trace
  *     length), and each learner must survive a churn scenario with
- *     exact job accounting and a bit-identical cloned rerun.
+ *     exact job accounting and a bit-identical cloned rerun;
+ *  I. quiet-cycle skipping: the warm-up (SmtCpu::run) must match a
+ *     step-every-cycle build, and the chosen policy plus a drawn
+ *     STALL/DG/PDG each drive a skipping clone (the runner's
+ *     advanceToWake) in lockstep with a step-every-cycle clone. At
+ *     every wake point the machines must match exactly
+ *     (diffMachineState: counters, occupancy, partition, round-robin
+ *     pointers), and the report/epoch-trace JSON at the end.
  *
  * Failures come back as FuzzFindings tagged with their stage; a
  * failing case can be shrunk with minimizeFuzzCase, whose output is
@@ -85,6 +92,11 @@ struct FuzzCase
     // 3 BANDIT-EXP3, 4 RL-Q; always distinct.
     int learnerA = 0;
     int learnerB = 1;
+
+    // Stage I extra policy (drawn after the stage H fields so older
+    // seeds keep expanding to the same A-H scenarios): 0 STALL, 1 DG,
+    // 2 PDG, run besides policyChoice.
+    int quietExtra = 0;
 
     /** One-line description for logs and reproducer reports. */
     std::string str() const;

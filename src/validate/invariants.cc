@@ -410,4 +410,64 @@ InvariantChecker::checkCpu(const SmtCpu &cpu)
     checkCacheCounters(cpu.memory());
 }
 
+std::string
+diffMachineState(const SmtCpu &a, const SmtCpu &b)
+{
+    if (a.now() != b.now())
+        return msg("now ", a.now(), " vs ", b.now());
+    if (a.numThreads() != b.numThreads())
+        return msg("threads ", a.numThreads(), " vs ", b.numThreads());
+    const CpuStats &sa = a.stats();
+    const CpuStats &sb = b.stats();
+    if (sa.stalledCycles != sb.stalledCycles) {
+        return msg("stalledCycles ", sa.stalledCycles, " vs ",
+                   sb.stalledCycles);
+    }
+    for (int i = 0; i < a.numThreads(); ++i) {
+        if (sa.partitionLockCycles[i] != sb.partitionLockCycles[i]) {
+            return msg("thread ", i, " partitionLockCycles ",
+                       sa.partitionLockCycles[i], " vs ",
+                       sb.partitionLockCycles[i]);
+        }
+        if (sa.committed[i] != sb.committed[i] ||
+            sa.fetched[i] != sb.fetched[i]) {
+            return msg("thread ", i, " committed/fetched ",
+                       sa.committed[i], "/", sa.fetched[i], " vs ",
+                       sb.committed[i], "/", sb.fetched[i]);
+        }
+    }
+    if (!(sa == sb))
+        return "CpuStats differ (flushed/branches/mispredicts/loads)";
+    if (!(a.occupancy() == b.occupancy()))
+        return "per-thread occupancy differs";
+    if (!(a.occupancyTotals() == b.occupancyTotals()))
+        return "occupancy totals differ";
+    if (a.partitioningEnabled() != b.partitioningEnabled() ||
+        !(a.partition() == b.partition())) {
+        return msg("partition ", a.partitioningEnabled() ? "on " : "off ",
+                   a.partition().str(), " vs ",
+                   b.partitioningEnabled() ? "on " : "off ",
+                   b.partition().str());
+    }
+    if (a.commitRoundRobin() != b.commitRoundRobin() ||
+        a.dispatchRoundRobin() != b.dispatchRoundRobin()) {
+        return msg("round-robin commit/dispatch ", a.commitRoundRobin(),
+                   "/", a.dispatchRoundRobin(), " vs ",
+                   b.commitRoundRobin(), "/", b.dispatchRoundRobin());
+    }
+    for (int i = 0; i < a.numThreads(); ++i) {
+        auto tid = static_cast<ThreadId>(i);
+        if (a.fetchLocked(tid) != b.fetchLocked(tid) ||
+            a.threadEnabled(tid) != b.threadEnabled(tid) ||
+            a.dl1MissesInFlight(tid) != b.dl1MissesInFlight(tid)) {
+            return msg("thread ", i,
+                       " fetch lock / enable / in-flight misses differ");
+        }
+    }
+    if (!(CacheCounterSample::capture(a.memory()) ==
+          CacheCounterSample::capture(b.memory())))
+        return "cache counters differ";
+    return "";
+}
+
 } // namespace smthill

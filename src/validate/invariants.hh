@@ -57,6 +57,8 @@ struct CacheCounterSample
     std::uint64_t ul2Misses = 0;
 
     static CacheCounterSample capture(const MemoryHierarchy &memory);
+
+    bool operator==(const CacheCounterSample &) const = default;
 };
 
 /** One detected invariant violation. */
@@ -208,6 +210,16 @@ class InvariantChecker
     std::vector<InvariantViolation> viols;
     std::size_t total_ = 0;
 };
+
+/**
+ * Compare the machine state quiet-cycle skipping must reproduce
+ * exactly: now(), every CpuStats counter (partitionLockCycles and
+ * stalledCycles included), occupancy and its totals, the partition,
+ * the round-robin pointers, per-thread fetch locks, enables and
+ * in-flight misses, and the cache counters.
+ * @return "" when equal, else the first difference found
+ */
+std::string diffMachineState(const SmtCpu &a, const SmtCpu &b);
 
 } // namespace smthill
 

@@ -11,7 +11,7 @@
 #   lint     smthill_lint over the tree (ctest -R Lint)
 #   analyze  smthill_analyze cross-TU passes (ctest -R Analyze)
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
-#   asan     -DSMTHILL_SANITIZE=address build + FuzzSmoke + tests
+#   asan     -DSMTHILL_SANITIZE=address build + FuzzSmoke + QuietSkip
 #   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites
 #   benchdiff  report-only perf diff of bench/BENCH_sim_speed.json
 #              against a fresh bench_sim_speed run (never fails the
@@ -73,7 +73,7 @@ record tidy $?
 echo "== asan: address-sanitized fuzz smoke + tests =="
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
-     ctest --output-on-failure -j "$JOBS" -R 'FuzzSmoke|TsanFixture')
+     ctest --output-on-failure -j "$JOBS" -R 'FuzzSmoke|QuietSkip|TsanFixture')
 record asan $?
 
 echo "== tsan: thread-sanitized parallel suites =="
