@@ -13,7 +13,7 @@
  * workloads under the same weighted-IPC yardstick, so the table
  * doubles as the learner-race result quoted in EXPERIMENTS.md.
  *
- * Scale with SMTHILL_EPOCHS (default 64; the paper's 1B-instruction
+ * Scale with SMTHILL_EPOCHS (default 48; the paper's 1B-instruction
  * windows correspond to thousands of epochs of learning time).
  *
  * SMTHILL_STATS_JSON=FILE additionally writes every cell as

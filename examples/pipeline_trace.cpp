@@ -1,19 +1,20 @@
 /**
  * @file
- * Pipeline-visibility example: attach a tracer to the machine, run a
- * short window of a workload under FLUSH, and show (a) the last
- * pipeline events including squashes, and (b) an ASCII occupancy
- * timeline of the partitioned resources — the clog-and-recover
- * dynamics the resource-distribution policies fight over.
+ * Pipeline-visibility example: attach an event trace with
+ * per-instruction events to the machine, run a short window of a
+ * workload under FLUSH, and show (a) the last pipeline events
+ * including squashes, and (b) an ASCII occupancy timeline of the
+ * partitioned resources — the clog-and-recover dynamics the
+ * resource-distribution policies fight over.
  *
  *   ./pipeline_trace [workload-name]   (default: art-gzip)
  */
 
 #include <cstdio>
 
+#include "common/event_trace.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "pipeline/tracer.hh"
 #include "policy/flush.hh"
 #include "workload/workloads.hh"
 
@@ -56,15 +57,16 @@ main(int argc, char **argv)
 
     // Event trace of the last few dozen pipeline events (the policy
     // keeps running, or its fetch locks would starve the machine).
-    PipelineTracer tracer(48);
-    cpu.setTracer(&tracer);
+    EventTrace trace;
+    trace.setInstructionEvents(true);
+    cpu.setEventTrace(&trace, 0);
     for (int c = 0; c < 64; ++c) {
         flush.cycle(cpu);
         cpu.step();
     }
-    std::printf("\nlast %zu pipeline events:\n", tracer.size());
-    tracer.dump(stdout);
-    cpu.setTracer(nullptr);
+    std::printf("\n");
+    printLastInstEvents(trace, 48, stdout);
+    cpu.setEventTrace(nullptr, 0);
 
     // Derived statistics over a measured epoch.
     std::printf("\nderived statistics over one epoch:\n");

@@ -182,6 +182,40 @@ EventTrace::threadName(int pid, int tid, const std::string &name)
     record(std::move(e));
 }
 
+void
+EventTrace::recordInstruction(Cycle ts, int pid, ThreadId tid,
+                              const char *stage, InstSeq seq, Addr pc,
+                              OpClass op)
+{
+    Json args = Json::object();
+    args.set("seq", seq);
+    args.set("pc", pc);
+    args.set("op", opClassName(op));
+    instant(ts, pid, static_cast<int>(tid), "inst", stage,
+            std::move(args));
+}
+
+void
+printLastInstEvents(const EventTrace &trace, std::size_t n,
+                    std::FILE *out)
+{
+    std::vector<SimEvent> insts;
+    for (SimEvent &e : trace.events())
+        if (e.cat == "inst")
+            insts.push_back(std::move(e));
+    std::size_t first = insts.size() > n ? insts.size() - n : 0;
+    std::fprintf(out, "last %zu pipeline events:\n", insts.size() - first);
+    for (std::size_t i = first; i < insts.size(); ++i) {
+        const SimEvent &e = insts[i];
+        std::fprintf(
+            out, "%10llu t%d %-8s seq=%llu pc=0x%llx %s\n",
+            static_cast<unsigned long long>(e.ts), e.tid, e.name.c_str(),
+            static_cast<unsigned long long>(e.args.at("seq").asDouble()),
+            static_cast<unsigned long long>(e.args.at("pc").asDouble()),
+            e.args.at("op").asString().c_str());
+    }
+}
+
 std::vector<SimEvent>
 EventTrace::events() const
 {

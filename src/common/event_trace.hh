@@ -7,6 +7,11 @@
  * cycles (never wall clock, so traces are deterministic and the
  * no-wall-clock lint rule holds by construction).
  *
+ * Per-instruction pipeline events (`inst`: fetch, dispatch, issue,
+ * complete, commit, squash) are opt-in per trace
+ * (setInstructionEvents), since they outnumber every other category
+ * by orders of magnitude.
+ *
  * Two sinks:
  *  - Chrome trace-event / Perfetto JSON (toPerfettoJson): events carry
  *    `ph`/`ts`/`dur`/`pid`/`tid` in the trace-event dialect, so a
@@ -27,6 +32,7 @@
 #define SMTHILL_COMMON_EVENT_TRACE_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -108,6 +114,29 @@ class EventTrace
 
     /** Metadata ('M'): label thread (@p pid, @p tid). */
     void threadName(int pid, int tid, const std::string &name);
+
+    // --- Per-instruction events ------------------------------------
+
+    /**
+     * Switch per-instruction `inst` events on or off (default off).
+     * When on, an attached machine records one instant per pipeline
+     * stage an instruction reaches — fetch, dispatch, issue,
+     * complete, commit, squash — on the thread's track, with args
+     * {seq, pc, op}. Select threads or stages by filtering events().
+     */
+    void setInstructionEvents(bool on) { instEvents = on; }
+
+    /**
+     * One `inst` instant named @p stage (a string literal); a no-op
+     * unless instruction events are on.
+     */
+    void
+    instruction(Cycle ts, int pid, ThreadId tid, const char *stage,
+                InstSeq seq, Addr pc, OpClass op)
+    {
+        if (instEvents)
+            recordInstruction(ts, pid, tid, stage, seq, pc, op);
+    }
 
     // --- Inspection ------------------------------------------------
 
@@ -198,30 +227,71 @@ class EventTrace
     std::uint64_t recordedCount = 0;
     std::uint64_t droppedCount = 0;
     std::ostream *sink = nullptr;
+    bool instEvents = false;
+
+    void recordInstruction(Cycle ts, int pid, ThreadId tid,
+                           const char *stage, InstSeq seq, Addr pc,
+                           OpClass op);
 };
 
 /**
- * Attachment handle for machines: deliberately NOT checkpointed.
- * Copying (or copy-assigning) the owner drops the link, so machine
- * checkpoints — offline trial sweeps, synchronized-comparison clones,
- * fuzz copies — never interleave events into the committing run's
- * stream, and event streams stay bit-identical at any `jobs` count.
+ * Print "last N pipeline events:" and then the newest @p n `inst`
+ * events of @p trace, oldest first, one line each: cycle, thread,
+ * stage, seq, pc and op.
  */
-struct EventTraceRef
+void printLastInstEvents(const EventTrace &trace, std::size_t n,
+                         std::FILE *out);
+
+/**
+ * The one handle for every observer link a machine or policy holds:
+ * event traces, epoch tracers, branch and load observers. A link
+ * belongs to the object, not to its simulated state:
+ *  - a copy- or move-constructed owner starts with no links, so
+ *    checkpoints, trial machines and policy clones run unobserved and
+ *    never interleave into the committing run's streams (which stay
+ *    bit-identical at any `jobs` count);
+ *  - assigning state into an existing owner keeps that owner's own
+ *    links, so a restore (`*this = checkpoint`) or a commit
+ *    (`*advanced = std::move(trial)`) neither detaches nor re-wires.
+ * @tparam Link the link's value; its value-initialized state is
+ *         "detached"
+ */
+template <typename Link>
+class Attachment
+{
+  public:
+    Attachment() = default;
+    Attachment(const Attachment &) noexcept {}
+    Attachment(Attachment &&) noexcept {}
+    Attachment &operator=(const Attachment &) noexcept { return *this; }
+    Attachment &operator=(Attachment &&) noexcept { return *this; }
+
+    /** Replace the link; a value-initialized Link detaches. */
+    void attach(const Link &l) { link = l; }
+
+    const Link &operator*() const { return link; }
+    const Link *operator->() const { return &link; }
+
+  private:
+    Link link{};
+};
+
+/** An event-trace link: the trace and the process events file under. */
+struct EventTraceLink
 {
     EventTrace *trace = nullptr;
     int pid = 0;
 
-    EventTraceRef() = default;
-    EventTraceRef(const EventTraceRef &) {}
-    EventTraceRef &
-    operator=(const EventTraceRef &other)
+    /**
+     * EventTrace::instruction() on the linked trace, if any: the one
+     * pointer test a machine's per-stage hook pays when detached.
+     */
+    void
+    instruction(Cycle ts, ThreadId tid, const char *stage, InstSeq seq,
+                Addr pc, OpClass op) const
     {
-        if (this != &other) {
-            trace = nullptr;
-            pid = 0;
-        }
-        return *this;
+        if (trace)
+            trace->instruction(ts, pid, tid, stage, seq, pc, op);
     }
 };
 

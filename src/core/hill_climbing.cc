@@ -209,11 +209,11 @@ HillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
     } else {
         cpu.clearPartition();
     }
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "hill",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
                      "churn.attach", std::move(args));
     }
 }
@@ -260,11 +260,11 @@ HillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
         else
             cpu.clearPartition();
     }
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "hill",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
                      "churn.detach", std::move(args));
     }
 }
@@ -315,11 +315,11 @@ HillClimbing::beginSample(SmtCpu &cpu, int tid)
         cpu.setThreadEnabled(static_cast<ThreadId>(i), i == tid);
     // The solo thread gets the whole machine during the sample.
     cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", tid);
         args.set("bootstrap", bootstrapPending > 0);
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "hill",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
                      "sample.begin", std::move(args));
     }
 }
@@ -371,12 +371,12 @@ HillClimbing::installTrial(SmtCpu &cpu)
     Partition trial =
         trialPartition(anchorPartition, favored, cfg.delta, cfg.minShare);
     cpu.setPartition(trial);
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("alg_epoch", algEpoch);
         args.set("favored", favored);
         args.set("trial", shareJson(trial));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "hill",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
                      "trial.install", std::move(args));
     }
 }
@@ -388,7 +388,7 @@ HillClimbing::traceEpoch(const SmtCpu &cpu, std::uint64_t epoch_id,
                          int sampled_thread, int gradient_thread,
                          bool anchor_moved)
 {
-    if (!epochTracerPtr)
+    if (!epochTracer())
         return;
     EpochTraceRecord rec;
     rec.epochId = epoch_id;
@@ -411,7 +411,7 @@ HillClimbing::traceEpoch(const SmtCpu &cpu, std::uint64_t epoch_id,
     rec.samplingThread = sampled_thread;
     rec.anchorMoved = anchor_moved;
     rec.softwareCost = cfg.softwareCost;
-    epochTracerPtr->record(std::move(rec));
+    epochTracer()->record(std::move(rec));
 }
 
 void
@@ -427,8 +427,8 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     Partition ran = cpu.partition();
     bool ran_partitioned = cpu.partitioningEnabled();
 
-    EventTrace *evt = eventTraceRef.trace;
-    int evtPid = eventTraceRef.pid;
+    EventTrace *evt = eventTrace();
+    int evtPid = eventTracePid();
     if (evt) {
         // The epoch that just finished, as one slice on the control
         // track covering the cycles the measurement actually saw.

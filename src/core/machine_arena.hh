@@ -16,7 +16,7 @@
 #ifndef SMTHILL_CORE_MACHINE_ARENA_HH
 #define SMTHILL_CORE_MACHINE_ARENA_HH
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "pipeline/cpu.hh"
@@ -37,9 +37,11 @@ class MachineArena
     /**
      * @return worker @p worker's machine, restored to @p checkpoint.
      * The first use on a worker clones the checkpoint (allocating);
-     * every later use restores into the warm machine. The returned
-     * machine is unobserved (restoreFrom drops tracer/observers) and
-     * remains valid until the next acquire on the same worker.
+     * every later use restores into the warm machine. Like the copy
+     * it stands in for, the returned machine starts with no observer
+     * links (a link a borrower attached does not survive the next
+     * acquire), and it remains valid until the next acquire on the
+     * same worker.
      */
     SmtCpu &acquire(int worker, const SmtCpu &checkpoint);
 
@@ -47,7 +49,7 @@ class MachineArena
     int workers() const { return static_cast<int>(machines.size()); }
 
   private:
-    std::vector<std::unique_ptr<SmtCpu>> machines;
+    std::vector<std::optional<SmtCpu>> machines;
 };
 
 } // namespace smthill

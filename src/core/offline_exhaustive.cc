@@ -28,20 +28,8 @@ IpcSample
 runFixedPartitionEpoch(const SmtCpu &checkpoint, const Partition &partition,
                        Cycle epoch_size, SmtCpu *advanced)
 {
-    // One copy per committed epoch (not per trial); the committing
-    // run keeps the checkpoint's observer attachments, which a
-    // MachineArena restore deliberately drops.
+    // One copy per committed epoch (not per trial).
     SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
-    if (!advanced) {
-        // Machine copies share the checkpoint's tracer/observer
-        // pointers, which are not thread-safe; pure trial epochs may
-        // run concurrently, so they run unobserved. The committing
-        // run (advanced != nullptr) is always serial and keeps them,
-        // so the machine handed back retains its attachments.
-        trial.setTracer(nullptr);
-        trial.setBranchObserver(nullptr, nullptr);
-        trial.setLoadObserver(nullptr, nullptr);
-    }
     IpcSample s = runTrialEpoch(trial, partition, epoch_size);
     if (advanced)
         *advanced = std::move(trial);

@@ -29,9 +29,11 @@ namespace smthill
 
 /**
  * Run one epoch from a copy of @p checkpoint under a fixed
- * @p partition, with no per-cycle policy actions.
+ * @p partition, with no per-cycle policy actions. The copy runs
+ * unobserved.
  * @param[out] advanced if non-null, receives the machine state at
  *             the end of the epoch (for committing to this trial)
+ *             and keeps its own observer links
  * @return per-thread IPCs over the epoch
  */
 IpcSample runFixedPartitionEpoch(const SmtCpu &checkpoint,

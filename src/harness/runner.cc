@@ -178,11 +178,9 @@ runPolicyOn(SmtCpu cpu, ResourcePolicy &policy, int epochs,
     SMTHILL_PROF_SCOPE("runner.policy_run");
     RunResult res;
     res.epochs.reserve(epochs);
-    // The machine arrived by value, so any event-trace link its
-    // source carried was dropped in the copy; mirror the policy's
-    // link onto the machine this run will actually execute on.
-    if (policy.eventTrace())
-        cpu.setEventTrace(policy.eventTrace(), policy.eventTracePid());
+    // The machine arrived by value, so it has no links; mirror the
+    // policy's event trace onto the machine this run executes on.
+    cpu.setEventTrace(policy.eventTrace(), policy.eventTracePid());
     policy.attach(cpu);
 
     res.startSnapshot = MachineSnapshot::capture(cpu);

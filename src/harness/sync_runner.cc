@@ -38,6 +38,7 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
         for (std::size_t pi = 0; pi < policies.size(); ++pi)
             trace->processName(1 + static_cast<int>(pi),
                                policies[pi]->name());
+        cpu.setEventTrace(trace, 0); // OFF-LINE's own process
     }
 
     for (int e = 0; e < epochs; ++e) {
@@ -51,9 +52,8 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
         for (std::size_t pi = 0; pi < policies.size(); ++pi) {
             SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
             auto policy = policies[pi]->clone();
-            // Clones drop any event-trace link (EventTraceRef), so
-            // the per-epoch throwaway machines must be wired
-            // explicitly; each policy files under its own process.
+            // Copies start with no links (Attachment), so each
+            // throwaway pair is wired to file under its own process.
             if (trace) {
                 int pid = 1 + static_cast<int>(pi);
                 policy->setEventTrace(trace, pid);
@@ -65,11 +65,7 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
                 evalMetric(oc.metric, s, oc.singleIpc));
         }
 
-        // Advance the real machine along OFF-LINE's best path. The
-        // step replaces the machine with a committed trial copy, so
-        // the trace link must be restored every epoch.
-        if (trace)
-            cpu.setEventTrace(trace, 0);
+        // Advance the real machine along OFF-LINE's best path.
         OfflineEpoch rec = offline.stepEpoch(cpu);
         res.offline.metric.push_back(rec.metricValue);
         if (trace) {
@@ -102,11 +98,11 @@ traceHillVsOffline(SmtCpu cpu, HillClimbing &hill,
     std::vector<HillTraceEpoch> out;
     out.reserve(epochs);
 
-    // The machine arrived by value; mirror the hill policy's event
-    // trace (if any) onto it. Probe copies drop the link, so the
-    // exhaustive per-epoch mapping never pollutes the stream.
-    if (hill.eventTrace())
-        cpu.setEventTrace(hill.eventTrace(), hill.eventTracePid());
+    // The machine arrived by value, so it has no links; mirror the
+    // hill policy's event trace (if any) onto it. Probe copies start
+    // unobserved, so the exhaustive per-epoch mapping never feeds the
+    // stream or the learner's observers.
+    cpu.setEventTrace(hill.eventTrace(), hill.eventTracePid());
     hill.attach(cpu);
     for (int e = 0; e < epochs; ++e) {
         // Exhaustively map the epoch from the checkpoint, without

@@ -560,7 +560,8 @@ extractEmittedEvents(const ProjectModel::File &f,
         if (!isIdentTok(toks, nameIdx))
             continue;
         const std::string &kind = toks[nameIdx].text;
-        if (kind != "instant" && kind != "complete" && kind != "counter")
+        if (kind != "instant" && kind != "complete" && kind != "counter" &&
+            kind != "instruction")
             continue;
         if (!isPunct(toks, nameIdx + 1, '('))
             continue;
@@ -597,7 +598,9 @@ extractEmittedEvents(const ProjectModel::File &f,
                                 isPunct(toks, m - 1, '+'),
                                 isPunct(toks, m + 1, '+')});
         }
-        std::size_t slot = kind == "counter" ? 0 : 1;
+        // instant/complete take (cat, name); counter and instruction
+        // (the per-stage `inst` events) take the name alone.
+        std::size_t slot = kind == "counter" || kind == "instruction" ? 0 : 1;
         if (strs.size() <= slot)
             continue; // fully computed name: not statically checkable
         const Arg &a = strs[slot];

@@ -737,6 +737,8 @@ schemaCatalog()
              "name",        "cat",             "ph",
              "ts",          "dur",             "pid",
              "tid",         "args",            "value",
+             // per-instruction `inst` event args
+             "seq",         "pc",              "op",
          }},
         // smthill.events.v1 job-lifecycle args
         // (workload/open_system.cc)

@@ -100,7 +100,7 @@ PhaseHillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         if (currentPhase != prev)
             ++phaseRuns[currentPhase];
         predictor.observe(currentPhase);
-        if (EventTrace *evt = eventTraceRef.trace) {
+        if (EventTrace *evt = eventTrace()) {
             Json args = Json::object();
             args.set("phase", currentPhase);
             args.set("prev_phase", prev);
@@ -109,13 +109,13 @@ PhaseHillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
             args.set("seen", phaseEpochs[currentPhase]);
             args.set("runs", phaseRuns[currentPhase]);
             args.set("table_size", table.size());
-            evt->instant(cpu.now(), eventTraceRef.pid, kControlTid,
+            evt->instant(cpu.now(), eventTracePid(), kControlTid,
                          "phase", "classify", std::move(args));
             if (currentPhase != prev) {
                 Json targs = Json::object();
                 targs.set("from", prev);
                 targs.set("to", currentPhase);
-                evt->instant(cpu.now(), eventTraceRef.pid, kControlTid,
+                evt->instant(cpu.now(), eventTracePid(), kControlTid,
                              "phase", "transition", std::move(targs));
             }
         }
@@ -157,7 +157,7 @@ PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
             next = it->second;
         }
     }
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("current", currentPhase);
         args.set("predicted", predicted);
@@ -167,7 +167,7 @@ PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
         for (int i = 0; i < next.numThreads; ++i)
             shares.push(Json(next.share[i]));
         args.set("next_anchor", std::move(shares));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "phase",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "phase",
                      "reuse.decision", std::move(args));
     }
     return next;

@@ -120,13 +120,7 @@ SmtCpu::restoreFrom(const SmtCpu &checkpoint)
     // Plain member-wise assignment is the whole restore: vector
     // assignment writes into existing storage when capacity suffices,
     // so a warm machine of the same shape takes zero allocations.
-    // EventTraceRef's assignment drops the trace link by design.
     *this = checkpoint;
-    tracer = nullptr;
-    branchObserver = nullptr;
-    branchObserverCtx = nullptr;
-    loadObserver = nullptr;
-    loadObserverCtx = nullptr;
 }
 
 void
@@ -146,13 +140,13 @@ SmtCpu::setPartition(const Partition &partition)
     curPartition = partition;
     limits = deriveLimits(partition, cfg);
     partitionOn = true;
-    if (evtRef.trace) {
+    if (evt->trace) {
         // One counter track per hardware thread: the share timeline
         // renders as stacked counters in Perfetto.
         for (int i = 0; i < partition.numThreads; ++i) {
-            evtRef.trace->counter(curCycle, evtRef.pid, i,
-                                  "share.t" + std::to_string(i),
-                                  partition.share[i]);
+            evt->trace->counter(curCycle, evt->pid, i,
+                                "share.t" + std::to_string(i),
+                                partition.share[i]);
         }
     }
 }
@@ -161,9 +155,9 @@ void
 SmtCpu::clearPartition()
 {
     partitionOn = false;
-    if (evtRef.trace) {
-        evtRef.trace->instant(curCycle, evtRef.pid, kControlTid,
-                              "machine", "partition.clear");
+    if (evt->trace) {
+        evt->trace->instant(curCycle, evt->pid, kControlTid,
+                            "machine", "partition.clear");
     }
 }
 
@@ -183,12 +177,12 @@ void
 SmtCpu::setThreadEnabled(ThreadId tid, bool enabled)
 {
     threads.at(tid).enabled = enabled;
-    if (evtRef.trace) {
+    if (evt->trace) {
         Json args = Json::object();
         args.set("enabled", enabled);
-        evtRef.trace->instant(curCycle, evtRef.pid,
-                              static_cast<int>(tid), "machine",
-                              "thread.enabled", std::move(args));
+        evt->trace->instant(curCycle, evt->pid,
+                            static_cast<int>(tid), "machine",
+                            "thread.enabled", std::move(args));
     }
 }
 
@@ -202,26 +196,24 @@ void
 SmtCpu::stallUntil(Cycle until)
 {
     stalledUntil = std::max(stalledUntil, until);
-    if (evtRef.trace && until > curCycle) {
-        evtRef.trace->complete(curCycle,
-                               static_cast<std::int64_t>(until - curCycle),
-                               evtRef.pid, kControlTid, "machine",
-                               "stall");
+    if (evt->trace && until > curCycle) {
+        evt->trace->complete(curCycle,
+                             static_cast<std::int64_t>(until - curCycle),
+                             evt->pid, kControlTid, "machine",
+                             "stall");
     }
 }
 
 void
 SmtCpu::setBranchObserver(BranchObserver fn, void *ctx)
 {
-    branchObserver = fn;
-    branchObserverCtx = ctx;
+    branchObs.attach({fn, ctx});
 }
 
 void
 SmtCpu::setLoadObserver(LoadObserver fn, void *ctx)
 {
-    loadObserver = fn;
-    loadObserverCtx = ctx;
+    loadObs.attach({fn, ctx});
 }
 
 int
@@ -367,13 +359,13 @@ SmtCpu::doCommit()
                 // access updates tags so future loads see the line.
                 mem.dataAccess(tid, s.si.effAddr, true);
             }
-            if (s.si.isBranch() && branchObserver) {
+            if (s.si.isBranch() && branchObs->fn) {
                 const auto &blocks = t.gen.profile().blocks;
                 CommittedBranch cb{tid, s.si.blockId,
                                    blocks[s.si.blockId].length};
-                branchObserver(branchObserverCtx, cb);
+                branchObs->fn(branchObs->ctx, cb);
             }
-            trace(TraceStage::Commit, tid, s);
+            evt->instruction(curCycle, tid, "commit", s.seq, s.si.pc, s.si.op);
             releaseResources(tid, s);
             s.state = SlotFree;
             ++statCounters.committed[tid];
@@ -446,7 +438,7 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
     ThreadState &t = threads[tid];
     Slot &s = t.ring[slot_idx];
     s.state = SlotCompleted;
-    trace(TraceStage::Complete, tid, s);
+    evt->instruction(curCycle, tid, "complete", s.seq, s.si.pc, s.si.op);
 
     // Wake register-dependent instructions.
     for (const DepRef &dep : s.dependents) {
@@ -480,10 +472,10 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
                 break;
             }
         }
-        if (loadObserver) {
-            loadObserver(loadObserverCtx,
-                         LoadEvent{tid, s.seq, s.si.pc, true, missed,
-                                   to_memory});
+        if (loadObs->fn) {
+            loadObs->fn(loadObs->ctx,
+                        LoadEvent{tid, s.seq, s.si.pc, true, missed,
+                                  to_memory});
         }
     }
 
@@ -603,7 +595,7 @@ SmtCpu::doIssue()
         }
 
         s.state = SlotIssued;
-        trace(TraceStage::Issue, tid, s);
+        evt->instruction(curCycle, tid, "issue", s.seq, s.si.pc, s.si.op);
         s.completeCycle = curCycle + std::max<Cycle>(1, lat);
         // The completion heap is bounded by issued-but-uncompleted
         // instructions; its backing storage stabilizes after warm-up.
@@ -727,12 +719,12 @@ SmtCpu::dispatchOne(ThreadId tid)
     }
 
     s.state = SlotDispatched;
-    trace(TraceStage::Dispatch, tid, s);
+    evt->instruction(curCycle, tid, "dispatch", s.seq, s.si.pc, s.si.op);
     linkDependences(tid, seq, s);
     ++t.dispatchSeq;
-    if (loadObserver && op == OpClass::Load) {
-        loadObserver(loadObserverCtx,
-                     LoadEvent{tid, seq, s.si.pc, false, false, false});
+    if (loadObs->fn && op == OpClass::Load) {
+        loadObs->fn(loadObs->ctx,
+                    LoadEvent{tid, seq, s.si.pc, false, false, false});
     }
     return true;
 }
@@ -904,7 +896,7 @@ SmtCpu::doFetch()
             ++occ.ifq[tid];
             ++occT.ifq;
             ++statCounters.fetched[tid];
-            trace(TraceStage::Fetch, tid, s);
+            evt->instruction(curCycle, tid, "fetch", s.seq, s.si.pc, s.si.op);
             ++t.fetchSeq;
             ++fetched;
 
@@ -951,7 +943,7 @@ SmtCpu::squashFrom(ThreadId tid, InstSeq start)
             --occ.ifq[tid];
             --occT.ifq;
         }
-        trace(TraceStage::Squash, tid, s);
+        evt->instruction(curCycle, tid, "squash", s.seq, s.si.pc, s.si.op);
         releaseResources(tid, s);
         s.state = SlotFree;
         ++s.genId;
@@ -983,13 +975,13 @@ SmtCpu::flushThreadAfter(ThreadId tid, InstSeq seq)
         return 0;
 
     int squashed = squashFrom(tid, start);
-    if (evtRef.trace && squashed > 0) {
+    if (evt->trace && squashed > 0) {
         Json args = Json::object();
         args.set("after_seq", seq);
         args.set("squashed", squashed);
-        evtRef.trace->instant(curCycle, evtRef.pid,
-                              static_cast<int>(tid), "machine", "flush",
-                              std::move(args));
+        evt->trace->instant(curCycle, evt->pid,
+                            static_cast<int>(tid), "machine", "flush",
+                            std::move(args));
     }
     return squashed;
 }
@@ -1004,12 +996,12 @@ SmtCpu::idleContext(ThreadId tid)
     t.policyLocked = false;
     t.enabled = false;
     t.misses.clear();
-    if (evtRef.trace) {
+    if (evt->trace) {
         Json args = Json::object();
         args.set("squashed", squashed);
-        evtRef.trace->instant(curCycle, evtRef.pid,
-                              static_cast<int>(tid), "machine",
-                              "context.idle", std::move(args));
+        evt->trace->instant(curCycle, evt->pid,
+                            static_cast<int>(tid), "machine",
+                            "context.idle", std::move(args));
     }
     return squashed;
 }
@@ -1031,12 +1023,12 @@ SmtCpu::resetContext(ThreadId tid, StreamGenerator gen)
     t.misses.clear();
     predictors[tid] = HybridPredictor(cfg.metaEntries, cfg.gshareEntries,
                                       cfg.bimodalEntries);
-    if (evtRef.trace) {
+    if (evt->trace) {
         Json args = Json::object();
         args.set("squashed", squashed);
-        evtRef.trace->instant(curCycle, evtRef.pid,
-                              static_cast<int>(tid), "machine",
-                              "context.reset", std::move(args));
+        evt->trace->instant(curCycle, evt->pid,
+                            static_cast<int>(tid), "machine",
+                            "context.reset", std::move(args));
     }
     return squashed;
 }

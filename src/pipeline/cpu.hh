@@ -18,6 +18,9 @@
  * machine (pipeline, caches, predictors, instruction generators, and
  * statistics), which is how OFF-LINE exhaustive learning, RAND-HILL,
  * and the synchronized comparisons of Figures 5, 11, and 12 work.
+ * Observer links (event trace, branch and load observers) are not
+ * simulated state: they follow the Attachment rule, so a copy starts
+ * unobserved and an assignment keeps the target's own links.
  */
 
 #ifndef SMTHILL_PIPELINE_CPU_HH
@@ -34,7 +37,6 @@
 #include "memory/hierarchy.hh"
 #include "pipeline/resources.hh"
 #include "pipeline/smt_config.hh"
-#include "pipeline/tracer.hh"
 #include "trace/instruction.hh"
 #include "trace/stream_generator.hh"
 
@@ -106,11 +108,8 @@ class SmtCpu
      * reusing this machine's existing allocations (instruction rings,
      * dependence vectors, cache arrays) instead of making fresh ones —
      * the cheap path trial sweeps restore through instead of
-     * copy-constructing an SmtCpu per trial. The restored machine
-     * runs unobserved: tracer, branch/load observers, and the event
-     * trace link are all dropped, because trials replay concurrently
-     * and observation belongs to the committing machine (same
-     * semantics as runFixedPartitionEpoch's trial path).
+     * copy-constructing an SmtCpu per trial. This machine keeps its
+     * own observer links (Attachment rule).
      */
     void restoreFrom(const SmtCpu &checkpoint);
 
@@ -251,50 +250,41 @@ class SmtCpu
     /** @return instructions in pre-issue stages (ICOUNT's counter). */
     int frontEndCount(ThreadId tid) const;
 
+    // --- Observer links (Attachment rule: not simulated state) -----
+
     /**
      * Register an observer invoked once per committed branch (phase
-     * detection BBVs). Pass nullptr to detach. The observer is NOT
-     * part of the checkpointed machine state.
+     * detection BBVs). Pass nullptr to detach.
      */
     using BranchObserver = void (*)(void *ctx, const CommittedBranch &);
     void setBranchObserver(BranchObserver fn, void *ctx);
 
     /**
      * Register an observer invoked at load dispatch and completion
-     * (PDG-style miss predictors). Pass nullptr to detach. Not part
-     * of the checkpointed machine state.
+     * (PDG-style miss predictors). Pass nullptr to detach.
      */
     using LoadObserver = void (*)(void *ctx, const LoadEvent &);
     void setLoadObserver(LoadObserver fn, void *ctx);
 
     /**
-     * Attach a pipeline tracer (nullptr detaches). The tracer is a
-     * debugging aid owned by the caller; it is NOT checkpointed, and
-     * machine copies share the same tracer pointer.
-     */
-    void setTracer(PipelineTracer *t) { tracer = t; }
-
-    /**
-     * Attach a cycle-level event trace (nullptr detaches). Owned by
-     * the caller and deliberately NOT checkpointed: copying the
-     * machine drops the link (EventTraceRef semantics), so offline
-     * trial sweeps and synchronized-comparison clones never
-     * interleave events into the committing run's stream.
+     * Attach a cycle-level event trace (nullptr detaches), owned by
+     * the caller. When the trace has instruction events on, the
+     * machine also records every pipeline stage of every instruction
+     * as an `inst` event.
      * @param pid trace-event process id the machine's events file
      *        under (one per workload/technique)
      */
     void
     setEventTrace(EventTrace *t, int pid)
     {
-        evtRef.trace = t;
-        evtRef.pid = t ? pid : 0;
+        evt.attach(EventTraceLink{t, t ? pid : 0});
     }
 
     /** @return the attached event trace, or nullptr. */
-    EventTrace *eventTrace() const { return evtRef.trace; }
+    EventTrace *eventTrace() const { return evt->trace; }
 
     /** @return the trace-event process id of the attached trace. */
-    int eventTracePid() const { return evtRef.pid; }
+    int eventTracePid() const { return evt->pid; }
 
   private:
     static constexpr InstSeq kNoSeq = ~InstSeq{0};
@@ -477,22 +467,17 @@ class SmtCpu
 
     CpuStats statCounters;
 
-    BranchObserver branchObserver = nullptr;
-    void *branchObserverCtx = nullptr;
-    LoadObserver loadObserver = nullptr;
-    void *loadObserverCtx = nullptr;
-    PipelineTracer *tracer = nullptr;
-    EventTraceRef evtRef;   ///< cycle-level event trace; drops on copy
-
-    /** Record a pipeline trace event if a tracer is attached. */
-    void
-    trace(TraceStage stage, ThreadId tid, const Slot &slot)
+    /** An observer callback and its context. */
+    template <typename Event>
+    struct ObserverLink
     {
-        if (tracer) {
-            tracer->record(TraceEvent{curCycle, slot.seq, slot.si.pc,
-                                      stage, tid, slot.si.op});
-        }
-    }
+        void (*fn)(void *ctx, const Event &) = nullptr;
+        void *ctx = nullptr;
+    };
+
+    Attachment<ObserverLink<CommittedBranch>> branchObs;
+    Attachment<ObserverLink<LoadEvent>> loadObs;
+    Attachment<EventTraceLink> evt;
 };
 
 } // namespace smthill

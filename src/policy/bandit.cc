@@ -216,7 +216,7 @@ BanditAllocator::pullArm(SmtCpu &cpu, int previous_arm, double reward)
     cpu.setPartition(anchorPartition);
     if (next != previous_arm)
         banditSwitches().inc();
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("alg_epoch", algEpoch);
         args.set("algo", bcfg.algo == BanditAlgo::Ucb1 ? "ucb1" : "exp3");
@@ -228,7 +228,7 @@ BanditAllocator::pullArm(SmtCpu &cpu, int previous_arm, double reward)
         args.set("reward", reward);
         args.set("switched", next != previous_arm);
         args.set("partition", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "bandit",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "bandit",
                      "arm.pull", std::move(args));
     }
 }
@@ -286,14 +286,14 @@ BanditAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     bool ran_partitioned = cpu.partitioningEnabled();
     double reward = evalActiveMetric(sample);
 
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("epoch", epoch_id);
         args.set("kind", "learn");
         args.set("ipc", ipcJson(sample));
         evt->complete(lastEpochStart,
                       static_cast<std::int64_t>(lastElapsed),
-                      eventTraceRef.pid, kControlTid, "epoch", "epoch",
+                      eventTracePid(), kControlTid, "epoch", "epoch",
                       std::move(args));
     }
 
@@ -342,12 +342,12 @@ BanditAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
         cpu.setPartition(anchorPartition);
     else
         cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("arms", static_cast<std::uint64_t>(armSet.size()));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "bandit",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "bandit",
                      "churn.attach", std::move(args));
     }
 }
@@ -370,12 +370,12 @@ BanditAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
         cpu.setPartition(anchorPartition);
     else
         cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("arms", static_cast<std::uint64_t>(armSet.size()));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "bandit",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "bandit",
                      "churn.detach", std::move(args));
     }
 }

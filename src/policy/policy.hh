@@ -88,25 +88,24 @@ class ResourcePolicy
     /** @return a deep copy (for synchronized comparison runs). */
     virtual std::unique_ptr<ResourcePolicy> clone() const = 0;
 
+    // --- Observer links ---------------------------------------------
+    // Attachment rule: a clone starts with none, so trial and
+    // comparison copies never write into the committing run's traces.
+
     /**
      * Attach an epoch-trace observer (nullptr detaches). Owned by
      * the caller; zero-cost when absent. Policies that learn
      * (HillClimbing and descendants) record one EpochTraceRecord per
-     * epoch() call; monitor-only policies record nothing. Clones
-     * share the pointer, so detach it from trial copies that must
-     * not pollute the committing run's trace.
+     * epoch() call; monitor-only policies record nothing.
      */
-    void setEpochTracer(EpochTracer *t) { epochTracerPtr = t; }
+    void setEpochTracer(EpochTracer *t) { epochTracerLink.attach(t); }
 
     /** @return the attached tracer, or nullptr. */
-    EpochTracer *epochTracer() const { return epochTracerPtr; }
+    EpochTracer *epochTracer() const { return *epochTracerLink; }
 
     /**
      * Attach a cycle-level event trace (nullptr detaches). Owned by
-     * the caller; zero-cost when absent. Unlike the epoch tracer the
-     * link is dropped on copy (EventTraceRef semantics): the trace
-     * follows the committing run, never its clones, so synchronized
-     * comparisons and trial copies cannot interleave events.
+     * the caller; zero-cost when absent.
      * @param pid the trace-event process id this policy's events
      *        (and its machine's, once the runner mirrors the link)
      *        are filed under
@@ -114,19 +113,18 @@ class ResourcePolicy
     void
     setEventTrace(EventTrace *t, int pid)
     {
-        eventTraceRef.trace = t;
-        eventTraceRef.pid = t ? pid : 0;
+        eventTraceLink.attach(EventTraceLink{t, t ? pid : 0});
     }
 
     /** @return the attached event trace, or nullptr. */
-    EventTrace *eventTrace() const { return eventTraceRef.trace; }
+    EventTrace *eventTrace() const { return eventTraceLink->trace; }
 
     /** @return the trace-event process id of the attached trace. */
-    int eventTracePid() const { return eventTraceRef.pid; }
+    int eventTracePid() const { return eventTraceLink->pid; }
 
-  protected:
-    EpochTracer *epochTracerPtr = nullptr;
-    EventTraceRef eventTraceRef;
+  private:
+    Attachment<EpochTracer *> epochTracerLink;
+    Attachment<EventTraceLink> eventTraceLink;
 };
 
 /**

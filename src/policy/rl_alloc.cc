@@ -198,8 +198,8 @@ RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     bool ran_partitioned = cpu.partitioningEnabled();
     double reward = evalActiveMetric(sample);
 
-    EventTrace *evt = eventTraceRef.trace;
-    int evtPid = eventTraceRef.pid;
+    EventTrace *evt = eventTrace();
+    int evtPid = eventTracePid();
     if (evt) {
         Json args = Json::object();
         args.set("epoch", epoch_id);
@@ -295,11 +295,11 @@ RlAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
         cpu.setPartition(anchorPartition);
     else
         cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "rl",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "rl",
                      "churn.attach", std::move(args));
     }
 }
@@ -323,11 +323,11 @@ RlAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
         cpu.setPartition(anchorPartition);
     else
         cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
+    if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "rl",
+        evt->instant(cpu.now(), eventTracePid(), kControlTid, "rl",
                      "churn.detach", std::move(args));
     }
 }

@@ -197,9 +197,9 @@ class OpenSystem
 
     /**
      * Run the scenario on @p cpu, which must be in the makeMachine()
-     * state (fresh or arena-restored — restoreFrom drops tracers and
-     * observers, runOn re-wires them). run() is exactly makeMachine()
-     * + runOn(); the two paths are bit-identical.
+     * state and unobserved (fresh, or from MachineArena::acquire);
+     * runOn attaches the trace and the policy. run() is exactly
+     * makeMachine() + runOn(); the two paths are bit-identical.
      */
     OpenSystemResult runOn(SmtCpu &cpu, ResourcePolicy &policy,
                            EventTrace *trace = nullptr, int trace_pid = 1);

@@ -197,6 +197,7 @@ TEST(AnalyzeModel, EventTablesRecordEmissionAndCatalog)
           "void f(EventTrace *t) {\n"
           "    t->instant(1, 0, 0, \"hill\", \"epoch\");\n"
           "    t->counter(1, 0, 0, \"share.t\" + std::to_string(2), 8);\n"
+          "    link.instruction(1, 0, \"fetch\", 7, 64, op);\n"
           "}\n"},
          {"tools/smthill_trace_report.cc",
           "const char *const kKnownEventNames[] = {\n"
@@ -206,6 +207,8 @@ TEST(AnalyzeModel, EventTablesRecordEmissionAndCatalog)
     EXPECT_EQ(m.emittedEvents.count("epoch"), 1u);
     // A computed counter name records as a prefix wildcard.
     EXPECT_EQ(m.emittedEvents.count("share.t*"), 1u);
+    // instruction: the per-stage `inst` name is its only string.
+    EXPECT_EQ(m.emittedEvents.count("fetch"), 1u);
     EXPECT_EQ(m.knownEventNames.count("epoch"), 1u);
     EXPECT_EQ(m.knownEventNames.count("share.t*"), 1u);
 }

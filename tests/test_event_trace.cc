@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the cycle-level event tracer (common/event_trace.hh):
  * ring wrap/overflow accounting, export round-trips through both
- * sinks, the drop-on-copy attachment handle, jobs-independence of
+ * sinks, the attachment handle, jobs-independence of
  * recorded streams, and the event-stream monotonicity invariant.
  */
 
@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_trace.hh"
@@ -159,20 +160,28 @@ TEST(EventTrace, JsonlRoundTripAndStreamingSinkMatch)
 TEST(EventTrace, AttachmentHandleDropsOnCopy)
 {
     EventTrace trace;
-    EventTraceRef ref;
-    ref.trace = &trace;
-    ref.pid = 3;
+    Attachment<EventTraceLink> ref;
+    ref.attach({&trace, 3});
 
-    EventTraceRef copied(ref);
-    EXPECT_EQ(copied.trace, nullptr);
-    EXPECT_EQ(copied.pid, 0);
+    Attachment<EventTraceLink> copied(ref);
+    EXPECT_EQ(copied->trace, nullptr);
+    EXPECT_EQ(copied->pid, 0);
 
-    EventTraceRef assigned;
-    assigned.trace = &trace;
-    assigned.pid = 5;
+    Attachment<EventTraceLink> source;
+    source.attach({&trace, 4});
+    Attachment<EventTraceLink> moved(std::move(source));
+    EXPECT_EQ(moved->trace, nullptr);
+
+    // Assignment keeps the target's own link, whatever the source's.
+    EventTrace other;
+    Attachment<EventTraceLink> assigned;
+    assigned.attach({&other, 5});
     assigned = ref;
-    EXPECT_EQ(assigned.trace, nullptr);
-    EXPECT_EQ(assigned.pid, 0);
+    EXPECT_EQ(assigned->trace, &other);
+    EXPECT_EQ(assigned->pid, 5);
+    assigned = Attachment<EventTraceLink>();
+    EXPECT_EQ(assigned->trace, &other);
+    EXPECT_EQ(assigned->pid, 5);
 }
 
 TEST(EventTrace, MachineCheckpointsDoNotEmit)

@@ -1,15 +1,20 @@
 /**
  * @file
- * Unit tests for the derived-statistics report and pipeline tracer.
+ * Unit tests for the derived-statistics report and the per-instruction
+ * `inst` events of the event trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/event_trace.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "pipeline/tracer.hh"
 #include "policy/flush.hh"
 #include "policy/icount.hh"
 #include "trace/program_profile.hh"
@@ -104,119 +109,165 @@ TEST(Report, RunResultCarriesSnapshots)
     EXPECT_NEAR(rep.threads[0].ipc, res.overallIpc.ipc[0], 1e-9);
 }
 
+// --- Per-instruction `inst` events of the event trace ---------------
+
+/** Pipeline stages in lifecycle order; squash ends any of them. */
+constexpr int kNumStages = 6;
+const char *const kStages[kNumStages] = {"fetch",    "dispatch",
+                                         "issue",    "complete",
+                                         "commit",   "squash"};
+
+/** @return the lifecycle index of stage @p name, or -1. */
+int
+stageIndex(const std::string &name)
+{
+    for (int i = 0; i < kNumStages; ++i)
+        if (name == kStages[i])
+            return i;
+    return -1;
+}
+
+/** @return the `inst` events of @p trace, oldest first. */
+std::vector<SimEvent>
+instEvents(const EventTrace &trace)
+{
+    std::vector<SimEvent> out;
+    for (SimEvent &e : trace.events())
+        if (e.cat == "inst")
+            out.push_back(std::move(e));
+    return out;
+}
+
+/** @return an event trace with per-instruction events on. */
+EventTrace
+instTrace()
+{
+    EventTrace trace;
+    trace.setInstructionEvents(true);
+    return trace;
+}
+
 TEST(Tracer, RecordsAllStagesInOrder)
 {
     SmtCpu cpu = testCpu(0.0);
-    PipelineTracer tracer(1 << 16);
-    cpu.setTracer(&tracer);
+    EventTrace trace = instTrace();
+    cpu.setEventTrace(&trace, 7);
     cpu.run(200);
-    auto events = tracer.events();
+    ASSERT_GT(cpu.flushThreadAfter(0, cpu.stats().committed[0] + 1), 0);
+    auto events = instEvents(trace);
     ASSERT_GT(events.size(), 50u);
-    bool saw[6] = {false, false, false, false, false, false};
+    bool saw[kNumStages] = {};
     Cycle prev = 0;
     for (const auto &e : events) {
-        saw[static_cast<int>(e.stage)] = true;
-        EXPECT_GE(e.cycle, prev);
-        prev = e.cycle;
+        int stage = stageIndex(e.name);
+        ASSERT_GE(stage, 0) << e.name;
+        saw[stage] = true;
+        EXPECT_EQ(e.ph, 'i');
+        EXPECT_EQ(e.pid, 7);
+        EXPECT_TRUE(e.tid == 0 || e.tid == 1) << e.tid;
+        EXPECT_TRUE(e.args.contains("seq"));
+        EXPECT_TRUE(e.args.contains("pc"));
+        EXPECT_TRUE(e.args.contains("op"));
+        EXPECT_GE(e.ts, prev);
+        prev = e.ts;
     }
-    EXPECT_TRUE(saw[static_cast<int>(TraceStage::Fetch)]);
-    EXPECT_TRUE(saw[static_cast<int>(TraceStage::Dispatch)]);
-    EXPECT_TRUE(saw[static_cast<int>(TraceStage::Issue)]);
-    EXPECT_TRUE(saw[static_cast<int>(TraceStage::Complete)]);
-    EXPECT_TRUE(saw[static_cast<int>(TraceStage::Commit)]);
+    for (int i = 0; i < kNumStages; ++i)
+        EXPECT_TRUE(saw[i]) << kStages[i];
 }
 
 TEST(Tracer, PerInstructionLifecycleOrder)
 {
     SmtCpu cpu = testCpu(0.0);
-    PipelineTracer tracer(1 << 16);
-    cpu.setTracer(&tracer);
+    EventTrace trace = instTrace();
+    cpu.setEventTrace(&trace, 0);
     cpu.run(500);
     // For any given (tid, seq), stage order must be fetch <= dispatch
     // <= issue <= complete <= commit in time.
-    std::map<std::pair<ThreadId, InstSeq>, Cycle> last_stage_cycle;
-    std::map<std::pair<ThreadId, InstSeq>, int> last_stage;
-    for (const auto &e : tracer.events()) {
-        if (e.stage == TraceStage::Squash)
+    std::map<std::pair<int, std::int64_t>, Cycle> last_stage_cycle;
+    std::map<std::pair<int, std::int64_t>, int> last_stage;
+    for (const auto &e : instEvents(trace)) {
+        if (e.name == "squash")
             continue;
-        auto key = std::make_pair(e.tid, e.seq);
+        auto key = std::make_pair(e.tid, e.args.at("seq").asInt());
+        int stage = stageIndex(e.name);
         auto it = last_stage.find(key);
         if (it != last_stage.end()) {
-            EXPECT_GT(static_cast<int>(e.stage), it->second)
-                << "seq " << e.seq;
-            EXPECT_GE(e.cycle, last_stage_cycle[key]);
+            EXPECT_GT(stage, it->second) << "seq " << key.second;
+            EXPECT_GE(e.ts, last_stage_cycle[key]);
         }
-        last_stage[key] = static_cast<int>(e.stage);
-        last_stage_cycle[key] = e.cycle;
+        last_stage[key] = stage;
+        last_stage_cycle[key] = e.ts;
     }
+    EXPECT_FALSE(last_stage.empty());
 }
 
 TEST(Tracer, ThreadFilter)
 {
     SmtCpu cpu = testCpu(0.0);
-    PipelineTracer tracer(1 << 14);
-    tracer.filterThread(1);
-    cpu.setTracer(&tracer);
+    const CpuStats before = cpu.stats();
+    EventTrace trace = instTrace();
+    cpu.setEventTrace(&trace, 0);
     cpu.run(300);
-    ASSERT_GT(tracer.size(), 0u);
-    for (const auto &e : tracer.events())
-        EXPECT_EQ(e.tid, 1u);
-    EXPECT_GT(tracer.offered(), tracer.size());
+    // Thread selection is a filter over events(): thread 1's fetches
+    // are exactly what its counters say it fetched.
+    std::uint64_t fetched1 = 0;
+    std::size_t all = 0;
+    for (const auto &e : instEvents(trace)) {
+        ++all;
+        if (e.tid == 1 && e.name == "fetch")
+            ++fetched1;
+    }
+    EXPECT_GT(fetched1, 0u);
+    EXPECT_EQ(fetched1, cpu.stats().fetched[1] - before.fetched[1]);
+    EXPECT_GT(all, fetched1);
 }
 
 TEST(Tracer, StageFilter)
 {
     SmtCpu cpu = testCpu(0.0);
-    PipelineTracer tracer(1 << 14);
-    tracer.filterStages(std::uint32_t{1}
-                        << static_cast<int>(TraceStage::Commit));
-    cpu.setTracer(&tracer);
+    const std::uint64_t before = cpu.stats().committedTotal();
+    EventTrace trace = instTrace();
+    cpu.setEventTrace(&trace, 0);
     cpu.run(300);
-    ASSERT_GT(tracer.size(), 0u);
-    for (const auto &e : tracer.events())
-        EXPECT_EQ(e.stage, TraceStage::Commit);
-}
-
-TEST(Tracer, RingEvictsOldest)
-{
-    PipelineTracer tracer(4);
-    for (int i = 0; i < 10; ++i) {
-        TraceEvent e;
-        e.seq = static_cast<InstSeq>(i);
-        tracer.record(e);
-    }
-    auto events = tracer.events();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events.front().seq, 6u);
-    EXPECT_EQ(events.back().seq, 9u);
-    EXPECT_EQ(tracer.offered(), 10u);
-}
-
-TEST(Tracer, ClearResets)
-{
-    PipelineTracer tracer(8);
-    tracer.record(TraceEvent{});
-    tracer.clear();
-    EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_TRUE(tracer.events().empty());
+    // Stage selection is a filter over events(): the commit events
+    // are exactly the instructions the machine committed.
+    std::uint64_t commits = 0;
+    for (const auto &e : instEvents(trace))
+        if (e.name == "commit")
+            ++commits;
+    EXPECT_GT(commits, 0u);
+    EXPECT_EQ(commits, cpu.stats().committedTotal() - before);
 }
 
 TEST(Tracer, SquashEventsOnFlush)
 {
     SmtCpu cpu = testCpu(0.2);
-    PipelineTracer tracer(1 << 16);
-    tracer.filterStages(std::uint32_t{1}
-                        << static_cast<int>(TraceStage::Squash));
-    cpu.setTracer(&tracer);
+    EventTrace trace = instTrace();
+    cpu.setEventTrace(&trace, 0);
     cpu.run(200);
+    trace.clear();
     int flushed = cpu.flushThreadAfter(0, cpu.stats().committed[0] + 1);
-    EXPECT_EQ(tracer.size(), static_cast<std::size_t>(flushed));
+    std::size_t squashes = 0;
+    for (const auto &e : instEvents(trace)) {
+        EXPECT_EQ(e.name, "squash");
+        EXPECT_EQ(e.tid, 0);
+        ++squashes;
+    }
+    EXPECT_GT(flushed, 0);
+    EXPECT_EQ(squashes, static_cast<std::size_t>(flushed));
 }
 
-TEST(Tracer, StageNames)
+TEST(Tracer, NoInstEventsUnlessSwitchedOn)
 {
-    EXPECT_STREQ(traceStageName(TraceStage::Fetch), "fetch");
-    EXPECT_STREQ(traceStageName(TraceStage::Squash), "squash");
+    SmtCpu cpu = testCpu(0.2);
+    EventTrace trace;
+    cpu.setEventTrace(&trace, 0);
+    cpu.run(200);
+    EXPECT_GT(cpu.flushThreadAfter(0, cpu.stats().committed[0] + 1), 0);
+    // The trace is attached (the flush is on record) but holds no
+    // per-instruction events.
+    EXPECT_FALSE(trace.empty());
+    EXPECT_TRUE(instEvents(trace).empty());
 }
 
 } // namespace

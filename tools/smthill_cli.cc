@@ -2,8 +2,8 @@
  * @file
  * smthill command-line driver: run any workload under any policy
  * with any machine/experiment parameters, and print end metrics, a
- * derived statistics report, per-epoch CSV series, or a pipeline
- * trace — without recompiling.
+ * derived statistics report, per-epoch CSV series, or the last
+ * per-instruction pipeline events — without recompiling.
  *
  * Usage:
  *   smthill_cli [key=value ...] [config=FILE]
@@ -41,6 +41,10 @@
  *     ending in ".jsonl" writes the streaming JSONL form; any other
  *     path writes Chrome trace-event / Perfetto JSON loadable at
  *     ui.perfetto.dev.
+ *   trace=N records per-instruction `inst` events (fetch, dispatch,
+ *     issue, complete, commit, squash) into the same event trace and
+ *     prints the last N after the run; with event_trace= they are
+ *     exported too.
  *   snapshots=FILE    (or --snapshots=FILE) streams one
  *     `smthill.snapshots.v1` delta row of the process-wide
  *     StatRegistry per measured epoch (single-run mode only).
@@ -374,7 +378,9 @@ main(int argc, char **argv)
                    "write the smthill.profile.v1 host-profile report "
                    "here (default: stdout span table)");
     opts.addInt("trace", &trace_events,
-                "dump the last N pipeline events after the run");
+                "record per-instruction inst events and print the "
+                "last N after the run (event_trace= exports them "
+                "too)");
     opts.addInt32("jobs", &rc.jobs,
                   "worker threads for workload/policy grids "
                   "(default: hardware threads; 1 = serial)");
@@ -450,11 +456,6 @@ main(int argc, char **argv)
     auto solo = soloIpcs(workload, rc, solo_epochs * rc.epochSize);
 
     SmtCpu cpu = makeCpu(workload, rc);
-    PipelineTracer tracer(trace_events > 0
-                              ? static_cast<std::size_t>(trace_events)
-                              : 1);
-    if (trace_events > 0)
-        cpu.setTracer(&tracer);
 
     // Learning policies record their epoch-by-epoch state into the
     // tracer; non-learning policies leave it empty and a generic
@@ -465,15 +466,21 @@ main(int argc, char **argv)
 
     // Cycle-level event trace: the run files under process 0, with
     // one named track per hardware thread plus the control track.
-    EventTrace event_tracer;
+    // trace=N switches on per-instruction events and widens the ring
+    // by N, so the last N of them survive to be printed.
+    const std::size_t inst_events =
+        trace_events > 0 ? static_cast<std::size_t>(trace_events) : 0;
+    EventTrace event_tracer(EventTrace::kDefaultCapacity + inst_events);
+    event_tracer.setInstructionEvents(inst_events > 0);
     if (!event_trace.empty()) {
         event_tracer.processName(0, workload.name + " / " +
                                         policy->name());
         for (int i = 0; i < workload.numThreads(); ++i)
             event_tracer.threadName(0, i, workload.benchmarks[i]);
         event_tracer.threadName(0, kControlTid, "control");
-        policy->setEventTrace(&event_tracer, 0);
     }
+    if (!event_trace.empty() || inst_events > 0)
+        policy->setEventTrace(&event_tracer, 0);
 
     // Per-epoch stat snapshots: the observer samples the process-wide
     // registry after every policy.epoch() hook, stamped with the
@@ -611,9 +618,9 @@ main(int argc, char **argv)
     std::printf("\n");
     res.report(workload.benchmarks).print();
 
-    if (trace_events > 0) {
-        std::printf("\nlast %zu pipeline events:\n", tracer.size());
-        tracer.dump(stdout);
+    if (inst_events > 0) {
+        std::printf("\n");
+        printLastInstEvents(event_tracer, inst_events, stdout);
     }
     exportProfile(profile_json);
     return 0;

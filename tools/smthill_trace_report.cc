@@ -49,11 +49,13 @@ namespace
 const char *const kKnownEventNames[] = {
     "anchor.move",       "arm.pull",        "best.partition",
     "churn.attach",      "churn.detach",    "classify",
-    "context.idle",      "context.reset",   "epoch",
-    "flush",             "job.arrive",      "job.attach",
-    "job.depart",        "partition.clear", "reuse.decision",
-    "round",             "sample.begin",    "share.t*",
-    "single_ipc.update", "stall",           "thread.enabled",
+    "commit",            "complete",        "context.idle",
+    "context.reset",     "dispatch",        "epoch",
+    "fetch",             "flush",           "issue",
+    "job.arrive",        "job.attach",      "job.depart",
+    "partition.clear",   "reuse.decision",  "round",
+    "sample.begin",      "share.t*",        "single_ipc.update",
+    "squash",            "stall",           "thread.enabled",
     "transition",        "trial.install",
 };
 
