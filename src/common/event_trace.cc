@@ -1,6 +1,7 @@
 #include "common/event_trace.hh"
 
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -29,16 +30,93 @@ droppedStat()
     return c;
 }
 
-constexpr const char *kSchema = "smthill.events.v1";
-constexpr const char *kClock = "sim-cycles";
+constexpr char kSchema[] = "smthill.events.v1";
+constexpr char kClock[] = "sim-cycles";
+constexpr char kTimeUnit[] = "ns";
+
+/** An event's name, and the label in a metadata event's args. */
+constexpr char kNameKey[] = "name";
+/** A counter sample's value in its args. */
+constexpr char kValueKey[] = "value";
+/** The events array of a Perfetto document (also its format tag). */
+constexpr char kTraceEventsKey[] = "traceEvents";
+/** Per-instruction `inst` event args. */
+constexpr char kSeqKey[] = "seq";
+constexpr char kPcKey[] = "pc";
+constexpr char kOpKey[] = "op";
+
+constexpr JsonField<SimEvent> kEventFields[] = {
+    jsonField<&SimEvent::name>(kNameKey),
+    jsonField<&SimEvent::cat>("cat"),
+    {"ph",
+     [](const SimEvent &e, Json &v) {
+         v = Json(std::string(1, e.ph));
+         return true;
+     },
+     [](const Json &v, SimEvent &e, std::string &error) {
+         if (!v.isString() || v.asString().size() != 1) {
+             error = "expected a one-character string";
+             return false;
+         }
+         e.ph = v.asString()[0];
+         return true;
+     }},
+    jsonField<&SimEvent::ts>("ts"),
+    // Only complete slices ('X') carry a duration.
+    {"dur",
+     [](const SimEvent &e, Json &v) {
+         v = Json(e.dur);
+         return e.dur >= 0;
+     },
+     [](const Json &v, SimEvent &e, std::string &error) {
+         return scalarFromJson(v, e.dur, error);
+     },
+     true},
+    jsonField<&SimEvent::pid>("pid"),
+    jsonField<&SimEvent::tid>("tid"),
+    {"args",
+     [](const SimEvent &e, Json &v) {
+         v = e.args;
+         return !e.args.isNull();
+     },
+     [](const Json &v, SimEvent &e, std::string &error) {
+         if (!v.isObject()) {
+             error = "expected an object";
+             return false;
+         }
+         e.args = v;
+         return true;
+     },
+     true},
+};
+
+/** `otherData`; its first two rows are also the JSONL header line. */
+constexpr JsonField<EventTrace::TraceMeta> kMetaFields[] = {
+    jsonSchema<EventTrace::TraceMeta, kSchema>(),
+    jsonConstant<EventTrace::TraceMeta, kClock>("clock"),
+    jsonField<&EventTrace::TraceMeta::dropped>("dropped"),
+};
+
+constexpr std::span<const JsonField<EventTrace::TraceMeta>, 2>
+    kHeaderFields(kMetaFields, 2);
+
+/** A whole Perfetto document. */
+struct PerfettoDoc
+{
+    EventTrace::TraceMeta meta;
+    std::vector<SimEvent> events;
+};
+
+constexpr JsonField<PerfettoDoc> kDocFields[] = {
+    jsonConstant<PerfettoDoc, kTimeUnit>("displayTimeUnit"),
+    jsonRecord<&PerfettoDoc::meta, kMetaFields>("otherData"),
+    jsonRecords<&PerfettoDoc::events, kEventFields>(kTraceEventsKey),
+};
 
 Json
 jsonlHeader()
 {
-    Json h = Json::object();
-    h.set("schema", kSchema);
-    h.set("clock", kClock);
-    return h;
+    return writeFields(kHeaderFields, EventTrace::TraceMeta{});
 }
 
 } // namespace
@@ -151,7 +229,7 @@ EventTrace::counter(Cycle ts, int pid, int tid, std::string name,
     e.cat = "counter";
     e.name = std::move(name);
     e.args = Json::object();
-    e.args.set("value", value);
+    e.args.set(kValueKey, value);
     record(std::move(e));
 }
 
@@ -164,7 +242,7 @@ EventTrace::processName(int pid, const std::string &name)
     e.cat = "__metadata";
     e.name = "process_name";
     e.args = Json::object();
-    e.args.set("name", name);
+    e.args.set(kNameKey, name);
     record(std::move(e));
 }
 
@@ -178,7 +256,7 @@ EventTrace::threadName(int pid, int tid, const std::string &name)
     e.cat = "__metadata";
     e.name = "thread_name";
     e.args = Json::object();
-    e.args.set("name", name);
+    e.args.set(kNameKey, name);
     record(std::move(e));
 }
 
@@ -188,9 +266,9 @@ EventTrace::recordInstruction(Cycle ts, int pid, ThreadId tid,
                               OpClass op)
 {
     Json args = Json::object();
-    args.set("seq", seq);
-    args.set("pc", pc);
-    args.set("op", opClassName(op));
+    args.set(kSeqKey, seq);
+    args.set(kPcKey, pc);
+    args.set(kOpKey, opClassName(op));
     instant(ts, pid, static_cast<int>(tid), "inst", stage,
             std::move(args));
 }
@@ -210,9 +288,9 @@ printLastInstEvents(const EventTrace &trace, std::size_t n,
         std::fprintf(
             out, "%10llu t%d %-8s seq=%llu pc=0x%llx %s\n",
             static_cast<unsigned long long>(e.ts), e.tid, e.name.c_str(),
-            static_cast<unsigned long long>(e.args.at("seq").asDouble()),
-            static_cast<unsigned long long>(e.args.at("pc").asDouble()),
-            e.args.at("op").asString().c_str());
+            static_cast<unsigned long long>(e.args.at(kSeqKey).asDouble()),
+            static_cast<unsigned long long>(e.args.at(kPcKey).asDouble()),
+            e.args.at(kOpKey).asString().c_str());
     }
 }
 
@@ -243,73 +321,29 @@ EventTrace::streamTo(std::ostream *s)
         *sink << jsonlHeader().dump() << '\n';
 }
 
+double
+EventTrace::counterValue(const SimEvent &event)
+{
+    const Json *v = event.args.find(kValueKey);
+    return v && v->isNumber() ? v->asDouble() : 0.0;
+}
+
 Json
 EventTrace::eventToJson(const SimEvent &event)
 {
-    Json j = Json::object();
-    j.set("name", event.name);
-    j.set("cat", event.cat);
-    j.set("ph", std::string(1, event.ph));
-    j.set("ts", event.ts);
-    if (event.dur >= 0)
-        j.set("dur", event.dur);
-    j.set("pid", event.pid);
-    j.set("tid", event.tid);
-    if (!event.args.isNull())
-        j.set("args", event.args);
-    return j;
+    return writeFields(kEventFields, event);
 }
 
 bool
 EventTrace::eventFromJson(const Json &j, SimEvent &out, std::string &error)
 {
-    if (!j.isObject()) {
-        error = "event is not an object";
-        return false;
-    }
-    for (const char *key : {"name", "cat", "ph", "ts", "pid", "tid"}) {
-        if (!j.contains(key)) {
-            error = std::string("event missing '") + key + "'";
-            return false;
-        }
-    }
-    const Json &ph = j.at("ph");
-    if (!ph.isString() || ph.asString().size() != 1) {
-        error = "event 'ph' must be a one-character string";
-        return false;
-    }
-    out = SimEvent{};
-    out.name = j.at("name").asString();
-    out.cat = j.at("cat").asString();
-    out.ph = ph.asString()[0];
-    out.ts = static_cast<Cycle>(j.at("ts").asInt());
-    out.pid = static_cast<std::int32_t>(j.at("pid").asInt());
-    out.tid = static_cast<std::int32_t>(j.at("tid").asInt());
-    if (j.contains("dur"))
-        out.dur = j.at("dur").asInt();
-    if (j.contains("args"))
-        out.args = j.at("args");
-    return true;
+    return readFields(kEventFields, j, out, error);
 }
 
 Json
 EventTrace::toPerfettoJson() const
 {
-    Json other = Json::object();
-    other.set("schema", kSchema);
-    other.set("clock", kClock);
-    other.set("dropped", droppedCount);
-
-    Json evs = Json::array();
-    std::size_t start = count == cap ? head : 0;
-    for (std::size_t i = 0; i < count; ++i)
-        evs.push(eventToJson(ring[(start + i) % cap]));
-
-    Json doc = Json::object();
-    doc.set("displayTimeUnit", "ns");
-    doc.set("otherData", std::move(other));
-    doc.set("traceEvents", std::move(evs));
-    return doc;
+    return writeFields(kDocFields, PerfettoDoc{{droppedCount}, events()});
 }
 
 std::string
@@ -327,46 +361,12 @@ EventTrace::fromPerfettoJson(const Json &doc, std::vector<SimEvent> &out,
                              std::string &error, TraceMeta *meta)
 {
     out.clear();
-    if (!doc.isObject() || !doc.contains("traceEvents")) {
-        error = "not a trace document (no traceEvents)";
+    PerfettoDoc d;
+    if (!readFields(kDocFields, doc, d, error))
         return false;
-    }
-    TraceMeta m;
-    if (doc.contains("displayTimeUnit"))
-        m.displayTimeUnit = doc.at("displayTimeUnit").asString();
-    if (doc.contains("otherData")) {
-        const Json &other = doc.at("otherData");
-        if (other.contains("schema") &&
-            other.at("schema").asString() != kSchema) {
-            error = "unsupported trace schema '" +
-                    other.at("schema").asString() + "'";
-            return false;
-        }
-        if (other.contains("clock")) {
-            m.clock = other.at("clock").asString();
-            // Timestamps are raw cycle counts; mixing clock domains
-            // would mis-align every diff without any other symptom.
-            if (m.clock != kClock) {
-                error = "unsupported trace clock '" + m.clock + "'";
-                return false;
-            }
-        }
-        if (other.contains("dropped"))
-            m.dropped = other.at("dropped").asInt();
-    }
+    out = std::move(d.events);
     if (meta)
-        *meta = m;
-    const Json &evs = doc.at("traceEvents");
-    if (!evs.isArray()) {
-        error = "traceEvents is not an array";
-        return false;
-    }
-    for (const Json &j : evs.items()) {
-        SimEvent e;
-        if (!eventFromJson(j, e, error))
-            return false;
-        out.push_back(std::move(e));
-    }
+        *meta = d.meta;
     return true;
 }
 
@@ -384,25 +384,21 @@ EventTrace::fromJsonlText(const std::string &text,
         if (line.empty())
             continue;
         Json j;
-        if (!Json::parse(line, j, error)) {
-            error = "line " + std::to_string(lineNo) + ": " + error;
-            return false;
-        }
-        if (!sawHeader && j.isObject() && j.contains("schema")) {
+        bool ok = Json::parse(line, j, error);
+        if (ok && !sawHeader) {
+            TraceMeta header;
+            ok = readFields(kHeaderFields, j, header, error);
             sawHeader = true;
-            if (j.at("schema").asString() != kSchema) {
-                error = "unsupported trace schema '" +
-                        j.at("schema").asString() + "'";
-                return false;
-            }
-            continue;
+        } else if (ok) {
+            SimEvent e;
+            ok = eventFromJson(j, e, error);
+            out.push_back(std::move(e));
         }
-        SimEvent e;
-        if (!eventFromJson(j, e, error)) {
+        if (!ok) {
+            out.clear();
             error = "line " + std::to_string(lineNo) + ": " + error;
             return false;
         }
-        out.push_back(std::move(e));
     }
     return true;
 }
@@ -418,8 +414,8 @@ EventTrace::loadEventTraceText(const std::string &text,
     // never alias.
     Json doc;
     std::string docError;
-    if (Json::parse(text, doc, docError) && doc.isObject() &&
-        doc.contains("traceEvents")) {
+    if (Json::parse(text, doc, docError) &&
+        doc.contains(kTraceEventsKey)) {
         return fromPerfettoJson(doc, out, error);
     }
     return fromJsonlText(text, out, error);

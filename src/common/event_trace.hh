@@ -183,30 +183,38 @@ class EventTrace
     /** One event as a trace-event JSON object. */
     static Json eventToJson(const SimEvent &event);
 
-    /** @return false with @p error set if @p j is not an event. */
+    /**
+     * @return false with @p error naming the first missing or
+     * wrong-typed key if @p j is not an event
+     */
     static bool eventFromJson(const Json &j, SimEvent &out,
                               std::string &error);
 
-    /** Document-level metadata recovered alongside the events. */
+    /** The value of a counter() sample (0 if it carries none). */
+    static double counterValue(const SimEvent &event);
+
+    /** The `otherData` block recovered alongside the events. */
     struct TraceMeta
     {
-        std::string clock;           ///< otherData.clock
-        std::string displayTimeUnit; ///< viewer hint ("ns")
-        std::int64_t dropped = 0;    ///< events lost to ring overwrite
+        std::uint64_t dropped = 0; ///< events lost to ring overwrite
     };
 
     /**
      * Rebuild events from a toPerfettoJson() document. Rejects a
-     * mismatched schema or clock domain (cycle timestamps from a
-     * foreign clock would silently mis-align in diffs). @p meta, when
-     * non-null, receives the document metadata.
+     * missing or wrong-typed key, and a mismatched schema or clock
+     * domain (cycle timestamps from a foreign clock would silently
+     * mis-align in diffs). @p meta, when non-null, receives the
+     * document metadata.
      */
     static bool fromPerfettoJson(const Json &doc,
                                  std::vector<SimEvent> &out,
                                  std::string &error,
                                  TraceMeta *meta = nullptr);
 
-    /** Rebuild events from JSONL text (as written by the sink). */
+    /**
+     * Rebuild events from JSONL text (as written by the sink): the
+     * header line, then one event per line.
+     */
     static bool fromJsonlText(const std::string &text,
                               std::vector<SimEvent> &out,
                               std::string &error);

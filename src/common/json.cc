@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -57,12 +58,18 @@ Json::at(const std::string &key) const
 bool
 Json::contains(const std::string &key) const
 {
+    return find(key) != nullptr;
+}
+
+const Json *
+Json::find(const std::string &key) const
+{
     if (kind_ != Kind::Object)
-        return false;
+        return nullptr;
     for (const auto &[k, v] : obj)
         if (k == key)
-            return true;
-    return false;
+            return &v;
+    return nullptr;
 }
 
 Json &
@@ -486,5 +493,91 @@ Json::parse(const std::string &text, Json &out, std::string &error)
     }
     return true;
 }
+
+// --------------------------------------------------------------------
+// Field tables
+// --------------------------------------------------------------------
+
+namespace detail
+{
+
+bool
+expected(const char *what, std::string &error)
+{
+    error = msg("expected ", what);
+    return false;
+}
+
+bool
+readJson(const Json &v, bool &out, std::string &error)
+{
+    if (!v.isBool())
+        return expected("a bool", error);
+    out = v.asBool();
+    return true;
+}
+
+bool
+readJson(const Json &v, double &out, std::string &error)
+{
+    if (v.isNull()) {
+        out = std::numeric_limits<double>::quiet_NaN();
+        return true;
+    }
+    if (!v.isNumber())
+        return expected("a number", error);
+    out = v.asDouble();
+    return true;
+}
+
+bool
+readJson(const Json &v, std::string &out, std::string &error)
+{
+    if (!v.isString())
+        return expected("a string", error);
+    out = v.asString();
+    return true;
+}
+
+bool
+readInteger(const Json &v, double lo, double hi, double &out,
+            std::string &error)
+{
+    double d = v.isNumber() ? v.asDouble() : 0.5;
+    if (std::trunc(d) != d || d < lo || d >= hi)
+        return expected("an integer in range", error);
+    out = d;
+    return true;
+}
+
+bool
+missingKey(const char *key, std::string &error)
+{
+    error = msg("missing key '", key, "'");
+    return false;
+}
+
+bool
+badKey(const char *key, std::string &error)
+{
+    error = msg("key '", key, "': ", error);
+    return false;
+}
+
+bool
+badItem(std::size_t index, std::string &error)
+{
+    error = msg("item ", index, ": ", error);
+    return false;
+}
+
+bool
+badConstant(const Json &v, const char *want, std::string &error)
+{
+    error = msg("expected \"", want, "\", found ", v.dump());
+    return false;
+}
+
+} // namespace detail
 
 } // namespace smthill

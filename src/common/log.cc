@@ -6,17 +6,6 @@
 namespace smthill
 {
 
-namespace
-{
-bool quietMode = false;
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietMode = quiet;
-}
-
 void
 panic(const std::string &msg)
 {
@@ -34,15 +23,13 @@ fatal(const std::string &msg)
 void
 warn(const std::string &msg)
 {
-    if (!quietMode)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 inform(const std::string &msg)
 {
-    if (!quietMode)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace smthill

@@ -32,9 +32,6 @@ void warn(const std::string &msg);
 /** Print an informational message to stderr; simulation continues. */
 void inform(const std::string &msg);
 
-/** Suppress warn()/inform() output (used by quiet benches/tests). */
-void setQuiet(bool quiet);
-
 namespace detail
 {
 

@@ -115,35 +115,30 @@ envProfilingEnabled()
            s == "TRUE";
 }
 
-Json
-spanToJson(const SpanStats &s)
-{
-    Json j = Json::object();
-    j.set("name", Json(s.name));
-    j.set("count", Json(s.count));
-    j.set("total_ns", Json(s.totalNs));
-    j.set("self_ns", Json(s.selfNs));
-    j.set("max_ns", Json(s.maxNs));
-    return j;
-}
+constexpr char kProfileSchema[] = "smthill.profile.v1";
 
-bool
-spanFromJson(const Json &j, SpanStats &out, std::string &error)
-{
-    if (!j.isObject() || !j.contains("name") || !j.contains("count") ||
-        !j.contains("total_ns") || !j.contains("self_ns") ||
-        !j.contains("max_ns")) {
-        error = "span entry is not a {name, count, total_ns, self_ns, "
-                "max_ns} object";
-        return false;
-    }
-    out.name = j.at("name").asString();
-    out.count = static_cast<std::uint64_t>(j.at("count").asInt());
-    out.totalNs = static_cast<std::uint64_t>(j.at("total_ns").asInt());
-    out.selfNs = static_cast<std::uint64_t>(j.at("self_ns").asInt());
-    out.maxNs = static_cast<std::uint64_t>(j.at("max_ns").asInt());
-    return true;
-}
+/** Both the merged report and each thread list their spans here. */
+constexpr char kSpansKey[] = "spans";
+
+constexpr JsonField<SpanStats> kSpanFields[] = {
+    jsonField<&SpanStats::name>("name"),
+    jsonField<&SpanStats::count>("count"),
+    jsonField<&SpanStats::totalNs>("total_ns"),
+    jsonField<&SpanStats::selfNs>("self_ns"),
+    jsonField<&SpanStats::maxNs>("max_ns"),
+};
+
+constexpr JsonField<ThreadSpans> kThreadFields[] = {
+    jsonField<&ThreadSpans::thread>("thread"),
+    jsonRecords<&ThreadSpans::spans, kSpanFields>(kSpansKey),
+};
+
+constexpr JsonField<ProfileReport> kProfileFields[] = {
+    jsonSchema<ProfileReport, kProfileSchema>(),
+    jsonField<&ProfileReport::parallelEfficiency>("parallel_efficiency"),
+    jsonRecords<&ProfileReport::spans, kSpanFields>(kSpansKey),
+    jsonRecords<&ProfileReport::threads, kThreadFields>("threads"),
+};
 
 } // namespace
 
@@ -254,25 +249,7 @@ profileReport()
 Json
 profileToJson(const ProfileReport &report)
 {
-    Json doc = Json::object();
-    doc.set("schema", Json("smthill.profile.v1"));
-    doc.set("parallel_efficiency", Json(report.parallelEfficiency));
-    Json spans = Json::array();
-    for (const SpanStats &s : report.spans)
-        spans.push(spanToJson(s));
-    doc.set("spans", std::move(spans));
-    Json threads = Json::array();
-    for (const ThreadSpans &t : report.threads) {
-        Json tj = Json::object();
-        tj.set("thread", Json(t.thread));
-        Json tspans = Json::array();
-        for (const SpanStats &s : t.spans)
-            tspans.push(spanToJson(s));
-        tj.set("spans", std::move(tspans));
-        threads.push(std::move(tj));
-    }
-    doc.set("threads", std::move(threads));
-    return doc;
+    return writeFields(kProfileFields, report);
 }
 
 Json
@@ -284,43 +261,7 @@ profileToJson()
 bool
 profileFromJson(const Json &doc, ProfileReport &out, std::string &error)
 {
-    out = ProfileReport{};
-    error.clear();
-    if (!doc.isObject() || !doc.contains("schema") ||
-        doc.at("schema").asString() != "smthill.profile.v1") {
-        error = "not a smthill.profile.v1 document";
-        return false;
-    }
-    if (!doc.contains("parallel_efficiency") || !doc.contains("spans") ||
-        !doc.contains("threads") || !doc.at("spans").isArray() ||
-        !doc.at("threads").isArray()) {
-        error = "missing parallel_efficiency/spans/threads";
-        return false;
-    }
-    out.parallelEfficiency = doc.at("parallel_efficiency").asDouble();
-    for (const Json &sj : doc.at("spans").items()) {
-        SpanStats s;
-        if (!spanFromJson(sj, s, error))
-            return false;
-        out.spans.push_back(std::move(s));
-    }
-    for (const Json &tj : doc.at("threads").items()) {
-        if (!tj.isObject() || !tj.contains("thread") ||
-            !tj.contains("spans") || !tj.at("spans").isArray()) {
-            error = "thread entry is not a {thread, spans} object";
-            return false;
-        }
-        ThreadSpans ts;
-        ts.thread = static_cast<int>(tj.at("thread").asInt());
-        for (const Json &sj : tj.at("spans").items()) {
-            SpanStats s;
-            if (!spanFromJson(sj, s, error))
-                return false;
-            ts.spans.push_back(std::move(s));
-        }
-        out.threads.push_back(std::move(ts));
-    }
-    return true;
+    return readFields(kProfileFields, doc, out, error);
 }
 
 void

@@ -110,7 +110,10 @@ Json profileToJson(const ProfileReport &report);
 /** Convenience: profileToJson(profileReport()). */
 Json profileToJson();
 
-/** @return false with @p error set unless @p doc is a valid v1 doc. */
+/**
+ * @return false with @p error naming the first missing or
+ * wrong-typed key unless @p doc is a valid v1 doc
+ */
 bool profileFromJson(const Json &doc, ProfileReport &out,
                      std::string &error);
 

@@ -3,105 +3,151 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/log.hh"
+
 namespace smthill
 {
 
 namespace
 {
 
+constexpr char kEpochTraceSchema[] = "smthill.epoch-trace.v1";
+
+/** The first @p n entries of a per-thread array. */
+template <typename T>
 Json
-doubleArray(const std::array<double, kMaxThreads> &a, int nt)
+threadArray(const std::array<T, kMaxThreads> &a, int n)
 {
     Json arr = Json::array();
-    for (int i = 0; i < nt; ++i)
-        arr.push(Json(a[i]));
+    for (int i = 0; i < n; ++i)
+        arr.push(scalarToJson(a[i]));
     return arr;
 }
 
-Json
-shareArray(const Partition &p)
+/** Read up to kMaxThreads scalars into @p out; @p n gets the count. */
+template <typename T>
+bool
+parseThreadArray(const Json &j, std::array<T, kMaxThreads> &out, int &n,
+                 std::string &error)
 {
-    Json arr = Json::array();
-    for (int i = 0; i < p.numThreads; ++i)
-        arr.push(Json(p.share[i]));
-    return arr;
+    if (!j.isArray() || j.items().size() > kMaxThreads) {
+        error = msg("expected an array of at most ", kMaxThreads,
+                    " entries");
+        return false;
+    }
+    n = 0;
+    for (const Json &v : j.items())
+        if (!scalarFromJson(v, out[n++], error))
+            return false;
+    return true;
 }
 
-void
-parseDoubleArray(const Json &j, std::array<double, kMaxThreads> &out)
+bool
+parseShareArray(const Json &j, Partition &p, std::string &error)
 {
-    int i = 0;
-    for (const Json &v : j.items()) {
-        if (i >= kMaxThreads)
-            break;
-        out[i++] = v.asDouble();
-    }
+    p = Partition{};
+    return parseThreadArray(j, p.share, p.numThreads, error);
 }
 
-Partition
-parseShareArray(const Json &j)
+/**
+ * Row for a per-thread double array: numThreads entries, which is
+ * also how the reader recovers the record's thread count.
+ */
+template <std::array<double, kMaxThreads> EpochTraceRecord::*Member>
+constexpr JsonField<EpochTraceRecord>
+perThreadField(const char *key)
 {
-    Partition p;
-    for (const Json &v : j.items()) {
-        if (p.numThreads >= kMaxThreads)
-            break;
-        p.share[p.numThreads++] = static_cast<int>(v.asInt());
-    }
-    return p;
+    return {key,
+            [](const EpochTraceRecord &r, Json &v) {
+                v = threadArray(r.*Member, r.numThreads);
+                return true;
+            },
+            [](const Json &v, EpochTraceRecord &r, std::string &error) {
+                return parseThreadArray(v, r.*Member, r.numThreads, error);
+            }};
 }
+
+constexpr JsonField<EpochTraceRecord> kEpochFields[] = {
+    jsonField<&EpochTraceRecord::epochId>("epoch"),
+    jsonField<&EpochTraceRecord::cycle>("cycle"),
+    jsonField<&EpochTraceRecord::elapsedCycles>("elapsed_cycles"),
+    perThreadField<&EpochTraceRecord::ipc>("ipc"),
+    jsonField<&EpochTraceRecord::metricValue>("metric_value"),
+    // null when no trial partition was enforced during the epoch.
+    {"trial",
+     [](const EpochTraceRecord &r, Json &v) {
+         v = r.partitioned ? threadArray(r.trial.share, r.trial.numThreads)
+                           : Json();
+         return true;
+     },
+     [](const Json &v, EpochTraceRecord &r, std::string &error) {
+         r.partitioned = !v.isNull();
+         return !r.partitioned || parseShareArray(v, r.trial, error);
+     }},
+    {"anchor",
+     [](const EpochTraceRecord &r, Json &v) {
+         v = threadArray(r.anchor.share, r.anchor.numThreads);
+         return true;
+     },
+     [](const Json &v, EpochTraceRecord &r, std::string &error) {
+         return parseShareArray(v, r.anchor, error);
+     }},
+    perThreadField<&EpochTraceRecord::roundPerf>("round_perf"),
+    perThreadField<&EpochTraceRecord::singleIpcEst>("single_ipc_est"),
+    jsonField<&EpochTraceRecord::gradientThread>("gradient_thread"),
+    jsonField<&EpochTraceRecord::samplingThread>("sampling_thread"),
+    jsonField<&EpochTraceRecord::anchorMoved>("anchor_moved"),
+    jsonField<&EpochTraceRecord::softwareCost>("software_cost"),
+};
+
+/** The whole document: a header and one record per epoch. */
+struct EpochTraceDoc
+{
+    std::string metric;
+    int numThreads = 0;
+    std::vector<EpochTraceRecord> epochs;
+};
+
+constexpr JsonField<EpochTraceDoc> kDocFields[] = {
+    jsonSchema<EpochTraceDoc, kEpochTraceSchema>(),
+    jsonField<&EpochTraceDoc::metric>("metric"),
+    jsonField<&EpochTraceDoc::numThreads>("num_threads"),
+    jsonRecords<&EpochTraceDoc::epochs, kEpochFields>("epochs"),
+};
 
 } // namespace
 
 Json
 EpochTracer::toJson(PerfMetric metric) const
 {
-    Json root = Json::object();
-    root.set("schema", Json("smthill.epoch-trace.v1"));
-    root.set("metric", Json(metricName(metric)));
-    root.set("num_threads",
-             Json(recs.empty() ? 0 : recs.front().numThreads));
-    Json epochs = Json::array();
-    for (const EpochTraceRecord &r : recs) {
-        Json e = Json::object();
-        e.set("epoch", Json(r.epochId));
-        e.set("cycle", Json(r.cycle));
-        e.set("elapsed_cycles", Json(r.elapsedCycles));
-        e.set("ipc", doubleArray(r.ipc, r.numThreads));
-        e.set("metric_value", Json(r.metricValue));
-        e.set("trial", r.partitioned ? shareArray(r.trial) : Json());
-        e.set("anchor", shareArray(r.anchor));
-        e.set("round_perf", doubleArray(r.roundPerf, r.numThreads));
-        e.set("single_ipc_est",
-              doubleArray(r.singleIpcEst, r.numThreads));
-        e.set("gradient_thread", Json(r.gradientThread));
-        e.set("sampling_thread", Json(r.samplingThread));
-        e.set("anchor_moved", Json(r.anchorMoved));
-        e.set("software_cost", Json(r.softwareCost));
-        epochs.push(std::move(e));
-    }
-    root.set("epochs", std::move(epochs));
-    return root;
+    return writeFields(
+        kDocFields,
+        EpochTraceDoc{metricName(metric),
+                      recs.empty() ? 0 : recs.front().numThreads, recs});
 }
 
 std::string
 EpochTracer::toCsv() const
 {
+    // The CSV columns are the JSON keys: the scalar rows of
+    // kEpochFields, then `<key>_<i>` per thread for the array rows.
+    static constexpr int kScalarRows[] = {0, 1, 2, 4, 9, 10, 11, 12};
+    static constexpr int kThreadRows[] = {3, 5, 6, 7, 8};
     int nt = recs.empty() ? 0 : recs.front().numThreads;
-    std::string out = "epoch,cycle,elapsed_cycles,metric_value,"
-                      "gradient_thread,sampling_thread,anchor_moved,"
-                      "software_cost";
-    auto perThread = [&](const char *stem) {
+    std::string out;
+    for (int row : kScalarRows) {
+        if (!out.empty())
+            out += ',';
+        out += kEpochFields[row].key;
+    }
+    for (int row : kThreadRows) {
         for (int i = 0; i < nt; ++i) {
             char buf[32];
-            std::snprintf(buf, sizeof(buf), ",%s_%d", stem, i);
+            std::snprintf(buf, sizeof(buf), ",%s_%d",
+                          kEpochFields[row].key, i);
             out += buf;
         }
-    };
-    perThread("ipc");
-    perThread("trial");
-    perThread("anchor");
-    perThread("round_perf");
-    perThread("single_ipc_est");
+    }
     out += '\n';
 
     char buf[64];
@@ -145,36 +191,10 @@ EpochTracer::fromJson(const Json &j, std::vector<EpochTraceRecord> &out,
                       std::string &error)
 {
     out.clear();
-    if (!j.isObject() || !j.contains("schema") ||
-        j.at("schema").asString() != "smthill.epoch-trace.v1") {
-        error = "not a smthill.epoch-trace.v1 document";
+    EpochTraceDoc doc;
+    if (!readFields(kDocFields, j, doc, error))
         return false;
-    }
-    for (const Json &e : j.at("epochs").items()) {
-        EpochTraceRecord r;
-        r.epochId = static_cast<std::uint64_t>(e.at("epoch").asInt());
-        r.cycle = static_cast<Cycle>(e.at("cycle").asInt());
-        r.elapsedCycles =
-            static_cast<Cycle>(e.at("elapsed_cycles").asInt());
-        r.numThreads = static_cast<int>(e.at("ipc").size());
-        parseDoubleArray(e.at("ipc"), r.ipc);
-        r.metricValue = e.at("metric_value").asDouble();
-        if (!e.at("trial").isNull()) {
-            r.partitioned = true;
-            r.trial = parseShareArray(e.at("trial"));
-        }
-        r.anchor = parseShareArray(e.at("anchor"));
-        parseDoubleArray(e.at("round_perf"), r.roundPerf);
-        parseDoubleArray(e.at("single_ipc_est"), r.singleIpcEst);
-        r.gradientThread =
-            static_cast<int>(e.at("gradient_thread").asInt());
-        r.samplingThread =
-            static_cast<int>(e.at("sampling_thread").asInt());
-        r.anchorMoved = e.at("anchor_moved").asBool();
-        r.softwareCost =
-            static_cast<Cycle>(e.at("software_cost").asInt());
-        out.push_back(std::move(r));
-    }
+    out = std::move(doc.epochs);
     return true;
 }
 

@@ -80,7 +80,8 @@ class EpochTracer
     /**
      * Rebuild records from a toJson() export (round-trip tests and
      * external consumers re-deriving figure series).
-     * @return false with @p error set if @p j is not a v1 trace
+     * @return false with @p error naming the first missing or
+     * wrong-typed key if @p j is not a v1 trace
      */
     static bool fromJson(const Json &j,
                          std::vector<EpochTraceRecord> &out,

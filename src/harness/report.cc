@@ -178,63 +178,44 @@ buildJobReport(const OpenSystemResult &result)
     return rep;
 }
 
+namespace
+{
+
+constexpr char kReportSchema[] = "smthill.report.v1";
+
+constexpr JsonField<ThreadReport> kThreadFields[] = {
+    jsonField<&ThreadReport::label>("label"),
+    jsonField<&ThreadReport::ipc>("ipc"),
+    jsonField<&ThreadReport::fetchShare>("fetch_share"),
+    jsonField<&ThreadReport::mispredictRate>("mispredict_rate"),
+    jsonField<&ThreadReport::dl1Mpki>("dl1_mpki"),
+    jsonField<&ThreadReport::l2Mpki>("l2_mpki"),
+    jsonField<&ThreadReport::flushedPerCommit>("flushed_per_commit"),
+    jsonField<&ThreadReport::lockedFrac>("locked_frac"),
+    jsonField<&ThreadReport::committed>("committed"),
+    jsonField<&ThreadReport::flushed>("flushed"),
+};
+
+constexpr JsonField<MachineReport> kReportFields[] = {
+    jsonSchema<MachineReport, kReportSchema>(),
+    jsonField<&MachineReport::cycles>("cycles"),
+    jsonField<&MachineReport::totalIpc>("total_ipc"),
+    jsonField<&MachineReport::stalledCycles>("stalled_cycles"),
+    jsonRecords<&MachineReport::threads, kThreadFields>("threads"),
+};
+
+} // namespace
+
 Json
 MachineReport::toJson() const
 {
-    Json root = Json::object();
-    root.set("schema", Json("smthill.report.v1"));
-    root.set("cycles", Json(cycles));
-    root.set("total_ipc", Json(totalIpc));
-    root.set("stalled_cycles", Json(stalledCycles));
-    Json arr = Json::array();
-    for (const ThreadReport &tr : threads) {
-        Json t = Json::object();
-        t.set("label", Json(tr.label));
-        t.set("ipc", Json(tr.ipc));
-        t.set("fetch_share", Json(tr.fetchShare));
-        t.set("mispredict_rate", Json(tr.mispredictRate));
-        t.set("dl1_mpki", Json(tr.dl1Mpki));
-        t.set("l2_mpki", Json(tr.l2Mpki));
-        t.set("flushed_per_commit", Json(tr.flushedPerCommit));
-        t.set("locked_frac", Json(tr.lockedFrac));
-        t.set("committed", Json(tr.committed));
-        t.set("flushed", Json(tr.flushed));
-        arr.push(std::move(t));
-    }
-    root.set("threads", std::move(arr));
-    return root;
+    return writeFields(kReportFields, *this);
 }
 
 bool
 machineReportFromJson(const Json &j, MachineReport &out, std::string &error)
 {
-    out = MachineReport{};
-    if (!j.isObject() || !j.contains("schema") ||
-        j.at("schema").asString() != "smthill.report.v1") {
-        error = "not a smthill.report.v1 document";
-        return false;
-    }
-    out.cycles = static_cast<Cycle>(j.at("cycles").asInt());
-    out.totalIpc = j.at("total_ipc").asDouble();
-    out.stalledCycles =
-        static_cast<std::uint64_t>(j.at("stalled_cycles").asInt());
-    for (const Json &t : j.at("threads").items()) {
-        ThreadReport tr;
-        tr.label = t.at("label").asString();
-        tr.ipc = t.at("ipc").asDouble();
-        tr.fetchShare = t.at("fetch_share").asDouble();
-        tr.mispredictRate = t.at("mispredict_rate").asDouble();
-        tr.dl1Mpki = t.at("dl1_mpki").asDouble();
-        tr.l2Mpki = t.at("l2_mpki").asDouble();
-        tr.flushedPerCommit = t.at("flushed_per_commit").asDouble();
-        tr.lockedFrac = t.at("locked_frac").asDouble();
-        tr.committed =
-            static_cast<std::uint64_t>(t.at("committed").asInt());
-        tr.flushed =
-            static_cast<std::uint64_t>(t.at("flushed").asInt());
-        out.threads.push_back(std::move(tr));
-    }
-    return true;
+    return readFields(kReportFields, j, out, error);
 }
 
 void

@@ -74,7 +74,8 @@ struct MachineReport
 
 /**
  * Rebuild a report from a toJson() export.
- * @return false with @p error set if @p j is not a v1 report
+ * @return false with @p error naming the first missing or
+ * wrong-typed key if @p j is not a v1 report
  */
 bool machineReportFromJson(const Json &j, MachineReport &out,
                            std::string &error);

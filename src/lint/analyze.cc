@@ -15,71 +15,10 @@ namespace lint
 namespace
 {
 
-/** Split a path into components, normalizing separators. */
-std::vector<std::string>
-pathComponents(const std::string &path)
-{
-    std::vector<std::string> parts;
-    std::string cur;
-    for (char c : path) {
-        if (c == '/' || c == '\\') {
-            if (!cur.empty() && cur != ".")
-                parts.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty() && cur != ".")
-        parts.push_back(cur);
-    return parts;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool
 hasComponent(const std::vector<std::string> &parts, const char *name)
 {
     return std::find(parts.begin(), parts.end(), name) != parts.end();
-}
-
-/** The module dir under `src/`, or "" if not library code. */
-std::string
-srcModule(const std::vector<std::string> &parts)
-{
-    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-        if (parts[i] == "src")
-            return parts[i + 1];
-    }
-    return "";
-}
-
-/** @return true if @p name is a valid `smthill.*` stat name. */
-bool
-statNameShaped(const std::string &name)
-{
-    if (name.rfind("smthill.", 0) != 0)
-        return false;
-    bool prevDot = false;
-    for (std::size_t i = 0; i < name.size(); ++i) {
-        char c = name[i];
-        if (c == '.') {
-            if (prevDot || i == 0 || i + 1 == name.size())
-                return false;
-            prevDot = true;
-        } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                   c == '_') {
-            prevDot = false;
-        } else {
-            return false;
-        }
-    }
-    return name.find('.') != std::string::npos;
 }
 
 /** Schema identifiers (`smthill.lint.v1`) are not stat names. */
@@ -489,54 +428,17 @@ extractStats(const ProjectModel::File &f,
              isIdent(toks, i + 4, "distribution")) &&
             isPunct(toks, i + 5, '(') && i + 6 < toks.size() &&
             toks[i + 6].kind == TokKind::String &&
-            statNameShaped(toks[i + 6].text)) {
+            validStatName(toks[i + 6].text)) {
             Site s{f.path, toks[i + 6].line};
             stats[toks[i + 6].text].lookups.push_back(s);
             if (inSrc)
                 stats[toks[i + 6].text].registrations.push_back(s);
         }
         if (toks[i].kind == TokKind::String &&
-            statNameShaped(toks[i].text) &&
+            validStatName(toks[i].text) &&
             !versionSuffixed(toks[i].text))
             stats[toks[i].text].mentions.push_back(
                 {f.path, toks[i].line});
-    }
-}
-
-/** Writer/parser field sites for every schema list governing @p f. */
-void
-extractSchemaUses(const ProjectModel::File &f,
-                  std::map<std::string, SchemaUse> &schemas)
-{
-    std::vector<const SchemaList *> lists;
-    for (const SchemaList &s : schemaCatalog()) {
-        for (const std::string &suffix : s.fileSuffixes) {
-            if (endsWith(f.path, suffix)) {
-                lists.push_back(&s);
-                break;
-            }
-        }
-    }
-    if (lists.empty())
-        return;
-    const std::vector<Token> &toks = f.lex.tokens;
-    for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
-        if (!isPunct(toks, i, '.'))
-            continue;
-        bool write = isIdent(toks, i + 1, "set");
-        bool read = isIdent(toks, i + 1, "at") ||
-                    isIdent(toks, i + 1, "contains");
-        if ((!write && !read) || !isPunct(toks, i + 2, '(') ||
-            toks[i + 3].kind != TokKind::String)
-            continue;
-        const Token &arg = toks[i + 3];
-        for (const SchemaList *s : lists) {
-            if (!s->fields.count(arg.text))
-                continue; // off-list literal: the lint rule's finding
-            SchemaUse &use = schemas[s->name];
-            (write ? use.written : use.parsed)[arg.text].push_back(
-                {f.path, arg.line});
-        }
     }
 }
 
@@ -898,86 +800,6 @@ passCrossTuConsistency(ProjectModel &model, PassReporter &rep)
         }
     }
 
-    // Schemas: written/parsed/listed field sets must agree wherever
-    // the catalog names both a writer and a parser.
-    for (const SchemaList &sl : schemaCatalog()) {
-        static const SchemaUse kEmpty;
-        auto it = model.schemas.find(sl.name);
-        const SchemaUse &use =
-            it == model.schemas.end() ? kEmpty : it->second;
-        bool hasWriter = !use.written.empty();
-        bool hasParser = !use.parsed.empty();
-
-        // Write/parse symmetry is a cross-TU property: it only means
-        // something when a reader lives in a different file than the
-        // writers (and vice versa). A single file that writes and
-        // partially reads back its own document is self-consistent by
-        // construction.
-        std::set<std::string> writerFiles, parserFiles;
-        for (const auto &[field, sites] : use.written) {
-            for (const Site &s : sites)
-                writerFiles.insert(s.file);
-        }
-        for (const auto &[field, sites] : use.parsed) {
-            for (const Site &s : sites)
-                parserFiles.insert(s.file);
-        }
-        bool distinctReader = false, distinctWriter = false;
-        for (const std::string &f : parserFiles) {
-            if (!writerFiles.count(f))
-                distinctReader = true;
-        }
-        for (const std::string &f : writerFiles) {
-            if (!parserFiles.count(f))
-                distinctWriter = true;
-        }
-
-        // Dead listed fields anchor at the catalog entry itself.
-        Site anchor;
-        for (const ProjectModel::File &f : model.files) {
-            if (!endsWith(f.path, "lint/lint.cc"))
-                continue;
-            for (const Token &t : f.lex.tokens) {
-                if (t.kind == TokKind::String && t.text == sl.name) {
-                    anchor = {f.path, t.line};
-                    break;
-                }
-            }
-            break;
-        }
-
-        for (const std::string &field : sl.fields) {
-            bool w = use.written.count(field) != 0;
-            bool p = use.parsed.count(field) != 0;
-            if (!w && !p && (hasWriter || hasParser) &&
-                anchor.line != 0) {
-                rep.report("cross-tu-consistency", anchor.file,
-                           anchor.line,
-                           "schema " + sl.name + " lists field \"" +
-                               field +
-                               "\" but no governed file writes or "
-                               "parses it; drop it from the list in "
-                               "lint/lint.cc");
-            } else if (w && !p && distinctReader) {
-                rep.report("cross-tu-consistency",
-                           use.written.at(field).front().file,
-                           use.written.at(field).front().line,
-                           "schema " + sl.name + " field \"" + field +
-                               "\" is written here but never parsed "
-                               "by the schema's reader; parse it or "
-                               "drop the writer");
-            } else if (p && !w && distinctWriter) {
-                rep.report("cross-tu-consistency",
-                           use.parsed.at(field).front().file,
-                           use.parsed.at(field).front().line,
-                           "schema " + sl.name + " field \"" + field +
-                               "\" is parsed here but never written "
-                               "by the schema's writer; dead reader "
-                               "or missing writer");
-            }
-        }
-    }
-
     // Events: everything the simulator emits must be catalogued in
     // kKnownEventNames (smthill_trace_report buckets strays), and
     // every catalog entry must still match an emitted event.
@@ -1177,7 +999,6 @@ buildProjectModel(const std::vector<SourceUnit> &units)
         extractFunctions(f, model.functions);
         extractPoolLambdas(f, i, model.poolLambdas);
         extractStats(f, model.stats);
-        extractSchemaUses(f, model.schemas);
         extractEmittedEvents(f, model.emittedEvents);
         extractKnownEvents(f, model.knownEventNames);
     }

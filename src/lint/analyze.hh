@@ -7,9 +7,11 @@
  * The per-file linter (lint/lint.hh) pattern-matches one token
  * stream at a time, so it cannot see bugs whose two halves live in
  * different files — a stat registered in src/ that no test or tool
- * ever reads, a schema field the writer emits and the parser
- * ignores, a lambda handed to the thread pool that mutates a
- * captured reference without per-index slots. This analyzer closes
+ * ever reads, an event name the trace report does not know, a
+ * lambda handed to the thread pool that mutates a captured
+ * reference without per-index slots. (Export schemas need no pass:
+ * one field table drives each schema's writer and reader, see
+ * JsonField in common/json.hh.) This analyzer closes
  * that gap:
  *
  *  Phase 1 (buildProjectModel) walks every unit once and builds a
@@ -17,8 +19,7 @@
  *  name-matched call graph and allocation-shaped body sites; lambda
  *  capture lists at `parallelFor` / `parallelForWorker` / `runGrid`
  *  / `runGridWorker` call sites; every stat-name registration,
- *  lookup, and literal mention; writer/parser field sites for every
- *  versioned schema in schemaCatalog(); event names emitted at
+ *  lookup, and literal mention; event names emitted at
  *  EventTrace call sites vs the `kKnownEventNames` catalog consumed
  *  by smthill_trace_report; and the full suppression-marker audit
  *  from a lint-rule pass over the same bytes.
@@ -32,9 +33,7 @@
  *                            the schedule cooperates
  *   - cross-tu-consistency:  stats registered but never read outside
  *                            the registering file (or looked up but
- *                            never registered by src/); schema
- *                            fields written but unparsed, parsed but
- *                            unwritten, or listed but dead; event
+ *                            never registered by src/); event
  *                            names emitted but unknown to
  *                            smthill_trace_report (or catalogued but
  *                            never emitted)
@@ -140,13 +139,6 @@ struct StatUse
     std::vector<Site> mentions;      ///< any matching string literal
 };
 
-/** Writer/parser field sites for one schema list. */
-struct SchemaUse
-{
-    std::map<std::string, std::vector<Site>> written; ///< .set("f")
-    std::map<std::string, std::vector<Site>> parsed;  ///< .at/.contains
-};
-
 /** Phase-1 output: everything the phase-2 passes consume. */
 struct ProjectModel
 {
@@ -161,7 +153,6 @@ struct ProjectModel
     std::vector<FunctionDef> functions;
     std::vector<PoolLambda> poolLambdas;
     std::map<std::string, StatUse> stats;
-    std::map<std::string, SchemaUse> schemas; ///< by SchemaList::name
 
     /// Event names emitted at instant/complete/counter call sites in
     /// src/ and bench/ (a computed name records as a "prefix*" entry).

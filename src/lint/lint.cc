@@ -16,10 +16,6 @@ namespace smthill
 namespace lint
 {
 
-namespace
-{
-
-/** Split a path into components, normalizing separators. */
 std::vector<std::string>
 pathComponents(const std::string &path)
 {
@@ -46,6 +42,41 @@ endsWith(const std::string &s, const std::string &suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+std::string
+srcModule(const std::vector<std::string> &parts)
+{
+    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+        if (parts[i] == "src")
+            return parts[i + 1];
+    }
+    return "";
+}
+
+bool
+validStatName(const std::string &name)
+{
+    if (name.rfind("smthill.", 0) != 0)
+        return false;
+    bool prevDot = false;
+    for (std::size_t i = 0; i < name.size(); ++i) {
+        char c = name[i];
+        if (c == '.') {
+            if (prevDot || i == 0 || i + 1 == name.size())
+                return false;
+            prevDot = true;
+        } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                   c == '_') {
+            prevDot = false;
+        } else {
+            return false;
+        }
+    }
+    return name.find('.') != std::string::npos;
+}
+
+namespace
+{
+
 /** @return true if @p path has a `src` component (library code). */
 bool
 isLibraryPath(const std::vector<std::string> &parts)
@@ -59,17 +90,6 @@ isBenchPath(const std::vector<std::string> &parts)
 {
     return std::find(parts.begin(), parts.end(), "bench") !=
            parts.end();
-}
-
-/** @return the module dir under `src/`, or "" if not library code. */
-std::string
-srcModule(const std::vector<std::string> &parts)
-{
-    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-        if (parts[i] == "src")
-            return parts[i + 1];
-    }
-    return "";
 }
 
 /**
@@ -185,45 +205,6 @@ canonicalGuard(const std::string &path)
     return guard;
 }
 
-/** @return true if @p name is a valid `smthill.*` stat name. */
-bool
-validStatName(const std::string &name)
-{
-    if (name.rfind("smthill.", 0) != 0)
-        return false;
-    bool prevDot = false;
-    for (std::size_t i = 0; i < name.size(); ++i) {
-        char c = name[i];
-        if (c == '.') {
-            if (prevDot || i == 0 || i + 1 == name.size())
-                return false;
-            prevDot = true;
-        } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                   c == '_') {
-            prevDot = false;
-        } else {
-            return false;
-        }
-    }
-    return name.find('.') != std::string::npos;
-}
-
-/** Every schema list governing @p path (usually zero or one). */
-std::vector<const SchemaList *>
-schemaListsFor(const std::string &path)
-{
-    std::vector<const SchemaList *> out;
-    for (const SchemaList &s : schemaCatalog()) {
-        for (const std::string &suffix : s.fileSuffixes) {
-            if (endsWith(path, suffix)) {
-                out.push_back(&s);
-                break;
-            }
-        }
-    }
-    return out;
-}
-
 /** One stat registration site found during scanning. */
 struct StatSite
 {
@@ -303,7 +284,6 @@ class FileScanner
     void checkErrorHandlingIdent(std::size_t i);
     void checkCpuCopyIdent(std::size_t i);
     void checkStatRegistration(std::size_t i);
-    void checkSchemaField(std::size_t i);
 
     const std::string path;
     const std::vector<std::string> parts;
@@ -493,35 +473,6 @@ FileScanner::checkStatRegistration(std::size_t i)
 }
 
 void
-FileScanner::checkSchemaField(std::size_t i)
-{
-    const std::vector<const SchemaList *> lists = schemaListsFor(path);
-    if (lists.empty())
-        return;
-    // .set("field" / .at("field" / .contains("field"
-    if (!isPunct(i, '.'))
-        return;
-    if (!isIdent(i + 1, "set") && !isIdent(i + 1, "at") &&
-        !isIdent(i + 1, "contains"))
-        return;
-    if (!isPunct(i + 2, '('))
-        return;
-    if (i + 3 >= lex.tokens.size() ||
-        lex.tokens[i + 3].kind != TokKind::String)
-        return;
-    const Token &arg = lex.tokens[i + 3];
-    for (const SchemaList *s : lists) {
-        if (s->fields.count(arg.text))
-            return;
-    }
-    report("schema-field", arg.line,
-           "field \"" + arg.text +
-               "\" is not in the versioned schema list for this "
-               "writer; bump the schema version and extend the "
-               "list in lint/lint.cc");
-}
-
-void
 FileScanner::scanTokens()
 {
     for (std::size_t i = 0; i < lex.tokens.size(); ++i) {
@@ -532,8 +483,6 @@ FileScanner::scanTokens()
         checkCpuCopyIdent(i);
         checkStatRegistration(i);
     }
-    for (std::size_t i = 0; i < lex.tokens.size(); ++i)
-        checkSchemaField(i);
 }
 
 void
@@ -695,113 +644,10 @@ std::vector<std::string>
 ruleNames()
 {
     return {
-        "no-wall-clock",  "no-libc-random", "no-unordered-container",
-        "stat-name",      "schema-field",   "error-handling",
-        "cpu-copy-hot-path", "include-guard", "layering",
+        "no-wall-clock",     "no-libc-random", "no-unordered-container",
+        "stat-name",         "error-handling", "cpu-copy-hot-path",
+        "include-guard",     "layering",
     };
-}
-
-const std::vector<SchemaList> &
-schemaCatalog()
-{
-    static const std::vector<SchemaList> catalog = {
-        // smthill.epoch-trace.v1 (core/epoch_trace.hh)
-        {"smthill.epoch-trace.v1",
-         {"core/epoch_trace.cc"},
-         {
-             "schema",        "metric",         "num_threads",
-             "epochs",        "epoch",          "cycle",
-             "elapsed_cycles", "ipc",           "metric_value",
-             "trial",         "anchor",         "round_perf",
-             "single_ipc_est", "gradient_thread", "sampling_thread",
-             "anchor_moved",  "software_cost",
-         }},
-        // smthill.report.v1 (harness/report.hh)
-        {"smthill.report.v1",
-         {"harness/report.cc"},
-         {
-             "schema",       "cycles",          "total_ipc",
-             "threads",      "label",           "ipc",
-             "committed",    "flushed",         "fetch_share",
-             "mispredict_rate", "dl1_mpki",     "l2_mpki",
-             "stalled_cycles",  "locked_frac",
-             "flushed_per_commit",
-         }},
-        // smthill.events.v1 (common/event_trace.hh); the trace
-        // report tool parses the same dialect.
-        {"smthill.events.v1",
-         {"common/event_trace.cc", "tools/smthill_trace_report.cc"},
-         {
-             "traceEvents", "displayTimeUnit", "otherData",
-             "schema",      "clock",           "dropped",
-             "name",        "cat",             "ph",
-             "ts",          "dur",             "pid",
-             "tid",         "args",            "value",
-             // per-instruction `inst` event args
-             "seq",         "pc",              "op",
-         }},
-        // smthill.events.v1 job-lifecycle args
-        // (workload/open_system.cc)
-        {"smthill.events.v1/job-args",
-         {"workload/open_system.cc"},
-         {
-             "job",       "benchmark", "priority", "instructions",
-             "context",   "waited",    "committed", "residency",
-         }},
-        // smthill.bench.open-system.v1 (bench/bench_open_system.cc)
-        {"smthill.bench.open-system.v1",
-         {"bench/bench_open_system.cc"},
-         {
-             "schema",          "seed",           "machine_threads",
-             "num_jobs",        "rows",           "mean_gap",
-             "policy",          "throughput",     "latency_p50",
-             "latency_p95",     "latency_p99",    "fairness",
-             "completed_jobs",  "horizon_jobs",   "max_queue_depth",
-             "cycles",          "committed_total",
-         }},
-        // smthill.bench.learner-race.v1 (bench/bench_fig09_hill_main.cc)
-        {"smthill.bench.learner-race.v1",
-         {"bench/bench_fig09_hill_main.cc"},
-         {
-             "schema",     "epochs",   "epoch_size", "seed",
-             "cells",      "workload", "group",      "threads",
-             "icount",     "flush",    "dcra",       "hill",
-             "phase_hill", "bandit",   "rl",         "counters",
-         }},
-        // smthill.profile.v1 (common/profile.hh): host-side profiler
-        // report. Writer and parser both live in common/profile.cc
-        // (round-trip by construction).
-        {"smthill.profile.v1",
-         {"common/profile.cc"},
-         {
-             "schema",   "spans",   "threads",
-             "name",     "count",   "total_ns",
-             "self_ns",  "max_ns",  "thread",
-             "parallel_efficiency",
-         }},
-        // smthill.snapshots.v1 (common/stat_snapshot.hh): periodic
-        // StatRegistry delta rows (JSONL stream).
-        {"smthill.snapshots.v1",
-         {"common/stat_snapshot.cc"},
-         {
-             "schema",   "seq",     "epoch",  "cycle",
-             "counters", "gauges",  "dists",  "count",
-             "mean",     "min",     "p50",    "p95",
-             "max",
-         }},
-        // smthill.lint.v1 (lint/lint.hh): findings documents from
-        // both smthill_lint and smthill_analyze, including the
-        // analyzer's tool/passes metadata extensions. Registered
-        // here so the schema-field rule covers the linter's own
-        // writers instead of exempting them.
-        {"smthill.lint.v1",
-         {"lint/lint.cc", "lint/analyze.cc", "tools/smthill_analyze.cc"},
-         {
-             "schema",  "findings", "rule",   "file",
-             "line",    "message",  "tool",   "passes",
-         }},
-    };
-    return catalog;
 }
 
 std::vector<Finding>
@@ -897,22 +743,35 @@ lintPaths(const std::vector<std::string> &paths, std::string &error)
     return lintUnits(units);
 }
 
+namespace
+{
+
+constexpr char kLintSchema[] = "smthill.lint.v1";
+
+constexpr JsonField<Finding> kFindingFields[] = {
+    jsonField<&Finding::rule>("rule"),
+    jsonField<&Finding::file>("file"),
+    jsonField<&Finding::line>("line"),
+    jsonField<&Finding::message>("message"),
+};
+
+/** The document; smthill_analyze appends its `tool`/`passes` keys. */
+struct FindingsDoc
+{
+    std::vector<Finding> findings;
+};
+
+constexpr JsonField<FindingsDoc> kDocFields[] = {
+    jsonSchema<FindingsDoc, kLintSchema>(),
+    jsonRecords<&FindingsDoc::findings, kFindingFields>("findings"),
+};
+
+} // namespace
+
 Json
 findingsToJson(const std::vector<Finding> &findings)
 {
-    Json root = Json::object();
-    root.set("schema", Json("smthill.lint.v1"));
-    Json arr = Json::array();
-    for (const Finding &f : findings) {
-        Json item = Json::object();
-        item.set("rule", Json(f.rule));
-        item.set("file", Json(f.file));
-        item.set("line", Json(f.line));
-        item.set("message", Json(f.message));
-        arr.push(std::move(item));
-    }
-    root.set("findings", std::move(arr));
-    return root;
+    return writeFields(kDocFields, FindingsDoc{findings});
 }
 
 bool
@@ -920,32 +779,10 @@ findingsFromJson(const Json &doc, std::vector<Finding> &out,
                  std::string &error)
 {
     out.clear();
-    error.clear();
-    if (!doc.isObject() || !doc.contains("schema") ||
-        !doc.at("schema").isString() ||
-        doc.at("schema").asString() != "smthill.lint.v1") {
-        error = "not a smthill.lint.v1 document";
+    FindingsDoc d;
+    if (!readFields(kDocFields, doc, d, error))
         return false;
-    }
-    if (!doc.contains("findings") || !doc.at("findings").isArray()) {
-        error = "missing findings array";
-        return false;
-    }
-    for (const Json &item : doc.at("findings").items()) {
-        if (!item.isObject() || !item.contains("rule") ||
-            !item.contains("file") || !item.contains("line") ||
-            !item.contains("message") || !item.at("rule").isString() ||
-            !item.at("file").isString() || !item.at("line").isNumber() ||
-            !item.at("message").isString()) {
-            error = "malformed finding entry";
-            out.clear();
-            return false;
-        }
-        out.push_back({item.at("rule").asString(),
-                       item.at("file").asString(),
-                       static_cast<int>(item.at("line").asInt()),
-                       item.at("message").asString()});
-    }
+    out = std::move(d.findings);
     return true;
 }
 

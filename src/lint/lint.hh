@@ -8,7 +8,9 @@
  * checkpoint-clone determinism, stable stat/trace schemas — and
  * those properties die silently when someone introduces `rand()`,
  * wall-clock time, unordered-container iteration, or an off-schema
- * stat name into a hot path. The rules here catch exactly those
+ * stat name into a hot path. (Export schemas need no rule: each is
+ * one field table that drives both its writer and its reader, see
+ * JsonField in common/json.hh.) The rules here catch exactly those
  * regressions at build time, before the differential fuzzer ever has
  * to shrink a seed.
  *
@@ -24,9 +26,6 @@
  *  - stat-name:              literals registered via `globalStats()`
  *                            match `smthill.*` dotted-lowercase and
  *                            are registered once across `src/`
- *  - schema-field:           JSON field literals in the epoch-trace
- *                            and report writers stay inside the
- *                            versioned schema lists
  *  - error-handling:         no naked `new`/`delete`; no
  *                            `exit`/`abort` outside `common/log.cc`;
  *                            no `throw` in library code (`src/`)
@@ -75,23 +74,17 @@ struct Finding
 /** @return the names of every implemented rule. */
 std::vector<std::string> ruleNames();
 
-/**
- * One versioned JSON schema: the field list plus the writer/parser
- * files whose `.set("f")` / `.at("f")` / `.contains("f")` literals
- * it governs. The schema-field rule checks every literal in a
- * governed file against the union of the lists that govern it; the
- * analyzer's cross-tu-consistency pass additionally compares the
- * written, parsed, and listed field sets per schema.
- */
-struct SchemaList
-{
-    std::string name;                      ///< e.g. "smthill.report.v1"
-    std::vector<std::string> fileSuffixes; ///< writer/parser files
-    std::set<std::string> fields;          ///< versioned field list
-};
+/** Split a path into components, normalizing separators. */
+std::vector<std::string> pathComponents(const std::string &path);
 
-/** The versioned schema catalog, in stable order. */
-const std::vector<SchemaList> &schemaCatalog();
+/** @return true if @p s ends with @p suffix. */
+bool endsWith(const std::string &s, const std::string &suffix);
+
+/** @return the module dir under `src/`, or "" if not library code. */
+std::string srcModule(const std::vector<std::string> &parts);
+
+/** @return true if @p name is a valid `smthill.*` stat name. */
+bool validStatName(const std::string &name);
 
 /**
  * Suppression bookkeeping threaded through a lint run so the
@@ -118,7 +111,7 @@ using SourceUnit = std::pair<std::string, std::string>;
 
 /**
  * Lint one file given its @p path and @p content. Path-scoped rules
- * (allowlists, module ranks, schema files) key off @p path, so tests
+ * (allowlists, module ranks) key off @p path, so tests
  * may lint fixture content under a synthetic path. Duplicate
  * stat-name detection is limited to registrations within this file;
  * lintPaths() extends it across files.
@@ -167,7 +160,8 @@ Json findingsToJson(const std::vector<Finding> &findings);
 
 /**
  * Parse a `smthill.lint.v1` document back into findings.
- * @return false with @p error set on schema violations
+ * @return false with @p error naming the first missing or
+ * wrong-typed key
  */
 bool findingsFromJson(const Json &doc, std::vector<Finding> &out,
                       std::string &error);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the cross-TU analyzer (lint/analyze.hh): the phase-1
  * project model (call-graph edges, pool-lambda capture extraction,
- * stat/schema/event tables), each phase-2 pass against its must-flag
+ * stat/event tables), each phase-2 pass against its must-flag
  * / must-pass fixture pair under tests/lint/fixtures/, and the
  * smthill.lint.v1 JSON round-trip of analyzer findings.
  *
@@ -170,26 +170,6 @@ TEST(AnalyzeModel, StatTableSeparatesRegistrationFromMention)
     EXPECT_EQ(use.mentions[1].file, "tests/test_widget.cc");
 }
 
-TEST(AnalyzeModel, SchemaTableSplitsWriterAndParserSides)
-{
-    // Field sites are only collected in a schema's governed files
-    // (the catalog's file list); smthill.events.v1 governs two
-    // distinct TUs, one per side.
-    lint::ProjectModel m = lint::buildProjectModel(
-        {{"src/common/event_trace.cc",
-          "void w(Json &j) { j.set(\"clock\", Json(1)); }\n"},
-         {"tools/smthill_trace_report.cc",
-          "void r(const Json &j) { use(j.at(\"clock\")); }\n"}});
-    ASSERT_EQ(m.schemas.count("smthill.events.v1"), 1u);
-    const lint::SchemaUse &su = m.schemas.at("smthill.events.v1");
-    ASSERT_EQ(su.written.count("clock"), 1u);
-    EXPECT_EQ(su.written.at("clock")[0].file,
-              "src/common/event_trace.cc");
-    ASSERT_EQ(su.parsed.count("clock"), 1u);
-    EXPECT_EQ(su.parsed.at("clock")[0].file,
-              "tools/smthill_trace_report.cc");
-}
-
 TEST(AnalyzeModel, EventTablesRecordEmissionAndCatalog)
 {
     lint::ProjectModel m = lint::buildProjectModel(
@@ -280,35 +260,6 @@ TEST(AnalyzePasses, CrossTuStatFlagAndPass)
     std::vector<Finding> orphan = lint::analyzeUnits(
         {unit("tests/test_widget.cc", "cross_tu_stat_pass.cc")});
     expectOnlyRule(orphan, "cross-tu-consistency");
-}
-
-TEST(AnalyzePasses, CrossTuSchemaAsymmetryNeedsDistinctReader)
-{
-    // Writer-only, no distinct reader file: a single-TU schema is
-    // self-consistent by construction and must stay clean (dead
-    // listed fields included — no parser means no contract yet).
-    EXPECT_TRUE(
-        lint::analyzeUnits(
-            {{"src/common/event_trace.cc",
-              "void w(Json &j) { j.set(\"clock\", Json(1)); }\n"}})
-            .empty());
-
-    // A distinct reader that parses a different field makes the
-    // unparsed write a real asymmetry.
-    std::vector<Finding> fire = lint::analyzeUnits(
-        {{"src/common/event_trace.cc",
-          "void w(Json &j) { j.set(\"clock\", Json(1)); }\n"},
-         {"tools/smthill_trace_report.cc",
-          "void r(const Json &j) { use(j.at(\"ts\")); }\n"}});
-    bool sawClock = false;
-    for (const Finding &f : fire) {
-        EXPECT_EQ(f.rule, "cross-tu-consistency");
-        if (f.message.find("\"clock\"") != std::string::npos)
-            sawClock = true;
-    }
-    EXPECT_TRUE(sawClock)
-        << "written-but-unparsed 'clock' must fire with a distinct "
-           "reader present";
 }
 
 TEST(AnalyzePasses, CrossTuUnknownEventFires)

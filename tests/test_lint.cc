@@ -7,7 +7,7 @@
  * `smthill.lint.v1` documents.
  *
  * Fixtures are linted under *synthetic* paths: path-scoped rules
- * (schema files, module ranks, guard canonicalization) key off the
+ * (allowlists, module ranks, guard canonicalization) key off the
  * path handed to lintFile(), so fixture content can exercise any
  * rule from one on-disk directory — which the tree walker skips, so
  * the intentionally-failing files never dirty the `Lint` ctest run.
@@ -83,12 +83,11 @@ expectClean(const std::string &name, const std::string &path)
 TEST(Lint, RuleCatalog)
 {
     std::vector<std::string> rules = lint::ruleNames();
-    EXPECT_EQ(rules.size(), 9u);
+    EXPECT_EQ(rules.size(), 8u);
     for (const char *rule : {"no-wall-clock", "no-libc-random",
                              "no-unordered-container", "stat-name",
-                             "schema-field", "error-handling",
-                             "cpu-copy-hot-path", "include-guard",
-                             "layering"}) {
+                             "error-handling", "cpu-copy-hot-path",
+                             "include-guard", "layering"}) {
         EXPECT_NE(std::find(rules.begin(), rules.end(), rule),
                   rules.end())
             << rule;
@@ -169,18 +168,6 @@ TEST(Lint, StatDuplicatesIgnoredOutsideSrc)
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_NE(findings[0].message.find("convention"),
               std::string::npos);
-}
-
-TEST(Lint, SchemaFieldFixtures)
-{
-    expectFlagged("schema_field_flag.cc", "src/core/epoch_trace.cc",
-                  "schema-field");
-    expectClean("schema_field_pass.cc", "src/core/epoch_trace.cc");
-
-    // Off the two writer files the rule does not apply at all.
-    std::vector<Finding> findings = lint::lintFile(
-        "src/fixture/other.cc", fixture("schema_field_flag.cc"));
-    EXPECT_TRUE(findings.empty());
 }
 
 TEST(Lint, ErrorHandlingFixtures)

@@ -3,7 +3,7 @@
  * smthill-analyze driver: run the two-phase cross-translation-unit
  * analyzer (lint/analyze.hh, architecture in DESIGN.md §9) over
  * files and directory trees. Phase 1 builds a project model (call
- * graph, pool-lambda captures, stat/schema/event tables, suppression
+ * graph, pool-lambda captures, stat and event tables, suppression
  * audit); phase 2 runs the parallel-capture, cross-tu-consistency,
  * hot-path-allocation, and stale-suppression passes over it.
  *

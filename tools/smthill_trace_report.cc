@@ -191,9 +191,7 @@ collectShares(const std::vector<SimEvent> &events)
     for (const SimEvent &e : events) {
         if (e.ph != 'C' || e.name.rfind("share.t", 0) != 0)
             continue;
-        bool has_value = e.args.isObject() && e.args.contains("value");
-        tl.updates[e.pid][e.ts][e.tid] =
-            has_value ? e.args.at("value").asDouble() : 0.0;
+        tl.updates[e.pid][e.ts][e.tid] = EventTrace::counterValue(e);
         std::vector<int> &tids = tl.threads[e.pid];
         if (std::find(tids.begin(), tids.end(), e.tid) == tids.end())
             tids.push_back(e.tid);
