@@ -11,7 +11,7 @@
  *      split vs no partitioning at all (ICOUNT).
  *
  * Run on three representative workloads. Scale with SMTHILL_EPOCHS
- * (default 32, in 64K-cycle-equivalents of simulated time).
+ * (in 64K-cycle-equivalents of simulated time).
  */
 
 #include <cstdio>
@@ -22,8 +22,8 @@
 #include "policy/icount.hh"
 #include "policy/static_partition.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
 namespace
 {
@@ -40,12 +40,12 @@ runHill(const Workload &w, const RunConfig &rc, HillConfig hc,
 
 } // namespace
 
-int
-main()
+void
+ablSweeps(const FigureConfig &cfg)
 {
     banner("Ablations: epoch size, Delta, software cost, partitioning");
 
-    RunConfig base = benchRunConfig(32);
+    const RunConfig &base = cfg.rc;
     const Cycle budget =
         static_cast<Cycle>(base.epochs) * base.epochSize;
 
@@ -135,5 +135,6 @@ main()
         }
         t.print();
     }
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -1,7 +1,8 @@
 /**
  * @file
- * Helpers shared by the figure/table benches: standard baselines,
- * group-mean bookkeeping, and percent-gain reporting.
+ * Shared by the figure/table functions behind `smthill_repro`: the
+ * per-figure configuration, group-mean bookkeeping, percent-gain
+ * reporting, and the opt-in export writers.
  */
 
 #ifndef SMTHILL_BENCH_BENCH_COMMON_HH
@@ -9,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -74,61 +74,51 @@ soloWindow(const RunConfig &rc)
 }
 
 /**
- * Grid concurrency for benches: SMTHILL_JOBS pins it (CI sets 1 for
- * byte-stable logs), otherwise all hardware threads are used.
+ * A figure's scale knobs. Each row of the driver's figure table
+ * (repro.cc) holds one of these as that figure's defaults; a set
+ * environment variable overrides the field it names. Zero marks a
+ * knob the figure does not read.
  */
-inline int
-benchJobs()
+struct FigureSizes
 {
-    return static_cast<int>(envScale(
-        "SMTHILL_JOBS",
-        static_cast<std::uint64_t>(ThreadPool::defaultJobs())));
-}
+    int epochs = 0;           ///< SMTHILL_EPOCHS
+    int offlineStride = 0;    ///< SMTHILL_OFFLINE_STRIDE
+    int randHillIters = 0;    ///< SMTHILL_RANDHILL_ITERS
+    int surfaceStep = 0;      ///< SMTHILL_SURFACE_STEP
+    int osJobs = 0;           ///< SMTHILL_OS_JOBS
+    Cycle osHorizon = 0;      ///< SMTHILL_OS_HORIZON
+};
 
 /**
- * Export destination for the machine-readable figure data
- * (SMTHILL_STATS_JSON); empty disables the export path entirely.
+ * Everything a figure reads from its environment, resolved by the
+ * driver before the figure runs. Empty export paths disable the
+ * matching export.
  */
-inline std::string
-statsJsonPath()
+struct FigureConfig
 {
-    const char *p = std::getenv("SMTHILL_STATS_JSON");
-    return p && *p ? p : "";
-}
+    RunConfig rc;               ///< rc.epochs is sizes.epochs
+    FigureSizes sizes;
+    std::uint64_t osSeed = 1;   ///< open-system arrivals (SMTHILL_SEED)
+    std::string workload;       ///< fig05's workload (SMTHILL_WORKLOAD)
+    std::string statsJson;      ///< SMTHILL_STATS_JSON
+    std::string eventTrace;     ///< SMTHILL_EVENT_TRACE
+    std::string snapshots;      ///< SMTHILL_SNAPSHOTS
+};
 
-/**
- * Opt-in cycle-level event-trace destination (SMTHILL_EVENT_TRACE);
- * empty disables tracing entirely.
- */
-inline std::string
-eventTracePath()
-{
-    const char *p = std::getenv("SMTHILL_EVENT_TRACE");
-    return p && *p ? p : "";
-}
-
-/**
- * Opt-in periodic stat-snapshot destination (SMTHILL_SNAPSHOTS, a
- * `smthill.snapshots.v1` JSONL stream); empty disables sampling.
- */
-inline std::string
-snapshotsPath()
-{
-    const char *p = std::getenv("SMTHILL_SNAPSHOTS");
-    return p && *p ? p : "";
-}
-
-/**
- * Host-profile report destination (SMTHILL_PROFILE_JSON). Only
- * consulted when profiling is on; empty falls back to a stdout
- * summary table.
- */
-inline std::string
-profileJsonPath()
-{
-    const char *p = std::getenv("SMTHILL_PROFILE_JSON");
-    return p && *p ? p : "";
-}
+// One function per reproduced table/figure, in the driver's order.
+void fig02Surface(const FigureConfig &cfg);
+void tab02AppChar(const FigureConfig &cfg);
+void tab03Workloads(const FigureConfig &cfg);
+void fig04OfflineLimit(const FigureConfig &cfg);
+void fig05Sync(const FigureConfig &cfg);
+void fig07HillWidth(const FigureConfig &cfg);
+void fig09HillMain(const FigureConfig &cfg);
+void fig10Metrics(const FigureConfig &cfg);
+void fig11Limits(const FigureConfig &cfg);
+void fig12Behaviors(const FigureConfig &cfg);
+void sec5Phase(const FigureConfig &cfg);
+void ablSweeps(const FigureConfig &cfg);
+void openSystemSweep(const FigureConfig &cfg);
 
 /**
  * Streaming snapshot sink over globalStats(): opens @p path and
@@ -244,19 +234,18 @@ checkExportValue(const char *what, double a, double b)
 }
 
 /**
- * Emit the host-profile report when profiling is on: to
- * SMTHILL_PROFILE_JSON as a `smthill.profile.v1` document (with a
- * write/reload/reparse self-check, like the figure exports), or as a
- * compact stdout table of the heaviest spans. No-op when profiling
- * is off, keeping default bench output byte-identical.
+ * Emit the host-profile report when profiling is on: to @p path as a
+ * `smthill.profile.v1` document (with a write/reload/reparse
+ * self-check, like the figure exports), or, when @p path is empty,
+ * as a compact stdout table of the heaviest spans. No-op when
+ * profiling is off, keeping default bench output byte-identical.
  */
 inline void
-exportProfileIfEnabled()
+exportProfileIfEnabled(const std::string &path)
 {
     if (!prof::profilingEnabled())
         return;
     const prof::ProfileReport report = prof::profileReport();
-    const std::string path = profileJsonPath();
     if (!path.empty()) {
         Json reloaded =
             writeAndReloadJson(path, prof::profileToJson(report));

@@ -8,37 +8,39 @@
  * total, and reports the peak — which should sit at an interior
  * point of the space (the "hill" that motivates hill climbing).
  *
- * Scale with SMTHILL_SURFACE_STEP (default 32 registers).
+ * Scale with SMTHILL_SURFACE_STEP, the register step between grid
+ * points.
  */
 
 #include <cstdio>
 
+#include "bench_common.hh"
 #include "core/machine_arena.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 #include "pipeline/cpu.hh"
 #include "trace/spec_profiles.hh"
 
-using namespace smthill;
+namespace smthill::benchutil
+{
 
-int
-main()
+void
+fig02Surface(const FigureConfig &cfg)
 {
     banner("Figure 2: IPC vs resource distribution "
            "(mesa / vortex / fma3d, 32K-cycle interval)");
 
-    const int step = static_cast<int>(envScale("SMTHILL_SURFACE_STEP", 32));
+    const int step = cfg.sizes.surfaceStep;
     const Cycle interval = 32 * 1024;
     const int total = 256;
     const int min_share = 8;
 
-    SmtConfig cfg;
-    cfg.numThreads = 3;
+    SmtConfig smt;
+    smt.numThreads = 3;
     std::vector<StreamGenerator> gens;
     gens.emplace_back(specProfile("mesa"), 0);
     gens.emplace_back(specProfile("vortex"), 1);
     gens.emplace_back(specProfile("fma3d"), 2);
-    SmtCpu machine(cfg, std::move(gens));
+    SmtCpu machine(smt, std::move(gens));
     machine.run(512 * 1024); // warm to a representative point
     const SmtCpu checkpoint = machine; // smthill-lint: allow(cpu-copy-hot-path)
 
@@ -92,5 +94,6 @@ main()
                 best_mesa, best_vortex, total - best_mesa - best_vortex);
     std::printf("paper shape: a well-defined hill with a clear interior "
                 "performance peak.\n");
-    return 0;
 }
+
+} // namespace smthill::benchutil

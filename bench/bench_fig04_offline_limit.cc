@@ -6,8 +6,8 @@
  * OFF-LINE gains of +19.2% over ICOUNT, +18.0% over FLUSH, and
  * +7.6% over DCRA, largest in the MEM2 group.
  *
- * Scale with SMTHILL_EPOCHS (default 12) and SMTHILL_OFFLINE_STRIDE
- * (default 16; the paper uses 2 = 127 trials/epoch).
+ * Scale with SMTHILL_EPOCHS and SMTHILL_OFFLINE_STRIDE (the paper
+ * uses stride 2 = 127 trials/epoch).
  */
 
 #include <cstdio>
@@ -19,18 +19,17 @@
 #include "policy/flush.hh"
 #include "policy/icount.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
-int
-main()
+void
+fig04OfflineLimit(const FigureConfig &cfg)
 {
     banner("Figure 4: OFF-LINE exhaustive learning vs ICOUNT / FLUSH / "
            "DCRA (2-thread workloads, weighted IPC)");
 
-    RunConfig rc = benchRunConfig(10);
-    const int stride =
-        static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
+    const RunConfig &rc = cfg.rc;
+    const int stride = cfg.sizes.offlineStride;
 
     // One grid cell per workload; cells run concurrently (rc.jobs)
     // and fill their own row, which is reduced/printed in order.
@@ -112,5 +111,6 @@ main()
               means.mean("MEM2/FLUSH"));
     printGain("over DCRA", means.mean("MEM2/OFF"),
               means.mean("MEM2/DCRA"));
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -7,8 +7,8 @@
  * paper finds OFF-LINE at or above every other technique in
  * essentially every epoch.
  *
- * Scale with SMTHILL_EPOCHS (default 24) and SMTHILL_OFFLINE_STRIDE
- * (default 16). SMTHILL_WORKLOAD overrides the workload.
+ * Scale with SMTHILL_EPOCHS and SMTHILL_OFFLINE_STRIDE;
+ * SMTHILL_WORKLOAD picks the workload.
  *
  * SMTHILL_STATS_JSON=FILE additionally writes the per-epoch series
  * as `smthill.bench.fig05.v1` JSON, reparses the file, re-derives
@@ -25,8 +25,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 
 #include "bench_common.hh"
 #include "common/event_trace.hh"
@@ -36,25 +34,23 @@
 #include "policy/flush.hh"
 #include "policy/icount.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
-
-int
-main()
+namespace smthill::benchutil
 {
-    const char *wname_env = std::getenv("SMTHILL_WORKLOAD");
-    const std::string wname = wname_env && *wname_env ? wname_env
-                                                      : "art-mcf";
+
+void
+fig05Sync(const FigureConfig &cfg)
+{
+    const std::string &wname = cfg.workload;
     banner("Figure 5: synchronized per-epoch weighted IPC (" + wname +
            ")");
 
-    RunConfig rc = benchRunConfig(24);
+    const RunConfig &rc = cfg.rc;
     const Workload &w = workloadByName(wname);
     auto solo = soloIpcs(w, rc, soloWindow(rc));
 
     OfflineConfig oc;
     oc.epochSize = rc.epochSize;
-    oc.stride = static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
+    oc.stride = cfg.sizes.offlineStride;
     oc.singleIpc = solo;
     OfflineExhaustive off(oc);
 
@@ -64,7 +60,7 @@ main()
     std::vector<ResourcePolicy *> policies{&icount, &flush, &dcra};
 
     EventTrace event_trace;
-    const std::string trace_path = eventTracePath();
+    const std::string &trace_path = cfg.eventTrace;
     SyncResult res = syncCompareOffline(
         makeCpu(w, rc), off, policies, rc.epochs,
         trace_path.empty() ? nullptr : &event_trace);
@@ -86,7 +82,7 @@ main()
     std::printf("  vs FLUSH : %5.1f%%\n", 100.0 * res.offlineWinRate(1));
     std::printf("  vs DCRA  : %5.1f%%\n", 100.0 * res.offlineWinRate(2));
 
-    const std::string export_path = statsJsonPath();
+    const std::string &export_path = cfg.statsJson;
     if (!export_path.empty()) {
         const char *names[] = {"ICOUNT", "FLUSH", "DCRA"};
         Json doc = Json::object();
@@ -131,5 +127,6 @@ main()
 
     if (!trace_path.empty())
         writeEventTrace(event_trace, trace_path);
-    return 0;
 }
+
+} // namespace smthill::benchutil

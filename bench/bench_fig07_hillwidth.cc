@@ -9,8 +9,8 @@
  * fma3d-mesa, gzip-bzip2, lucas-crafty: width_.99 >= 32) and 14
  * sharp-peak ones (width_.99 <= 8).
  *
- * Scale with SMTHILL_EPOCHS (default 6) and SMTHILL_OFFLINE_STRIDE
- * (default 4 — widths below the stride are unmeasurable).
+ * Scale with SMTHILL_EPOCHS and SMTHILL_OFFLINE_STRIDE (widths below
+ * the stride are unmeasurable).
  */
 
 #include <cstdio>
@@ -20,18 +20,17 @@
 #include "core/offline_exhaustive.hh"
 #include "harness/table.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
-int
-main()
+void
+fig07HillWidth(const FigureConfig &cfg)
 {
     banner("Figure 7: hill-width_N per 2-thread workload "
            "(averaged over epochs)");
 
-    RunConfig rc = benchRunConfig(4);
-    const int stride =
-        static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 8));
+    const RunConfig &rc = cfg.rc;
+    const int stride = cfg.sizes.offlineStride;
 
     Table t({"workload", "group", "w.99", "w.98", "w.97", "w.95", "w.90",
              "peak"});
@@ -76,5 +75,6 @@ main()
                 "small workloads (that fit the window) dull and\n"
                 "window-hungry MEM pairs sharp. Sharp peaks are where "
                 "learning the exact partitioning pays (Section 3.3.1).\n");
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -13,8 +13,8 @@
  * workloads under the same weighted-IPC yardstick, so the table
  * doubles as the learner-race result quoted in EXPERIMENTS.md.
  *
- * Scale with SMTHILL_EPOCHS (default 48; the paper's 1B-instruction
- * windows correspond to thousands of epochs of learning time).
+ * Scale with SMTHILL_EPOCHS (the paper's 1B-instruction windows
+ * correspond to thousands of epochs of learning time).
  *
  * SMTHILL_STATS_JSON=FILE additionally writes every cell as
  * `smthill.bench.learner-race.v1` JSON, reparses the file, re-derives
@@ -34,16 +34,16 @@
 #include "policy/icount.hh"
 #include "policy/rl_alloc.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
-int
-main()
+void
+fig09HillMain(const FigureConfig &cfg)
 {
     banner("Figure 9: HILL-WIPC vs ICOUNT / FLUSH / DCRA "
            "(42 workloads, weighted IPC)");
 
-    RunConfig rc = benchRunConfig(48);
+    const RunConfig &rc = cfg.rc;
 
     // Workload cells run concurrently across rc.jobs threads; each
     // fills its own row, reduced/printed in workload order below.
@@ -57,7 +57,7 @@ main()
     // Opt-in time series: one smthill.snapshots.v1 delta row per
     // completed workload cell (host telemetry only; the race results
     // are unaffected).
-    SnapshotSink snapshots(snapshotsPath());
+    SnapshotSink snapshots(cfg.snapshots);
 
     runGrid(workloads.size(), rc.jobs, [&](std::size_t i) {
         const Workload &w = workloads[i];
@@ -170,7 +170,7 @@ main()
     printGain("RL over HILL", means.mean("all/RL"),
               means.mean("all/HILL"));
 
-    const std::string export_path = statsJsonPath();
+    const std::string &export_path = cfg.statsJson;
     if (!export_path.empty()) {
         Json doc = Json::object();
         doc.set("schema", Json("smthill.bench.learner-race.v1"));
@@ -219,6 +219,6 @@ main()
                     "file match)\n",
                     export_path.c_str());
     }
-    exportProfileIfEnabled();
-    return 0;
 }
+
+} // namespace smthill::benchutil

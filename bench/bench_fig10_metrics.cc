@@ -14,7 +14,7 @@
  * question is asked of every learning rule, not just hill climbing.
  *
  * Results are summarized by workload group, as in the paper.
- * Scale with SMTHILL_EPOCHS (default 32).
+ * Scale with SMTHILL_EPOCHS.
  */
 
 #include <cstdio>
@@ -28,15 +28,15 @@
 #include "policy/icount.hh"
 #include "policy/rl_alloc.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
-int
-main()
+void
+fig10Metrics(const FigureConfig &cfg)
 {
     banner("Figure 10: metric cross-comparison by workload group");
 
-    RunConfig rc = benchRunConfig(20);
+    const RunConfig &rc = cfg.rc;
 
     const PerfMetric metrics[] = {PerfMetric::WeightedIpc,
                                   PerfMetric::AvgIpc,
@@ -184,5 +184,6 @@ main()
                         pctGain(matched, mism));
         }
     }
-    return 0;
 }
+
+} // namespace smthill::benchutil

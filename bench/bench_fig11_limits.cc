@@ -6,8 +6,8 @@
  * RAND-HILL on the 21 four-thread workloads (paper: hill achieves
  * 94.1% of RAND-HILL; RAND-HILL beats DCRA by 7.4%).
  *
- * Scale with SMTHILL_EPOCHS (default 10), SMTHILL_OFFLINE_STRIDE
- * (default 16), SMTHILL_RANDHILL_ITERS (default 32; paper 128).
+ * Scale with SMTHILL_EPOCHS, SMTHILL_OFFLINE_STRIDE, and
+ * SMTHILL_RANDHILL_ITERS (the paper runs 128 iterations).
  */
 
 #include <cstdio>
@@ -19,19 +19,17 @@
 #include "harness/table.hh"
 #include "policy/dcra.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
-int
-main()
+void
+fig11Limits(const FigureConfig &cfg)
 {
     banner("Figure 11: HILL-WIPC vs ideal learners");
 
-    RunConfig rc = benchRunConfig(8);
-    const int stride =
-        static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
-    const int iters =
-        static_cast<int>(envScale("SMTHILL_RANDHILL_ITERS", 24));
+    const RunConfig &rc = cfg.rc;
+    const int stride = cfg.sizes.offlineStride;
+    const int iters = cfg.sizes.randHillIters;
 
     // ---- top: 2-thread, HILL vs OFF-LINE -------------------------
     // Both halves fan their workload cells across rc.jobs threads;
@@ -140,5 +138,6 @@ main()
                 100.0 * means.mean("4T/HILL") / means.mean("4T/RAND"));
     printGain("RAND-HILL over DCRA (paper +7.4%)", means.mean("4T/RAND"),
               means.mean("4T/DCRA"));
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -10,8 +10,7 @@
  * partition, both metric values, and a coarse rendering of the
  * performance hill (the gray-scale columns of Figure 12).
  *
- * Scale with SMTHILL_EPOCHS (default 16) and SMTHILL_OFFLINE_STRIDE
- * (default 16).
+ * Scale with SMTHILL_EPOCHS and SMTHILL_OFFLINE_STRIDE.
  *
  * SMTHILL_EVENT_TRACE=FILE writes the hill-climbing runs' cycle-level
  * `smthill.events.v1` trace: one Perfetto process per representative
@@ -28,8 +27,8 @@
 #include "policy/bandit.hh"
 #include "policy/rl_alloc.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
 namespace
 {
@@ -55,16 +54,16 @@ shade(const std::vector<double> &curve)
 
 } // namespace
 
-int
-main()
+void
+fig12Behaviors(const FigureConfig &cfg)
 {
     banner("Figure 12: representative time-varying behaviors "
            "(HILL-WIPC vs per-epoch OFF-LINE map)");
 
-    RunConfig rc = benchRunConfig(12);
+    const RunConfig &rc = cfg.rc;
 
     EventTrace event_trace;
-    const std::string trace_path = eventTracePath();
+    const std::string &trace_path = cfg.eventTrace;
     int trace_pid = 0;
 
     const std::pair<const char *, const char *> cases[] = {
@@ -94,8 +93,7 @@ main()
         }
 
         OfflineConfig oc;
-        oc.stride =
-            static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
+        oc.stride = cfg.sizes.offlineStride;
         oc.metric = PerfMetric::WeightedIpc;
         oc.singleIpc = solo;
 
@@ -167,5 +165,6 @@ main()
 
     if (!trace_path.empty())
         writeEventTrace(event_trace, trace_path);
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -17,8 +17,8 @@
  * pure function of the machine shape. Every cell is an independent
  * deterministic run, so results are bit-identical across
  * SMTHILL_JOBS settings and same-seed reruns.
- * Scale with SMTHILL_OS_JOBS (jobs per run, default 12) and
- * SMTHILL_SEED; export with SMTHILL_STATS_JSON
+ * Scale with SMTHILL_OS_JOBS (jobs per run) and SMTHILL_OS_HORIZON;
+ * SMTHILL_SEED seeds the arrivals. Export with SMTHILL_STATS_JSON
  * (`smthill.bench.open-system.v1`); trace one run with
  * SMTHILL_EVENT_TRACE.
  */
@@ -37,8 +37,8 @@
 #include "policy/rl_alloc.hh"
 #include "workload/open_system.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
 namespace
 {
@@ -80,23 +80,23 @@ makePolicy(int pi, Cycle epoch_size, std::uint64_t seed)
 
 } // namespace
 
-int
-main()
+void
+openSystemSweep(const FigureConfig &cfg)
 {
     banner("Open-system lambda sweep: arrival traffic vs policy");
 
-    RunConfig rc = benchRunConfig(16);
+    const RunConfig &rc = cfg.rc;
 
     SmtConfig machine = rc.machine;
     machine.numThreads = 4;
 
     OpenSystemConfig base;
-    base.seed = envScale("SMTHILL_SEED", 1);
-    base.numJobs = static_cast<int>(envScale("SMTHILL_OS_JOBS", 12));
+    base.seed = cfg.osSeed;
+    base.numJobs = cfg.sizes.osJobs;
     base.minJobInstructions = 20'000;
     base.maxJobInstructions = 60'000;
     base.epochSize = rc.epochSize;
-    base.horizon = envScale("SMTHILL_OS_HORIZON", 16'000'000);
+    base.horizon = cfg.sizes.osHorizon;
     base.slaWeights = true;
 
     const Cycle mean_gaps[] = {64 * 1024, 16 * 1024, 4 * 1024};
@@ -112,7 +112,7 @@ main()
     // from is identical across the sweep (same shape, same pool), so
     // build it once and restore per worker instead of reconstructing
     // the cache hierarchy and predictors cells-times over.
-    const int jobs = benchJobs();
+    const int jobs = rc.jobs;
     OpenSystem proto(machine, base);
     const SmtCpu checkpoint = proto.makeMachine();
     MachineArena arena(jobs);
@@ -120,15 +120,15 @@ main()
     // Opt-in time series: one smthill.snapshots.v1 delta row per
     // completed cell (host telemetry only; cell results are
     // unaffected).
-    SnapshotSink snapshots(snapshotsPath());
+    SnapshotSink snapshots(cfg.snapshots);
 
     runGridWorker(cells, jobs, [&](std::size_t cell, int worker) {
         const Cycle gap = mean_gaps[cell / kNumPolicies];
         const int pi = static_cast<int>(cell % kNumPolicies);
-        OpenSystemConfig cfg = base;
-        cfg.arrivalRate = 1.0 / static_cast<double>(gap);
-        OpenSystem sys(machine, cfg);
-        auto policy = makePolicy(pi, cfg.epochSize, base.seed);
+        OpenSystemConfig sys_cfg = base;
+        sys_cfg.arrivalRate = 1.0 / static_cast<double>(gap);
+        OpenSystem sys(machine, sys_cfg);
+        auto policy = makePolicy(pi, sys_cfg.epochSize, base.seed);
         SmtCpu &cpu = arena.acquire(worker, checkpoint);
         results[cell] = sys.runOn(cpu, *policy);
         snapshots.sample(cell, results[cell].cycles);
@@ -160,20 +160,20 @@ main()
     // Optional cycle-level trace of one run (HILL at the heaviest
     // traffic): the job.arrive/job.attach/job.depart markers land on
     // the same timeline as the machine and learner events.
-    std::string trace_path = eventTracePath();
+    const std::string &trace_path = cfg.eventTrace;
     if (!trace_path.empty()) {
-        OpenSystemConfig cfg = base;
-        cfg.arrivalRate =
+        OpenSystemConfig sys_cfg = base;
+        sys_cfg.arrivalRate =
             1.0 / static_cast<double>(mean_gaps[kNumGaps - 1]);
-        OpenSystem sys(machine, cfg);
-        auto policy = makePolicy(2, cfg.epochSize, base.seed);
+        OpenSystem sys(machine, sys_cfg);
+        auto policy = makePolicy(2, sys_cfg.epochSize, base.seed);
         EventTrace trace;
         trace.processName(1, "open-system HILL");
         sys.run(*policy, &trace, 1);
         writeEventTrace(trace, trace_path);
     }
 
-    std::string stats_path = statsJsonPath();
+    const std::string &stats_path = cfg.statsJson;
     if (!stats_path.empty()) {
         Json doc = Json::object();
         doc.set("schema", Json("smthill.bench.open-system.v1"));
@@ -214,6 +214,6 @@ main()
         std::printf("wrote open-system stats to %s\n",
                     stats_path.c_str());
     }
-    exportProfileIfEnabled();
-    return 0;
 }
+
+} // namespace smthill::benchutil

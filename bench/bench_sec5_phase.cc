@@ -7,7 +7,7 @@
  * with a low-frequency member — where the paper sees the benefit,
  * +2.1% vs +0.4% overall), and the phase statistics.
  *
- * Scale with SMTHILL_EPOCHS (default 32).
+ * Scale with SMTHILL_EPOCHS.
  */
 
 #include <cstdio>
@@ -17,8 +17,8 @@
 #include "phase/phase_hill.hh"
 #include "trace/spec_profiles.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
 namespace
 {
@@ -38,12 +38,12 @@ isTemporallyLimited(const Workload &w)
 
 } // namespace
 
-int
-main()
+void
+sec5Phase(const FigureConfig &cfg)
 {
     banner("Section 5: phase-based hill climbing");
 
-    RunConfig rc = benchRunConfig(24);
+    const RunConfig &rc = cfg.rc;
 
     Table t({"workload", "group", "HILL", "PHASE-HILL", "gain%",
              "phases", "pred.acc", "reuses", "TL?"});
@@ -90,5 +90,6 @@ main()
               means.mean("all/plain"));
     printGain("TL workloads (paper +2.1%)", means.mean("tl/phase"),
               means.mean("tl/plain"));
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -20,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -300,8 +301,8 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    const std::string path = benchutil::statsJsonPath();
-    if (!path.empty())
+    const char *path = std::getenv("SMTHILL_STATS_JSON");
+    if (path && *path)
         exportResults(reporter.captured, path);
     return 0;
 }

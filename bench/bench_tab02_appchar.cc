@@ -6,19 +6,22 @@
  * (b) how often that requirement changes across 64K-cycle epochs —
  * classifying the benchmark as No / Low / High frequency variation.
  *
- * Scale with SMTHILL_VAR_EPOCHS (default 12 epochs for the variation
- * measurement).
+ * Scale with SMTHILL_EPOCHS, the number of epochs the variation is
+ * measured over. The epoch length and the warm-up stay fixed: they
+ * are part of the Section 4.4.2 definition.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
-#include "harness/runner.hh"
+#include "bench_common.hh"
 #include "harness/table.hh"
 #include "pipeline/cpu.hh"
 #include "trace/spec_profiles.hh"
 
-using namespace smthill;
+namespace smthill::benchutil
+{
 
 namespace
 {
@@ -58,31 +61,35 @@ requirementAt(const SmtCpu &warm, Cycle window)
 
 } // namespace
 
-int
-main()
+void
+tab02AppChar(const FigureConfig &cfg)
 {
     banner("Table 2: per-benchmark resource requirement (Rsc) and "
            "time variation (Freq)");
 
-    const int var_epochs =
-        static_cast<int>(envScale("SMTHILL_VAR_EPOCHS", 8));
+    const int var_epochs = cfg.rc.epochs;
     const Cycle epoch = 64 * 1024;
 
-    Table t({"app", "type", "cat", "Rsc(paper)", "Rsc(model)",
-             "Freq(paper)", "changes/epoch", "Freq(model)"});
+    // One grid cell per benchmark; cells run concurrently (rc.jobs)
+    // and fill their own row, printed in order afterwards.
+    struct Row
+    {
+        int rsc;
+        double rate;
+    };
+    const std::vector<std::string> &names = specBenchmarkNames();
+    std::vector<Row> rows(names.size());
 
-    for (const auto &name : specBenchmarkNames()) {
-        const SpecInfo &info = specInfo(name);
-
-        SmtConfig cfg;
-        cfg.numThreads = 1;
+    runGrid(names.size(), cfg.rc.jobs, [&](std::size_t i) {
+        SmtConfig smt;
+        smt.numThreads = 1;
         std::vector<StreamGenerator> gens;
-        gens.emplace_back(specProfile(name), 0);
-        SmtCpu cpu(cfg, std::move(gens));
+        gens.emplace_back(specProfile(names[i]), 0);
+        SmtCpu cpu(smt, std::move(gens));
         cpu.run(512 * 1024); // warm
 
         // (a) Steady-state requirement over a long window.
-        int rsc = requirementAt(cpu, 2 * epoch);
+        rows[i].rsc = requirementAt(cpu, 2 * epoch);
 
         // (b) Per-epoch requirement trajectory.
         int changes = 0;
@@ -96,18 +103,25 @@ main()
             walker.clearPartition();
             walker.run(epoch);
         }
-        double rate = var_epochs > 1
-                          ? static_cast<double>(changes) / (var_epochs - 1)
-                          : 0.0;
+        rows[i].rate = var_epochs > 1 ? static_cast<double>(changes) /
+                                            (var_epochs - 1)
+                                      : 0.0;
+    });
+
+    Table t({"app", "type", "cat", "Rsc(paper)", "Rsc(model)",
+             "Freq(paper)", "changes/epoch", "Freq(model)"});
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const SpecInfo &info = specInfo(names[i]);
+        const double rate = rows[i].rate;
         const char *model_freq =
             rate > 0.34 ? "High" : rate > 0.09 ? "Low" : "No";
 
         t.beginRow();
-        t.cell(name);
+        t.cell(names[i]);
         t.cell(std::string(info.isFp ? "FP" : "Int"));
         t.cell(std::string(info.isMem ? "MEM" : "ILP"));
         t.cell(static_cast<std::int64_t>(info.paperRsc));
-        t.cell(static_cast<std::int64_t>(rsc));
+        t.cell(static_cast<std::int64_t>(rows[i].rsc));
         t.cell(std::string(freqName(info.freqClass)));
         t.cell(rate, 2);
         t.cell(std::string(model_freq));
@@ -118,5 +132,6 @@ main()
                 "(swim, art, ammp, twolf, vpr) and long-distance ILP\n"
                 "(gap, wupwise) need large windows; short-chain ILP "
                 "(perlbmk, bzip2, fma3d, lucas) needs small ones.\n");
-    return 0;
 }
+
+} // namespace smthill::benchutil

@@ -14,8 +14,8 @@
 #include "trace/spec_profiles.hh"
 #include "workload/workloads.hh"
 
-using namespace smthill;
-using namespace smthill::benchutil;
+namespace smthill::benchutil
+{
 
 namespace
 {
@@ -61,8 +61,8 @@ predict(const std::string &cls)
 
 } // namespace
 
-int
-main()
+void
+tab03Workloads(const FigureConfig &cfg)
 {
     banner("Table 3: multiprogrammed workloads, Rsc sums, and "
            "predicted behavior classes");
@@ -79,7 +79,7 @@ main()
             std::string cls;
         };
         std::vector<Row> rows(ws.size());
-        runGrid(ws.size(), benchJobs(), [&](std::size_t i) {
+        runGrid(ws.size(), cfg.rc.jobs, [&](std::size_t i) {
             rows[i].rsc =
                 static_cast<std::int64_t>(ws[i].paperRscSum());
             rows[i].cls = classify(ws[i]);
@@ -104,5 +104,6 @@ main()
                 "show spatially-stable (SS) behavior; LG(H) workloads\n"
                 "predict jitter-limited (JL) and LG(L) temporally-"
                 "limited (TL) behavior (Section 4.4.2).\n");
-    return 0;
 }
+
+} // namespace smthill::benchutil

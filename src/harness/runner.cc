@@ -1,6 +1,8 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -283,19 +285,28 @@ runGridWorker(std::size_t cells, int jobs,
     pool.parallelForWorker(cells, cell);
 }
 
-std::uint64_t
-envScale(const char *name, std::uint64_t def)
+std::optional<std::uint64_t>
+envKnob(const char *name)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
-        return def;
+        return std::nullopt;
+    // strtoull alone would wrap "-1" to 2^64-1 and read "2x" as 2.
+    errno = 0;
     char *end = nullptr;
     unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v) {
+    if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+        errno == ERANGE) {
         warn(msg("ignoring unparsable ", name, "='", v, "'"));
-        return def;
+        return std::nullopt;
     }
     return parsed;
+}
+
+std::uint64_t
+envScale(const char *name, std::uint64_t def)
+{
+    return envKnob(name).value_or(def);
 }
 
 RunConfig

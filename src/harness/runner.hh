@@ -10,6 +10,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -162,10 +163,18 @@ void runGrid(std::size_t cells, int jobs,
 void runGridWorker(std::size_t cells, int jobs,
                    const std::function<void(std::size_t, int)> &cell);
 
-/** Read an integer knob from the environment (benches scaling). */
+/**
+ * Read an unsigned decimal knob from the environment. Unset or empty
+ * gives nullopt; so does anything but a plain run of digits that
+ * fits in 64 bits (a sign, trailing characters, overflow), after a
+ * warning naming the variable.
+ */
+std::optional<std::uint64_t> envKnob(const char *name);
+
+/** envKnob(@p name), or @p def when the knob has no usable value. */
 std::uint64_t envScale(const char *name, std::uint64_t def);
 
-/** Standard bench RunConfig honoring SMTHILL_EPOCHS/EPOCH_SIZE/SEED. */
+/** Example-program RunConfig honoring SMTHILL_EPOCHS/EPOCH_SIZE/SEED. */
 RunConfig benchRunConfig(int default_epochs);
 
 } // namespace smthill

@@ -8,7 +8,7 @@
  * ("Rsc": integer rename registers needed for 95% of solo IPC), and
  * time-variation class ("Freq") match Table 2 qualitatively. The
  * actual Rsc values this repo measures are reported by
- * bench_tab02_appchar and recorded in EXPERIMENTS.md.
+ * `smthill_repro tab02` and recorded in EXPERIMENTS.md.
  */
 
 #ifndef SMTHILL_TRACE_SPEC_PROFILES_HH

@@ -113,6 +113,14 @@ TEST(Runner, EnvScaleParsesAndDefaults)
     EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 123u);
     ::setenv("SMTHILL_TEST_KNOB", "bogus", 1);
     EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 7u);
+    // A sign would wrap through strtoull; trailing junk or overflow
+    // must not be half-read.
+    ::setenv("SMTHILL_TEST_KNOB", "-1", 1);
+    EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 7u);
+    ::setenv("SMTHILL_TEST_KNOB", "2x", 1);
+    EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 7u);
+    ::setenv("SMTHILL_TEST_KNOB", "99999999999999999999", 1);
+    EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 7u);
     ::unsetenv("SMTHILL_TEST_KNOB");
 }
 
