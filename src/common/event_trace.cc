@@ -1,5 +1,6 @@
 #include "common/event_trace.hh"
 
+#include <optional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -18,7 +19,7 @@ StatCounter &
 recordedStat()
 {
     static StatCounter &c =
-        globalStats().counter("smthill.event_trace.recorded");
+        globalStats().counter(CounterId::EventTraceRecorded);
     return c;
 }
 
@@ -26,8 +27,23 @@ StatCounter &
 droppedStat()
 {
     static StatCounter &c =
-        globalStats().counter("smthill.event_trace.dropped");
+        globalStats().counter(CounterId::EventTraceDropped);
     return c;
+}
+
+/** An event of catalog entry @p id, its name not yet completed. */
+SimEvent
+catalogEvent(Cycle ts, int pid, int tid, EventId id)
+{
+    const EventSpec &spec = eventSpec(id);
+    SimEvent e;
+    e.ts = ts;
+    e.ph = spec.ph;
+    e.pid = pid;
+    e.tid = tid;
+    e.cat = spec.cat;
+    e.name = spec.name;
+    return e;
 }
 
 constexpr char kSchema[] = "smthill.events.v1";
@@ -187,47 +203,40 @@ EventTrace::record(SimEvent event)
 }
 
 void
-EventTrace::instant(Cycle ts, int pid, int tid, std::string cat,
-                    std::string name, Json args)
+EventTrace::instant(Cycle ts, int pid, int tid, InstantEvent event,
+                    Json args)
 {
-    SimEvent e;
-    e.ts = ts;
-    e.ph = 'i';
-    e.pid = pid;
-    e.tid = tid;
-    e.cat = std::move(cat);
-    e.name = std::move(name);
+    SimEvent e = catalogEvent(ts, pid, tid, event.id);
     e.args = std::move(args);
     record(std::move(e));
 }
 
 void
 EventTrace::complete(Cycle ts, std::int64_t dur, int pid, int tid,
-                     std::string cat, std::string name, Json args)
+                     SliceEvent event, Json args)
 {
-    SimEvent e;
-    e.ts = ts;
+    SimEvent e = catalogEvent(ts, pid, tid, event.id);
     e.dur = dur >= 0 ? dur : 0;
-    e.ph = 'X';
-    e.pid = pid;
-    e.tid = tid;
-    e.cat = std::move(cat);
-    e.name = std::move(name);
     e.args = std::move(args);
     record(std::move(e));
 }
 
 void
-EventTrace::counter(Cycle ts, int pid, int tid, std::string name,
+EventTrace::complete(Cycle ts, std::int64_t dur, int pid, int tid,
+                     ScopeSpanEvent family, const char *scope)
+{
+    SimEvent e = catalogEvent(ts, pid, tid, family.id);
+    e.dur = dur >= 0 ? dur : 0;
+    e.name = scope;
+    record(std::move(e));
+}
+
+void
+EventTrace::counter(Cycle ts, int pid, int tid, ThreadTrackEvent family,
                     double value)
 {
-    SimEvent e;
-    e.ts = ts;
-    e.ph = 'C';
-    e.pid = pid;
-    e.tid = tid;
-    e.cat = "counter";
-    e.name = std::move(name);
+    SimEvent e = catalogEvent(ts, pid, tid, family.id);
+    e.name += std::to_string(tid);
     e.args = Json::object();
     e.args.set(kValueKey, value);
     record(std::move(e));
@@ -262,15 +271,16 @@ EventTrace::threadName(int pid, int tid, const std::string &name)
 
 void
 EventTrace::recordInstruction(Cycle ts, int pid, ThreadId tid,
-                              const char *stage, InstSeq seq, Addr pc,
+                              InstStage stage, InstSeq seq, Addr pc,
                               OpClass op)
 {
-    Json args = Json::object();
-    args.set(kSeqKey, seq);
-    args.set(kPcKey, pc);
-    args.set(kOpKey, opClassName(op));
-    instant(ts, pid, static_cast<int>(tid), "inst", stage,
-            std::move(args));
+    SimEvent e =
+        catalogEvent(ts, pid, static_cast<int>(tid), instStageEvent(stage));
+    e.args = Json::object();
+    e.args.set(kSeqKey, seq);
+    e.args.set(kPcKey, pc);
+    e.args.set(kOpKey, opClassName(op));
+    record(std::move(e));
 }
 
 void
@@ -278,9 +288,11 @@ printLastInstEvents(const EventTrace &trace, std::size_t n,
                     std::FILE *out)
 {
     std::vector<SimEvent> insts;
-    for (SimEvent &e : trace.events())
-        if (e.cat == "inst")
+    for (SimEvent &e : trace.events()) {
+        std::optional<EventId> id = findEvent(e.cat, e.name);
+        if (id && isInstStage(*id))
             insts.push_back(std::move(e));
+    }
     std::size_t first = insts.size() > n ? insts.size() - n : 0;
     std::fprintf(out, "last %zu pipeline events:\n", insts.size() - first);
     for (std::size_t i = first; i < insts.size(); ++i) {

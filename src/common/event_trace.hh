@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/catalog.hh"
 #include "common/json.hh"
 #include "common/types.hh"
 
@@ -59,8 +60,8 @@ struct SimEvent
     char ph = 'i';           ///< B/E/X/i/C/M (trace-event phase)
     std::int32_t pid = 0;    ///< workload / technique id
     std::int32_t tid = 0;    ///< hardware thread, or kControlTid
-    std::string cat;         ///< taxonomy: epoch/hill/phase/machine/...
-    std::string name;
+    std::string cat;         ///< catalog category: epoch/hill/machine/...
+    std::string name;        ///< catalog name (common/catalog.hh)
     Json args;               ///< decision-audit payload (object) or null
 
     bool operator==(const SimEvent &) const = default;
@@ -92,21 +93,32 @@ class EventTrace
 
     explicit EventTrace(std::size_t capacity = kDefaultCapacity);
 
-    /** Record one event (ring append; oldest dropped when full). */
+    /**
+     * Record one event (ring append; oldest dropped when full). The
+     * import path (fromPerfettoJson, tests): simulator code emits
+     * through the catalog-typed calls below.
+     */
     void record(SimEvent event);
 
-    // --- Emission helpers (thin sugar over record()) ---------------
+    // --- Emission (common/catalog.hh names every event) ------------
 
     /** Point event ('i'). */
-    void instant(Cycle ts, int pid, int tid, std::string cat,
-                 std::string name, Json args = Json());
+    void instant(Cycle ts, int pid, int tid, InstantEvent event,
+                 Json args = Json());
 
     /** Complete slice ('X') covering [ts, ts + dur). */
     void complete(Cycle ts, std::int64_t dur, int pid, int tid,
-                  std::string cat, std::string name, Json args = Json());
+                  SliceEvent event, Json args = Json());
 
-    /** Counter sample ('C'): one point on the (pid, name) track. */
-    void counter(Cycle ts, int pid, int tid, std::string name,
+    /** Complete slice of a family named by a profiler scope. */
+    void complete(Cycle ts, std::int64_t dur, int pid, int tid,
+                  ScopeSpanEvent family, const char *scope);
+
+    /**
+     * Counter sample ('C'): one point on the track of hardware
+     * thread @p tid, named by @p family and that thread's index.
+     */
+    void counter(Cycle ts, int pid, int tid, ThreadTrackEvent family,
                  double value);
 
     /** Metadata ('M'): label process @p pid in trace viewers. */
@@ -127,11 +139,11 @@ class EventTrace
     void setInstructionEvents(bool on) { instEvents = on; }
 
     /**
-     * One `inst` instant named @p stage (a string literal); a no-op
-     * unless instruction events are on.
+     * One `inst` instant of @p stage; a no-op unless instruction
+     * events are on.
      */
     void
-    instruction(Cycle ts, int pid, ThreadId tid, const char *stage,
+    instruction(Cycle ts, int pid, ThreadId tid, InstStage stage,
                 InstSeq seq, Addr pc, OpClass op)
     {
         if (instEvents)
@@ -238,7 +250,7 @@ class EventTrace
     bool instEvents = false;
 
     void recordInstruction(Cycle ts, int pid, ThreadId tid,
-                           const char *stage, InstSeq seq, Addr pc,
+                           InstStage stage, InstSeq seq, Addr pc,
                            OpClass op);
 };
 
@@ -295,7 +307,7 @@ struct EventTraceLink
      * pointer test a machine's per-stage hook pays when detached.
      */
     void
-    instruction(Cycle ts, ThreadId tid, const char *stage, InstSeq seq,
+    instruction(Cycle ts, ThreadId tid, InstStage stage, InstSeq seq,
                 Addr pc, OpClass op) const
     {
         if (trace)

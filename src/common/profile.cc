@@ -299,7 +299,7 @@ appendHostSpans(EventTrace &trace, int pid)
     for (const Slice &s : slices) {
         trace.complete(s.inst.start - base,
                        static_cast<std::int64_t>(s.inst.dur), pid,
-                       s.thread, "host", s.inst.name);
+                       s.thread, EventId::HostSpan, s.inst.name);
     }
 }
 

@@ -1,153 +1,30 @@
 #include "common/stat_registry.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/log.hh"
 
 namespace smthill
 {
 
 void
-StatDistribution::add(double v)
+StatRegistry::enroll(std::size_t index)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    if (n == 0) {
-        lo = v;
-        hi = v;
-    } else {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
-    ++n;
-    total += v;
-    totalSq += v * v;
-
-    // Strided reservoir for the quantile estimates: record every
-    // stride-th sample; when the reservoir fills, keep every other
-    // retained sample and double the stride. Fully deterministic, so
-    // two identical sample streams yield identical quantiles.
-    ++sinceLastSample;
-    if (sinceLastSample >= sampleStride) {
-        sinceLastSample = 0;
-        if (samples.size() >= kSampleCap) {
-            for (std::size_t i = 0; 2 * i < samples.size(); ++i)
-                samples[i] = samples[2 * i];
-            samples.resize((samples.size() + 1) / 2);
-            sampleStride *= 2;
-        }
-        samples.push_back(v);
-    }
-}
-
-double
-StatDistribution::quantile(double q) const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (samples.empty())
-        return 0.0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
-}
-
-std::uint64_t
-StatDistribution::count() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n;
-}
-
-double
-StatDistribution::mean() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n == 0 ? 0.0 : total / static_cast<double>(n);
-}
-
-double
-StatDistribution::min() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n == 0 ? 0.0 : lo;
-}
-
-double
-StatDistribution::max() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n == 0 ? 0.0 : hi;
-}
-
-double
-StatDistribution::stddev() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (n == 0)
-        return 0.0;
-    double m = total / static_cast<double>(n);
-    double var = totalSq / static_cast<double>(n) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-StatDistribution::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    n = 0;
-    total = 0.0;
-    totalSq = 0.0;
-    lo = 0.0;
-    hi = 0.0;
-    samples.clear();
-    sampleStride = 1;
-    sinceLastSample = 0;
-}
-
-StatRegistry::Node &
-StatRegistry::lookup(const std::string &name, Kind kind)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = index.find(name);
-    if (it != index.end()) {
-        if (it->second->kind != kind)
-            fatal(msg("StatRegistry: '", name,
-                      "' already registered with a different kind"));
-        return *it->second;
-    }
-    // Nodes hold atomics and a mutex (non-movable), so they are
-    // constructed in place; deque storage never relocates them.
-    Node &node = nodes.emplace_back();
-    node.name = name;
-    node.kind = kind;
-    index.emplace(name, &node);
-    return node;
+    if (std::find(order.begin(), order.end(), index) == order.end())
+        order.push_back(index);
 }
 
 StatCounter &
-StatRegistry::counter(const std::string &name)
+StatRegistry::counter(CounterId id)
 {
-    return lookup(name, Kind::Counter).counter;
+    enroll(statIndex(id));
+    return counters[static_cast<std::size_t>(id)];
 }
 
 StatGauge &
-StatRegistry::gauge(const std::string &name)
+StatRegistry::gauge(GaugeId id)
 {
-    return lookup(name, Kind::Gauge).gauge;
-}
-
-StatDistribution &
-StatRegistry::distribution(const std::string &name)
-{
-    return lookup(name, Kind::Distribution).dist;
+    enroll(statIndex(id));
+    return gauges[static_cast<std::size_t>(id)];
 }
 
 Json
@@ -155,27 +32,13 @@ StatRegistry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     Json out = Json::object();
-    for (const Node &node : nodes) {
-        switch (node.kind) {
-          case Kind::Counter:
-            out.set(node.name, Json(node.counter.value()));
-            break;
-          case Kind::Gauge:
-            out.set(node.name, Json(node.gauge.value()));
-            break;
-          case Kind::Distribution: {
-            Json d = Json::object();
-            d.set("count", Json(node.dist.count()));
-            d.set("mean", Json(node.dist.mean()));
-            d.set("min", Json(node.dist.min()));
-            d.set("p50", Json(node.dist.p50()));
-            d.set("p95", Json(node.dist.p95()));
-            d.set("max", Json(node.dist.max()));
-            d.set("stddev", Json(node.dist.stddev()));
-            out.set(node.name, std::move(d));
-            break;
-          }
-        }
+    for (std::size_t i : order) {
+        const StatSpec &spec = kStatCatalog[i];
+        if (spec.kind == StatKind::Counter)
+            out.set(std::string(spec.name), Json(counters[i].value()));
+        else
+            out.set(std::string(spec.name),
+                    Json(gauges[i - kCounterCount].value()));
     }
     return out;
 }
@@ -185,9 +48,9 @@ StatRegistry::counterValues() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (const Node &node : nodes) {
-        if (node.kind == Kind::Counter)
-            out.emplace_back(node.name, node.counter.value());
+    for (std::size_t i : order) {
+        if (kStatCatalog[i].kind == StatKind::Counter)
+            out.emplace_back(kStatCatalog[i].name, counters[i].value());
     }
     return out;
 }
@@ -197,30 +60,10 @@ StatRegistry::gaugeValues() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     std::vector<std::pair<std::string, double>> out;
-    for (const Node &node : nodes) {
-        if (node.kind == Kind::Gauge)
-            out.emplace_back(node.name, node.gauge.value());
-    }
-    return out;
-}
-
-std::vector<StatRegistry::DistSummary>
-StatRegistry::distributionValues() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::vector<DistSummary> out;
-    for (const Node &node : nodes) {
-        if (node.kind != Kind::Distribution)
-            continue;
-        DistSummary s;
-        s.name = node.name;
-        s.count = node.dist.count();
-        s.mean = node.dist.mean();
-        s.min = node.dist.min();
-        s.p50 = node.dist.p50();
-        s.p95 = node.dist.p95();
-        s.max = node.dist.max();
-        out.push_back(std::move(s));
+    for (std::size_t i : order) {
+        if (kStatCatalog[i].kind == StatKind::Gauge)
+            out.emplace_back(kStatCatalog[i].name,
+                             gauges[i - kCounterCount].value());
     }
     return out;
 }
@@ -230,21 +73,19 @@ StatRegistry::names() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     std::vector<std::string> out;
-    out.reserve(nodes.size());
-    for (const Node &node : nodes)
-        out.push_back(node.name);
+    out.reserve(order.size());
+    for (std::size_t i : order)
+        out.emplace_back(kStatCatalog[i].name);
     return out;
 }
 
 void
 StatRegistry::resetValues()
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    for (Node &node : nodes) {
-        node.counter.reset();
-        node.gauge.reset();
-        node.dist.reset();
-    }
+    for (StatCounter &c : counters)
+        c.reset();
+    for (StatGauge &g : gauges)
+        g.reset();
 }
 
 StatRegistry &

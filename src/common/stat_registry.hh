@@ -1,15 +1,17 @@
 /**
  * @file
- * Named-statistic registry: counters, gauges, and distributions that
- * any subsystem can register and update cheaply on a hot path, with a
- * machine-readable JSON export.
+ * Named-statistic registry: counters and gauges that any subsystem
+ * can register and update cheaply on a hot path, with a
+ * machine-readable JSON export. Every stat is a row of the catalog
+ * (common/catalog.hh), and asking for a counter as a gauge, or for a
+ * name outside the catalog, fails to compile.
  *
  * Design constraints, in order:
- *  - hot-path updates are a single relaxed atomic op (counters,
- *    gauges) — no locks, no lookups; callers hold a reference to the
- *    stat object obtained once at setup;
+ *  - hot-path updates are a single relaxed atomic op — no locks, no
+ *    lookups; callers hold a reference to the stat object obtained
+ *    once at setup;
  *  - references returned by the registry are stable for the life of
- *    the registry (storage is a deque of nodes, never reallocated);
+ *    the registry (one fixed slot per catalog row);
  *  - concurrent registration from pool workers is safe (mutex only on
  *    the registration path);
  *  - zero-cost when unused: nothing updates stats unless a subsystem
@@ -23,14 +25,15 @@
 #ifndef SMTHILL_COMMON_STAT_REGISTRY_HH
 #define SMTHILL_COMMON_STAT_REGISTRY_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/catalog.hh"
 #include "common/json.hh"
 
 namespace smthill
@@ -74,50 +77,10 @@ class StatGauge
 };
 
 /**
- * Sample stream summarized as count/mean/min/max/stddev plus
- * deterministic quantile estimates (p50/p95). Quantiles come from a
- * bounded sample reservoir decimated by doubling the keep-stride
- * whenever it fills — no randomness, so replays and clones agree
- * exactly. Below kSampleCap samples the quantiles are exact
- * (nearest-rank); beyond that they are estimates over an evenly
- * strided subset.
- */
-class StatDistribution
-{
-  public:
-    void add(double v);
-
-    std::uint64_t count() const;
-    double mean() const;
-    double min() const;
-    double max() const;
-    double stddev() const;
-
-    /** Nearest-rank quantile of the retained samples; 0 when empty. */
-    double quantile(double q) const;
-    double p50() const { return quantile(0.5); }
-    double p95() const { return quantile(0.95); }
-
-    void reset();
-
-    static constexpr std::size_t kSampleCap = 2048;
-
-  private:
-    mutable std::mutex mutex;
-    std::uint64_t n = 0;
-    double total = 0.0;
-    double totalSq = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-    std::vector<double> samples;       ///< strided quantile reservoir
-    std::uint64_t sampleStride = 1;    ///< record every stride-th add
-    std::uint64_t sinceLastSample = 0;
-};
-
-/**
- * The registry. Stats are created on first lookup and live as long as
- * the registry; a second lookup of the same name returns the same
- * object, so independent subsystems may share a stat by name.
+ * The registry. A stat is created on first lookup and lives as long
+ * as the registry; a second lookup of the same id returns the same
+ * object, so independent subsystems may share a stat. Stats are
+ * named only by catalog ids (common/catalog.hh).
  */
 class StatRegistry
 {
@@ -127,14 +90,12 @@ class StatRegistry
     StatRegistry &operator=(const StatRegistry &) = delete;
 
     /** Find-or-create; the reference stays valid forever. */
-    StatCounter &counter(const std::string &name);
-    StatGauge &gauge(const std::string &name);
-    StatDistribution &distribution(const std::string &name);
+    StatCounter &counter(CounterId id);
+    StatGauge &gauge(GaugeId id);
 
     /**
-     * Export every stat as one JSON object keyed by name:
-     * counters as integers, gauges as doubles, distributions as
-     * {count, mean, min, p50, p95, max, stddev} objects.
+     * Export every registered stat as one JSON object keyed by name,
+     * in registration order: counters as integers, gauges as doubles.
      */
     Json toJson() const;
 
@@ -143,18 +104,6 @@ class StatRegistry
 
     // --- Typed enumeration (periodic snapshots) --------------------
 
-    /** Distribution summary row for snapshot export. */
-    struct DistSummary
-    {
-        std::string name;
-        std::uint64_t count = 0;
-        double mean = 0.0;
-        double min = 0.0;
-        double p50 = 0.0;
-        double p95 = 0.0;
-        double max = 0.0;
-    };
-
     /** (name, value) of every counter, registration order. */
     std::vector<std::pair<std::string, std::uint64_t>>
     counterValues() const;
@@ -162,34 +111,17 @@ class StatRegistry
     /** (name, value) of every gauge, registration order. */
     std::vector<std::pair<std::string, double>> gaugeValues() const;
 
-    /** Summary of every distribution, registration order. */
-    std::vector<DistSummary> distributionValues() const;
-
-    /** Reset counters/gauges to zero and drop distribution samples. */
+    /** Reset every counter and gauge to zero. */
     void resetValues();
 
   private:
-    enum class Kind
-    {
-        Counter,
-        Gauge,
-        Distribution
-    };
-
-    struct Node
-    {
-        std::string name;
-        Kind kind = Kind::Counter;
-        StatCounter counter;
-        StatGauge gauge;
-        StatDistribution dist;
-    };
-
-    Node &lookup(const std::string &name, Kind kind);
+    /** Mark kStatCatalog[@p index] registered, if it is not yet. */
+    void enroll(std::size_t index);
 
     mutable std::mutex mutex;
-    std::deque<Node> nodes;               ///< stable storage
-    std::map<std::string, Node *> index;
+    std::array<StatCounter, kCounterCount> counters;
+    std::array<StatGauge, kStatCount - kCounterCount> gauges;
+    std::vector<std::size_t> order; ///< catalog indexes, registration order
 };
 
 /** The process-wide registry (thread pool, warm caches, CLI export). */

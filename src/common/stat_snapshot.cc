@@ -47,23 +47,6 @@ StatSnapshotter::sample(std::uint64_t epoch, std::uint64_t cycle)
         gauges.set(name, Json(value));
     row.set("gauges", std::move(gauges));
 
-    // Distributions: cumulative summary with the quantile estimates.
-    Json dists = Json::object();
-    for (const StatRegistry::DistSummary &d :
-         registry.distributionValues()) {
-        if (d.count == 0)
-            continue;
-        Json dj = Json::object();
-        dj.set("count", Json(d.count));
-        dj.set("mean", Json(d.mean));
-        dj.set("min", Json(d.min));
-        dj.set("p50", Json(d.p50));
-        dj.set("p95", Json(d.p95));
-        dj.set("max", Json(d.max));
-        dists.set(d.name, std::move(dj));
-    }
-    row.set("dists", std::move(dists));
-
     rowsStore.push_back(row);
     if (sink)
         *sink << row.dump() << '\n';
@@ -134,11 +117,9 @@ StatSnapshotter::fromJsonlText(const std::string &text,
         }
         if (!j.isObject() || !j.contains("seq") ||
             !j.contains("epoch") || !j.contains("cycle") ||
-            !j.contains("counters") || !j.contains("gauges") ||
-            !j.contains("dists")) {
+            !j.contains("counters") || !j.contains("gauges")) {
             error = "line " + std::to_string(lineNo) +
-                    ": row is missing "
-                    "seq/epoch/cycle/counters/gauges/dists";
+                    ": row is missing seq/epoch/cycle/counters/gauges";
             return false;
         }
         rows_out.push_back(std::move(j));

@@ -3,8 +3,7 @@
  * Periodic StatRegistry sampler (`smthill.snapshots.v1`): turns the
  * registry's end-of-run blob into a time series. Each sample() emits
  * one delta row — counters as increments since the previous row (only
- * the ones that moved), gauges as current levels, distributions as
- * cumulative {count, mean, min, p50, p95, max} summaries — through a
+ * the ones that moved) and gauges as current levels — through a
  * streaming JSONL sink, the same idiom as EventTrace::streamTo: one
  * header line on attach, then one row object per line as samples
  * land, so even a killed run leaves a usable series behind.

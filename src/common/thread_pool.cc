@@ -11,9 +11,9 @@ namespace smthill
 
 ThreadPool::ThreadPool(int jobs)
     : numJobs(jobs < 1 ? 1 : jobs),
-      tasksStat(globalStats().counter("smthill.thread_pool.tasks")),
-      queueDepthStat(globalStats().gauge("smthill.thread_pool.queue_depth")),
-      forIndicesStat(globalStats().counter("smthill.thread_pool.for_indices"))
+      tasksStat(globalStats().counter(CounterId::ThreadPoolTasks)),
+      queueDepthStat(globalStats().gauge(GaugeId::ThreadPoolQueueDepth)),
+      forIndicesStat(globalStats().counter(CounterId::ThreadPoolForIndices))
 {
     workers.reserve(static_cast<std::size_t>(numJobs - 1));
     for (int i = 0; i < numJobs - 1; ++i)

@@ -213,8 +213,8 @@ HillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
-                     "churn.attach", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::HillChurnAttach, std::move(args));
     }
 }
 
@@ -264,8 +264,8 @@ HillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
-                     "churn.detach", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::HillChurnDetach, std::move(args));
     }
 }
 
@@ -319,8 +319,8 @@ HillClimbing::beginSample(SmtCpu &cpu, int tid)
         Json args = Json::object();
         args.set("thread", tid);
         args.set("bootstrap", bootstrapPending > 0);
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
-                     "sample.begin", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::HillSampleBegin, std::move(args));
     }
 }
 
@@ -376,8 +376,8 @@ HillClimbing::installTrial(SmtCpu &cpu)
         args.set("alg_epoch", algEpoch);
         args.set("favored", favored);
         args.set("trial", shareJson(trial));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "hill",
-                     "trial.install", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::HillTrialInstall, std::move(args));
     }
 }
 
@@ -438,7 +438,7 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         args.set("ipc", ipcJson(sample));
         evt->complete(lastEpochStart,
                       static_cast<std::int64_t>(lastElapsed), evtPid,
-                      kControlTid, "epoch", "epoch", std::move(args));
+                      kControlTid, EventId::Epoch, std::move(args));
     }
 
     if (samplingThread >= 0) {
@@ -452,8 +452,8 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
             Json args = Json::object();
             args.set("thread", sampled);
             args.set("ipc", sample.ipc[sampled]);
-            evt->instant(cpu.now(), evtPid, kControlTid, "hill",
-                         "single_ipc.update", std::move(args));
+            evt->instant(cpu.now(), evtPid, kControlTid,
+                         EventId::HillSingleIpcUpdate, std::move(args));
         }
         if (bootstrapPending > 0)
             --bootstrapPending;
@@ -499,8 +499,9 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
                     Json args = Json::object();
                     args.set("thread", lone);
                     args.set("ipc", sample.ipc[lone]);
-                    evt->instant(cpu.now(), evtPid, kControlTid, "hill",
-                                 "single_ipc.update", std::move(args));
+                    evt->instant(cpu.now(), evtPid, kControlTid,
+                                 EventId::HillSingleIpcUpdate,
+                                 std::move(args));
                 }
             }
         }
@@ -555,12 +556,12 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
             args.set("anchor_before", shareJson(before));
             args.set("anchor_step", shareJson(next));
             args.set("anchor_after", shareJson(anchorPartition));
-            evt->instant(cpu.now(), evtPid, kControlTid, "hill",
-                         "anchor.move", std::move(args));
+            evt->instant(cpu.now(), evtPid, kControlTid,
+                         EventId::HillAnchorMove, std::move(args));
             evt->complete(roundStart,
                           static_cast<std::int64_t>(cpu.now() -
                                                     roundStart),
-                          evtPid, kControlTid, "hill", "round");
+                          evtPid, kControlTid, EventId::HillRound);
         }
         roundStart = cpu.now();
     }

@@ -57,15 +57,12 @@ template <typename K, typename V>
 class WarmCache
 {
   public:
-    /**
-     * @param name stat prefix; hit/miss/eviction counters register as
-     *        "<name>.hits" etc. in globalStats()
-     */
-    WarmCache(std::size_t max_entries, const std::string &name)
-        : maxEntries(max_entries),
-          hitsStat(globalStats().counter(name + ".hits")),
-          missesStat(globalStats().counter(name + ".misses")),
-          evictionsStat(globalStats().counter(name + ".evictions"))
+    /** The hit, miss and eviction counters register in globalStats(). */
+    WarmCache(std::size_t max_entries, CounterId hits, CounterId misses,
+              CounterId evictions)
+        : maxEntries(max_entries), hitsStat(globalStats().counter(hits)),
+          missesStat(globalStats().counter(misses)),
+          evictionsStat(globalStats().counter(evictions))
     {
     }
 
@@ -117,7 +114,8 @@ makeCpu(const Workload &workload, const RunConfig &config)
     // hand out copies. Bounded: a long-lived process sweeping many
     // machine configurations must not hold every warm machine alive.
     static WarmCache<MachineKey, SmtCpu> cache(
-        64, "smthill.warm_cache.machine");
+        64, CounterId::WarmMachineHits, CounterId::WarmMachineMisses,
+        CounterId::WarmMachineEvictions);
     MachineKey key{workload.name, config.seedSalt, config.warmupCycles,
                    config.machine};
     return cache.get(key, [&] {
@@ -241,7 +239,8 @@ soloIpc(const std::string &benchmark, const RunConfig &config,
         auto operator<=>(const SoloKey &) const = default;
     };
     static WarmCache<SoloKey, double> cache(
-        1024, "smthill.warm_cache.solo_ipc");
+        1024, CounterId::WarmSoloIpcHits, CounterId::WarmSoloIpcMisses,
+        CounterId::WarmSoloIpcEvictions);
     SoloKey key{benchmark, cycles, config.seedSalt, config.warmupCycles,
                 config.machine};
     key.machine.numThreads = 1; // solo runs always use one context

@@ -76,8 +76,8 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
             for (int i = 0; i < rec.best.numThreads; ++i)
                 shares.push(Json(rec.best.share[i]));
             args.set("best", std::move(shares));
-            trace->instant(cpu.now(), 0, kControlTid, "offline",
-                           "best.partition", std::move(args));
+            trace->instant(cpu.now(), 0, kControlTid,
+                           EventId::OfflineBestPartition, std::move(args));
         }
     }
     return res;

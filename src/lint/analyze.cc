@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -19,22 +21,6 @@ bool
 hasComponent(const std::vector<std::string> &parts, const char *name)
 {
     return std::find(parts.begin(), parts.end(), name) != parts.end();
-}
-
-/** Schema identifiers (`smthill.lint.v1`) are not stat names. */
-bool
-versionSuffixed(const std::string &name)
-{
-    std::size_t dot = name.rfind('.');
-    if (dot == std::string::npos || dot + 2 > name.size())
-        return false;
-    if (name[dot + 1] != 'v')
-        return false;
-    for (std::size_t i = dot + 2; i < name.size(); ++i) {
-        if (name[i] < '0' || name[i] > '9')
-            return false;
-    }
-    return dot + 2 < name.size();
 }
 
 bool
@@ -413,124 +399,6 @@ extractPoolLambdas(const ProjectModel::File &f, std::size_t file_index,
     }
 }
 
-/** Stat registrations, lookups, and literal mentions. */
-void
-extractStats(const ProjectModel::File &f,
-             std::map<std::string, StatUse> &stats)
-{
-    const std::vector<Token> &toks = f.lex.tokens;
-    const bool inSrc = hasComponent(f.parts, "src");
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (isIdent(toks, i, "globalStats") && isPunct(toks, i + 1, '(') &&
-            isPunct(toks, i + 2, ')') && isPunct(toks, i + 3, '.') &&
-            (isIdent(toks, i + 4, "counter") ||
-             isIdent(toks, i + 4, "gauge") ||
-             isIdent(toks, i + 4, "distribution")) &&
-            isPunct(toks, i + 5, '(') && i + 6 < toks.size() &&
-            toks[i + 6].kind == TokKind::String &&
-            validStatName(toks[i + 6].text)) {
-            Site s{f.path, toks[i + 6].line};
-            stats[toks[i + 6].text].lookups.push_back(s);
-            if (inSrc)
-                stats[toks[i + 6].text].registrations.push_back(s);
-        }
-        if (toks[i].kind == TokKind::String &&
-            validStatName(toks[i].text) &&
-            !versionSuffixed(toks[i].text))
-            stats[toks[i].text].mentions.push_back(
-                {f.path, toks[i].line});
-    }
-}
-
-/**
- * Event (cat, name) literals at EventTrace emission sites in src/ and
- * bench/. A name built as `"prefix" + expr` records as "prefix*".
- */
-void
-extractEmittedEvents(const ProjectModel::File &f,
-                     std::map<std::string, std::vector<Site>> &emitted)
-{
-    if (!hasComponent(f.parts, "src") && !hasComponent(f.parts, "bench"))
-        return;
-    const std::vector<Token> &toks = f.lex.tokens;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        bool dot = isPunct(toks, i, '.');
-        bool arrow = isPunct(toks, i, '-') && isPunct(toks, i + 1, '>');
-        if (!dot && !arrow)
-            continue;
-        std::size_t nameIdx = dot ? i + 1 : i + 2;
-        if (!isIdentTok(toks, nameIdx))
-            continue;
-        const std::string &kind = toks[nameIdx].text;
-        if (kind != "instant" && kind != "complete" && kind != "counter" &&
-            kind != "instruction")
-            continue;
-        if (!isPunct(toks, nameIdx + 1, '('))
-            continue;
-        // `globalStats().counter("...")` is a stat, not an event.
-        if (dot && i >= 3 && isPunct(toks, i - 1, ')') &&
-            isPunct(toks, i - 2, '(') &&
-            isIdent(toks, i - 3, "globalStats"))
-            continue;
-        std::size_t open = nameIdx + 1;
-        std::size_t close = matchForward(toks, open);
-        if (close >= toks.size())
-            continue;
-
-        // Top-level string arguments in order, with concatenation
-        // direction so computed names keep their literal prefix.
-        struct Arg
-        {
-            std::string text;
-            int line;
-            bool plusBefore;
-            bool plusAfter;
-        };
-        std::vector<Arg> strs;
-        int depth = 0;
-        for (std::size_t m = open + 1; m < close; ++m) {
-            if (isPunct(toks, m, '(') || isPunct(toks, m, '[') ||
-                isPunct(toks, m, '{'))
-                ++depth;
-            else if (isPunct(toks, m, ')') || isPunct(toks, m, ']') ||
-                     isPunct(toks, m, '}'))
-                --depth;
-            else if (depth == 0 && toks[m].kind == TokKind::String)
-                strs.push_back({toks[m].text, toks[m].line,
-                                isPunct(toks, m - 1, '+'),
-                                isPunct(toks, m + 1, '+')});
-        }
-        // instant/complete take (cat, name); counter and instruction
-        // (the per-stage `inst` events) take the name alone.
-        std::size_t slot = kind == "counter" || kind == "instruction" ? 0 : 1;
-        if (strs.size() <= slot)
-            continue; // fully computed name: not statically checkable
-        const Arg &a = strs[slot];
-        if (a.plusBefore)
-            continue; // literal is a suffix; no stable prefix to match
-        std::string name = a.text + (a.plusAfter ? "*" : "");
-        emitted[name].push_back({f.path, a.line});
-    }
-}
-
-/** `kKnownEventNames` catalog entries wherever the table is defined. */
-void
-extractKnownEvents(const ProjectModel::File &f,
-                   std::map<std::string, Site> &known)
-{
-    const std::vector<Token> &toks = f.lex.tokens;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (!isIdent(toks, i, "kKnownEventNames"))
-            continue;
-        for (std::size_t m = i + 1;
-             m < toks.size() && !isPunct(toks, m, ';'); ++m) {
-            if (toks[m].kind == TokKind::String &&
-                !known.count(toks[m].text))
-                known[toks[m].text] = {f.path, toks[m].line};
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Phase 2: passes
 // ---------------------------------------------------------------------
@@ -753,85 +621,6 @@ passParallelCapture(ProjectModel &model, PassReporter &rep)
     }
 }
 
-/** Match an emitted event name against a catalog entry. */
-bool
-eventMatches(const std::string &emitted, const std::string &entry)
-{
-    if (emitted == entry)
-        return true;
-    if (!entry.empty() && entry.back() == '*') {
-        std::string prefix = entry.substr(0, entry.size() - 1);
-        std::string name = emitted;
-        if (!name.empty() && name.back() == '*')
-            name.pop_back();
-        return name.rfind(prefix, 0) == 0;
-    }
-    return false;
-}
-
-void
-passCrossTuConsistency(ProjectModel &model, PassReporter &rep)
-{
-    // Stats: every counter registered by src/ earns its memory by
-    // being read somewhere else; every lookup outside src/ must name
-    // a registered stat.
-    for (const auto &[name, use] : model.stats) {
-        if (!use.registrations.empty()) {
-            const Site &reg = use.registrations.front();
-            bool referenced = false;
-            for (const Site &s : use.mentions) {
-                if (s.file != reg.file)
-                    referenced = true;
-            }
-            if (!referenced)
-                rep.report("cross-tu-consistency", reg.file, reg.line,
-                           "stat \"" + name +
-                               "\" is registered but never read "
-                               "outside " + reg.file +
-                               "; assert on it in a test, export it "
-                               "in a tool, or drop the counter");
-        } else {
-            for (const Site &s : use.lookups)
-                rep.report("cross-tu-consistency", s.file, s.line,
-                           "stat \"" + name +
-                               "\" is looked up here but never "
-                               "registered by src/; rename to a "
-                               "registered stat or register it");
-        }
-    }
-
-    // Events: everything the simulator emits must be catalogued in
-    // kKnownEventNames (smthill_trace_report buckets strays), and
-    // every catalog entry must still match an emitted event.
-    for (const auto &[name, sites] : model.emittedEvents) {
-        bool matched = false;
-        for (const auto &[entry, site] : model.knownEventNames) {
-            if (eventMatches(name, entry))
-                matched = true;
-        }
-        if (!matched)
-            rep.report("cross-tu-consistency", sites.front().file,
-                       sites.front().line,
-                       "event \"" + name +
-                           "\" is emitted but missing from "
-                           "kKnownEventNames (tools/"
-                           "smthill_trace_report.cc); the trace "
-                           "report would bucket it as unknown");
-    }
-    for (const auto &[entry, site] : model.knownEventNames) {
-        bool used = false;
-        for (const auto &[name, sites] : model.emittedEvents) {
-            if (eventMatches(name, entry))
-                used = true;
-        }
-        if (!used)
-            rep.report("cross-tu-consistency", site.file, site.line,
-                       "kKnownEventNames entry \"" + entry +
-                           "\" matches no emitted event; stale after "
-                           "a rename?");
-    }
-}
-
 /**
  * hot-path-allocation: walk the name-matched call graph from the
  * per-cycle/per-trial roots and flag allocation-shaped sites in
@@ -975,7 +764,6 @@ passNames()
 {
     return {
         "parallel-capture",
-        "cross-tu-consistency",
         "hot-path-allocation",
         "stale-suppression",
     };
@@ -998,9 +786,6 @@ buildProjectModel(const std::vector<SourceUnit> &units)
         const ProjectModel::File &f = model.files[i];
         extractFunctions(f, model.functions);
         extractPoolLambdas(f, i, model.poolLambdas);
-        extractStats(f, model.stats);
-        extractEmittedEvents(f, model.emittedEvents);
-        extractKnownEvents(f, model.knownEventNames);
     }
     return model;
 }
@@ -1011,7 +796,6 @@ runAnalysisPasses(ProjectModel &model)
     std::vector<Finding> findings;
     PassReporter rep(model, findings);
     passParallelCapture(model, rep);
-    passCrossTuConsistency(model, rep);
     passHotPathAllocation(model, rep);
     passStaleSuppression(model, rep); // last: consumes remaining uses
     sortAnalysisFindings(findings);

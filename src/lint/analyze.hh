@@ -6,37 +6,28 @@
  *
  * The per-file linter (lint/lint.hh) pattern-matches one token
  * stream at a time, so it cannot see bugs whose two halves live in
- * different files — a stat registered in src/ that no test or tool
- * ever reads, an event name the trace report does not know, a
- * lambda handed to the thread pool that mutates a captured
- * reference without per-index slots. (Export schemas need no pass:
- * one field table drives each schema's writer and reader, see
- * JsonField in common/json.hh.) This analyzer closes
- * that gap:
+ * different files — a lambda handed to the thread pool that mutates
+ * a captured reference without per-index slots, an allocation three
+ * calls below the cycle loop. (Export schemas and event/stat names
+ * need no pass: one field table drives each schema's writer and
+ * reader, see JsonField in common/json.hh, and every event and stat
+ * is a row of the typed catalog in common/catalog.hh, so emitter and
+ * reader cannot drift.) This analyzer closes that gap:
  *
  *  Phase 1 (buildProjectModel) walks every unit once and builds a
  *  project model: function definitions with a lightweight
  *  name-matched call graph and allocation-shaped body sites; lambda
  *  capture lists at `parallelFor` / `parallelForWorker` / `runGrid`
- *  / `runGridWorker` call sites; every stat-name registration,
- *  lookup, and literal mention; event names emitted at
- *  EventTrace call sites vs the `kKnownEventNames` catalog consumed
- *  by smthill_trace_report; and the full suppression-marker audit
- *  from a lint-rule pass over the same bytes.
+ *  / `runGridWorker` call sites; and the full suppression-marker
+ *  audit from a lint-rule pass over the same bytes.
  *
- *  Phase 2 (runAnalysisPasses) runs four project-wide passes over
+ *  Phase 2 (runAnalysisPasses) runs three project-wide passes over
  *  the model:
  *   - parallel-capture:      a by-reference capture mutated inside a
  *                            pool lambda without index-/worker-
  *                            disjoint access, atomics, or locks —
  *                            the race shape TSan only catches once
  *                            the schedule cooperates
- *   - cross-tu-consistency:  stats registered but never read outside
- *                            the registering file (or looked up but
- *                            never registered by src/); event
- *                            names emitted but unknown to
- *                            smthill_trace_report (or catalogued but
- *                            never emitted)
  *   - hot-path-allocation:   `new` / `make_unique` / container
  *                            growth / `std::function` construction
  *                            in functions reachable from
@@ -58,8 +49,6 @@
 #define SMTHILL_LINT_ANALYZE_HH
 
 #include <cstddef>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -73,15 +62,6 @@ namespace lint
 
 /** @return the names of the analyzer's project-wide passes. */
 std::vector<std::string> passNames();
-
-/** A (file, line) location inside the project model. */
-struct Site
-{
-    std::string file;
-    int line = 0;
-
-    bool operator==(const Site &) const = default;
-};
 
 /** One callee reference inside a function body. */
 struct CallRef
@@ -131,14 +111,6 @@ struct PoolLambda
     std::size_t bodyEnd = 0;
 };
 
-/** Uses of one stat name across the project. */
-struct StatUse
-{
-    std::vector<Site> registrations; ///< globalStats() lookups in src/
-    std::vector<Site> lookups;       ///< globalStats() lookups anywhere
-    std::vector<Site> mentions;      ///< any matching string literal
-};
-
 /** Phase-1 output: everything the phase-2 passes consume. */
 struct ProjectModel
 {
@@ -152,15 +124,6 @@ struct ProjectModel
     std::vector<File> files;
     std::vector<FunctionDef> functions;
     std::vector<PoolLambda> poolLambdas;
-    std::map<std::string, StatUse> stats;
-
-    /// Event names emitted at instant/complete/counter call sites in
-    /// src/ and bench/ (a computed name records as a "prefix*" entry).
-    std::map<std::string, std::vector<Site>> emittedEvents;
-
-    /// `kKnownEventNames` catalog entries (entry -> defining site);
-    /// a trailing '*' marks a prefix wildcard.
-    std::map<std::string, Site> knownEventNames;
 
     /// Allow markers and their uses, seeded by the phase-1 lint-rule
     /// run and extended by phase-2 pass suppressions.
@@ -171,7 +134,7 @@ struct ProjectModel
 ProjectModel buildProjectModel(const std::vector<SourceUnit> &units);
 
 /**
- * Phase 2: run the four passes over @p model. Mutates
+ * Phase 2: run the three passes over @p model. Mutates
  * model.audit.used as pass findings consume allow markers, then
  * derives stale-suppression findings from what is left unused.
  * @return all unsuppressed findings in stable (file, line, rule)

@@ -52,28 +52,6 @@ srcModule(const std::vector<std::string> &parts)
     return "";
 }
 
-bool
-validStatName(const std::string &name)
-{
-    if (name.rfind("smthill.", 0) != 0)
-        return false;
-    bool prevDot = false;
-    for (std::size_t i = 0; i < name.size(); ++i) {
-        char c = name[i];
-        if (c == '.') {
-            if (prevDot || i == 0 || i + 1 == name.size())
-                return false;
-            prevDot = true;
-        } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                   c == '_') {
-            prevDot = false;
-        } else {
-            return false;
-        }
-    }
-    return name.find('.') != std::string::npos;
-}
-
 namespace
 {
 
@@ -205,28 +183,13 @@ canonicalGuard(const std::string &path)
     return guard;
 }
 
-/** One stat registration site found during scanning. */
-struct StatSite
-{
-    std::string file;
-    int line = 0;
-    int allowLine = 0; ///< stat-name allow covering this line, or 0
-};
-
-/** Cross-file state threaded through per-file scans. */
-struct ScanState
-{
-    /// `globalStats()` registrations in `src/`, keyed by stat name.
-    std::map<std::string, std::vector<StatSite>> statSites;
-};
-
 class FileScanner
 {
   public:
     FileScanner(const std::string &file_path, const std::string &content,
-                ScanState &scan_state, SuppressionAudit *audit_sink = nullptr)
+                SuppressionAudit *audit_sink = nullptr)
         : path(file_path), parts(pathComponents(file_path)),
-          lex(lexFile(content)), state(scan_state), audit(audit_sink)
+          lex(lexFile(content)), audit(audit_sink)
     {
         if (audit && !lex.allows.empty())
             audit->allows[path] = lex.allows;
@@ -283,12 +246,10 @@ class FileScanner
     void checkDeterminismIdent(std::size_t i);
     void checkErrorHandlingIdent(std::size_t i);
     void checkCpuCopyIdent(std::size_t i);
-    void checkStatRegistration(std::size_t i);
 
     const std::string path;
     const std::vector<std::string> parts;
     const LexedFile lex;
-    ScanState &state;
     SuppressionAudit *audit;
     std::vector<Finding> findings;
 };
@@ -444,35 +405,6 @@ FileScanner::checkCpuCopyIdent(std::size_t i)
 }
 
 void
-FileScanner::checkStatRegistration(std::size_t i)
-{
-    // globalStats().counter("name") / .gauge / .distribution
-    if (!isIdent(i, "globalStats") || !isPunct(i + 1, '(') ||
-        !isPunct(i + 2, ')') || !isPunct(i + 3, '.'))
-        return;
-    if (!isIdent(i + 4, "counter") && !isIdent(i + 4, "gauge") &&
-        !isIdent(i + 4, "distribution"))
-        return;
-    if (!isPunct(i + 5, '('))
-        return;
-    const Token &arg = lex.tokens.size() > i + 6 ? lex.tokens[i + 6]
-                                                 : lex.tokens[i + 5];
-    if (arg.kind != TokKind::String)
-        return; // computed name; not statically checkable
-
-    if (!validStatName(arg.text)) {
-        report("stat-name", arg.line,
-               "stat name \"" + arg.text +
-                   "\" violates the smthill.* dotted-lowercase "
-                   "convention (e.g. smthill.thread_pool.tasks)");
-    }
-    if (srcModule(parts) != "") {
-        state.statSites[arg.text].push_back(
-            {path, arg.line, lex.allowLineFor("stat-name", arg.line)});
-    }
-}
-
-void
 FileScanner::scanTokens()
 {
     for (std::size_t i = 0; i < lex.tokens.size(); ++i) {
@@ -481,7 +413,6 @@ FileScanner::scanTokens()
         checkDeterminismIdent(i);
         checkErrorHandlingIdent(i);
         checkCpuCopyIdent(i);
-        checkStatRegistration(i);
     }
 }
 
@@ -595,32 +526,6 @@ sortFindings(std::vector<Finding> &findings)
               });
 }
 
-/** Emit duplicate-registration findings from aggregated stat sites. */
-void
-appendStatDuplicates(const ScanState &state,
-                     std::vector<Finding> &findings,
-                     SuppressionAudit *audit = nullptr)
-{
-    for (const auto &[name, sites] : state.statSites) {
-        if (sites.size() < 2)
-            continue;
-        for (std::size_t i = 1; i < sites.size(); ++i) {
-            if (sites[i].allowLine != 0) {
-                if (audit)
-                    audit->recordUse(sites[i].file, sites[i].allowLine,
-                                     "stat-name");
-                continue;
-            }
-            findings.push_back(
-                {"stat-name", sites[i].file, sites[i].line,
-                 "stat \"" + name + "\" already registered at " +
-                     sites[0].file + ":" +
-                     std::to_string(sites[0].line) +
-                     "; stat names are unique across src/"});
-        }
-    }
-}
-
 /** Lintable source extensions. */
 bool
 lintableFile(const std::string &name)
@@ -644,19 +549,16 @@ std::vector<std::string>
 ruleNames()
 {
     return {
-        "no-wall-clock",     "no-libc-random", "no-unordered-container",
-        "stat-name",         "error-handling", "cpu-copy-hot-path",
-        "include-guard",     "layering",
+        "no-wall-clock",  "no-libc-random",    "no-unordered-container",
+        "error-handling", "cpu-copy-hot-path", "include-guard",
+        "layering",
     };
 }
 
 std::vector<Finding>
 lintFile(const std::string &path, const std::string &content)
 {
-    ScanState state;
-    std::vector<Finding> findings =
-        FileScanner(path, content, state).run();
-    appendStatDuplicates(state, findings);
+    std::vector<Finding> findings = FileScanner(path, content).run();
     sortFindings(findings);
     return findings;
 }
@@ -709,14 +611,11 @@ collectSourceFiles(const std::vector<std::string> &paths,
 std::vector<Finding>
 lintUnits(const std::vector<SourceUnit> &units, SuppressionAudit *audit)
 {
-    ScanState state;
     std::vector<Finding> findings;
     for (const auto &[path, content] : units) {
-        std::vector<Finding> here =
-            FileScanner(path, content, state, audit).run();
+        std::vector<Finding> here = FileScanner(path, content, audit).run();
         findings.insert(findings.end(), here.begin(), here.end());
     }
-    appendStatDuplicates(state, findings, audit);
     sortFindings(findings);
     return findings;
 }

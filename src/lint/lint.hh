@@ -5,14 +5,15 @@
  *
  * The simulator's headline results rest on properties no runtime
  * check can prove — bit-identical replay at any `--jobs` count,
- * checkpoint-clone determinism, stable stat/trace schemas — and
- * those properties die silently when someone introduces `rand()`,
- * wall-clock time, unordered-container iteration, or an off-schema
- * stat name into a hot path. (Export schemas need no rule: each is
- * one field table that drives both its writer and its reader, see
- * JsonField in common/json.hh.) The rules here catch exactly those
- * regressions at build time, before the differential fuzzer ever has
- * to shrink a seed.
+ * checkpoint-clone determinism — and those properties die silently
+ * when someone introduces `rand()`, wall-clock time, or
+ * unordered-container iteration into a hot path. (Export schemas and
+ * names need no rule: each schema is one field table that drives both
+ * its writer and its reader, see JsonField in common/json.hh, and
+ * every event and stat name is a row of the typed catalog in
+ * common/catalog.hh, so an unknown or malformed one fails to
+ * compile.) The rules here catch exactly those regressions at build
+ * time, before the differential fuzzer ever has to shrink a seed.
  *
  * Rules (each suppressible per line via
  * `// smthill-lint: allow(<rule>)` on the finding line or the line
@@ -23,9 +24,6 @@
  *                            outside `src/common/rng.*`
  *  - no-unordered-container: no `std::unordered_{map,set}` anywhere
  *                            (iteration order feeds exported results)
- *  - stat-name:              literals registered via `globalStats()`
- *                            match `smthill.*` dotted-lowercase and
- *                            are registered once across `src/`
  *  - error-handling:         no naked `new`/`delete`; no
  *                            `exit`/`abort` outside `common/log.cc`;
  *                            no `throw` in library code (`src/`)
@@ -83,9 +81,6 @@ bool endsWith(const std::string &s, const std::string &suffix);
 /** @return the module dir under `src/`, or "" if not library code. */
 std::string srcModule(const std::vector<std::string> &parts);
 
-/** @return true if @p name is a valid `smthill.*` stat name. */
-bool validStatName(const std::string &name);
-
 /**
  * Suppression bookkeeping threaded through a lint run so the
  * analyzer's stale-suppression pass can prove which
@@ -112,9 +107,7 @@ using SourceUnit = std::pair<std::string, std::string>;
 /**
  * Lint one file given its @p path and @p content. Path-scoped rules
  * (allowlists, module ranks) key off @p path, so tests
- * may lint fixture content under a synthetic path. Duplicate
- * stat-name detection is limited to registrations within this file;
- * lintPaths() extends it across files.
+ * may lint fixture content under a synthetic path.
  */
 std::vector<Finding> lintFile(const std::string &path,
                               const std::string &content);
@@ -124,8 +117,7 @@ std::vector<Finding> lintFile(const std::string &path,
  * recursively for `.hh`/`.h`/`.cc`/`.cpp` files in deterministic
  * (sorted) order, skipping build outputs, dot-directories, and
  * `fixtures` directories (which hold intentionally-failing lint
- * fixtures). Cross-file checks (duplicate stat registration under
- * `src/`) run over the whole set.
+ * fixtures).
  *
  * @param paths files and/or directories to lint
  * @param error receives a message if a path cannot be read
@@ -137,10 +129,8 @@ std::vector<Finding> lintPaths(const std::vector<std::string> &paths,
 /**
  * Lint a set of in-memory units (the analyzer's phase-1 entry: it
  * reads the tree once, lints for suppression accounting, then builds
- * the project model from the same bytes). Cross-file checks run over
- * the whole set. When @p audit is non-null it receives every allow
- * marker and every (marker, rule) use, including markers consumed by
- * suppressed cross-file stat-name findings.
+ * the project model from the same bytes). When @p audit is non-null
+ * it receives every allow marker and every (marker, rule) use.
  */
 std::vector<Finding> lintUnits(const std::vector<SourceUnit> &units,
                                SuppressionAudit *audit = nullptr);

@@ -110,13 +110,13 @@ PhaseHillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
             args.set("runs", phaseRuns[currentPhase]);
             args.set("table_size", table.size());
             evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                         "phase", "classify", std::move(args));
+                         EventId::PhaseClassify, std::move(args));
             if (currentPhase != prev) {
                 Json targs = Json::object();
                 targs.set("from", prev);
                 targs.set("to", currentPhase);
                 evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                             "phase", "transition", std::move(targs));
+                             EventId::PhaseTransition, std::move(targs));
             }
         }
     }
@@ -167,8 +167,8 @@ PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
         for (int i = 0; i < next.numThreads; ++i)
             shares.push(Json(next.share[i]));
         args.set("next_anchor", std::move(shares));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "phase",
-                     "reuse.decision", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::PhaseReuseDecision, std::move(args));
     }
     return next;
 }

@@ -144,8 +144,7 @@ SmtCpu::setPartition(const Partition &partition)
         // One counter track per hardware thread: the share timeline
         // renders as stacked counters in Perfetto.
         for (int i = 0; i < partition.numThreads; ++i) {
-            evt->trace->counter(curCycle, evt->pid, i,
-                                "share.t" + std::to_string(i),
+            evt->trace->counter(curCycle, evt->pid, i, EventId::ShareTrack,
                                 partition.share[i]);
         }
     }
@@ -157,7 +156,7 @@ SmtCpu::clearPartition()
     partitionOn = false;
     if (evt->trace) {
         evt->trace->instant(curCycle, evt->pid, kControlTid,
-                            "machine", "partition.clear");
+                            EventId::MachinePartitionClear);
     }
 }
 
@@ -180,9 +179,8 @@ SmtCpu::setThreadEnabled(ThreadId tid, bool enabled)
     if (evt->trace) {
         Json args = Json::object();
         args.set("enabled", enabled);
-        evt->trace->instant(curCycle, evt->pid,
-                            static_cast<int>(tid), "machine",
-                            "thread.enabled", std::move(args));
+        evt->trace->instant(curCycle, evt->pid, static_cast<int>(tid),
+                            EventId::MachineThreadEnabled, std::move(args));
     }
 }
 
@@ -199,8 +197,7 @@ SmtCpu::stallUntil(Cycle until)
     if (evt->trace && until > curCycle) {
         evt->trace->complete(curCycle,
                              static_cast<std::int64_t>(until - curCycle),
-                             evt->pid, kControlTid, "machine",
-                             "stall");
+                             evt->pid, kControlTid, EventId::MachineStall);
     }
 }
 
@@ -365,7 +362,8 @@ SmtCpu::doCommit()
                                    blocks[s.si.blockId].length};
                 branchObs->fn(branchObs->ctx, cb);
             }
-            evt->instruction(curCycle, tid, "commit", s.seq, s.si.pc, s.si.op);
+            evt->instruction(curCycle, tid, InstStage::Commit, s.seq, s.si.pc,
+                             s.si.op);
             releaseResources(tid, s);
             s.state = SlotFree;
             ++statCounters.committed[tid];
@@ -438,7 +436,8 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
     ThreadState &t = threads[tid];
     Slot &s = t.ring[slot_idx];
     s.state = SlotCompleted;
-    evt->instruction(curCycle, tid, "complete", s.seq, s.si.pc, s.si.op);
+    evt->instruction(curCycle, tid, InstStage::Complete, s.seq, s.si.pc,
+                     s.si.op);
 
     // Wake register-dependent instructions.
     for (const DepRef &dep : s.dependents) {
@@ -595,7 +594,8 @@ SmtCpu::doIssue()
         }
 
         s.state = SlotIssued;
-        evt->instruction(curCycle, tid, "issue", s.seq, s.si.pc, s.si.op);
+        evt->instruction(curCycle, tid, InstStage::Issue, s.seq, s.si.pc,
+                         s.si.op);
         s.completeCycle = curCycle + std::max<Cycle>(1, lat);
         // The completion heap is bounded by issued-but-uncompleted
         // instructions; its backing storage stabilizes after warm-up.
@@ -719,7 +719,8 @@ SmtCpu::dispatchOne(ThreadId tid)
     }
 
     s.state = SlotDispatched;
-    evt->instruction(curCycle, tid, "dispatch", s.seq, s.si.pc, s.si.op);
+    evt->instruction(curCycle, tid, InstStage::Dispatch, s.seq, s.si.pc,
+                     s.si.op);
     linkDependences(tid, seq, s);
     ++t.dispatchSeq;
     if (loadObs->fn && op == OpClass::Load) {
@@ -896,7 +897,8 @@ SmtCpu::doFetch()
             ++occ.ifq[tid];
             ++occT.ifq;
             ++statCounters.fetched[tid];
-            evt->instruction(curCycle, tid, "fetch", s.seq, s.si.pc, s.si.op);
+            evt->instruction(curCycle, tid, InstStage::Fetch, s.seq, s.si.pc,
+                             s.si.op);
             ++t.fetchSeq;
             ++fetched;
 
@@ -943,7 +945,8 @@ SmtCpu::squashFrom(ThreadId tid, InstSeq start)
             --occ.ifq[tid];
             --occT.ifq;
         }
-        evt->instruction(curCycle, tid, "squash", s.seq, s.si.pc, s.si.op);
+        evt->instruction(curCycle, tid, InstStage::Squash, s.seq, s.si.pc,
+                         s.si.op);
         releaseResources(tid, s);
         s.state = SlotFree;
         ++s.genId;
@@ -979,9 +982,8 @@ SmtCpu::flushThreadAfter(ThreadId tid, InstSeq seq)
         Json args = Json::object();
         args.set("after_seq", seq);
         args.set("squashed", squashed);
-        evt->trace->instant(curCycle, evt->pid,
-                            static_cast<int>(tid), "machine", "flush",
-                            std::move(args));
+        evt->trace->instant(curCycle, evt->pid, static_cast<int>(tid),
+                            EventId::MachineFlush, std::move(args));
     }
     return squashed;
 }
@@ -999,9 +1001,8 @@ SmtCpu::idleContext(ThreadId tid)
     if (evt->trace) {
         Json args = Json::object();
         args.set("squashed", squashed);
-        evt->trace->instant(curCycle, evt->pid,
-                            static_cast<int>(tid), "machine",
-                            "context.idle", std::move(args));
+        evt->trace->instant(curCycle, evt->pid, static_cast<int>(tid),
+                            EventId::MachineContextIdle, std::move(args));
     }
     return squashed;
 }
@@ -1026,9 +1027,8 @@ SmtCpu::resetContext(ThreadId tid, StreamGenerator gen)
     if (evt->trace) {
         Json args = Json::object();
         args.set("squashed", squashed);
-        evt->trace->instant(curCycle, evt->pid,
-                            static_cast<int>(tid), "machine",
-                            "context.reset", std::move(args));
+        evt->trace->instant(curCycle, evt->pid, static_cast<int>(tid),
+                            EventId::MachineContextReset, std::move(args));
     }
     return squashed;
 }

@@ -33,7 +33,7 @@ ipcJson(const IpcSample &s)
 StatCounter &
 banditEpochs()
 {
-    static StatCounter &c = globalStats().counter("smthill.bandit.epochs");
+    static StatCounter &c = globalStats().counter(CounterId::BanditEpochs);
     return c;
 }
 
@@ -41,7 +41,7 @@ StatCounter &
 banditSwitches()
 {
     static StatCounter &c =
-        globalStats().counter("smthill.bandit.switches");
+        globalStats().counter(CounterId::BanditSwitches);
     return c;
 }
 
@@ -49,7 +49,7 @@ StatCounter &
 banditRebuilds()
 {
     static StatCounter &c =
-        globalStats().counter("smthill.bandit.rebuilds");
+        globalStats().counter(CounterId::BanditRebuilds);
     return c;
 }
 
@@ -228,8 +228,8 @@ BanditAllocator::pullArm(SmtCpu &cpu, int previous_arm, double reward)
         args.set("reward", reward);
         args.set("switched", next != previous_arm);
         args.set("partition", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "bandit",
-                     "arm.pull", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::BanditArmPull, std::move(args));
     }
 }
 
@@ -293,7 +293,7 @@ BanditAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         args.set("ipc", ipcJson(sample));
         evt->complete(lastEpochStart,
                       static_cast<std::int64_t>(lastElapsed),
-                      eventTracePid(), kControlTid, "epoch", "epoch",
+                      eventTracePid(), kControlTid, EventId::Epoch,
                       std::move(args));
     }
 
@@ -347,8 +347,8 @@ BanditAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
         args.set("thread", static_cast<int>(tid));
         args.set("arms", static_cast<std::uint64_t>(armSet.size()));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "bandit",
-                     "churn.attach", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::BanditChurnAttach, std::move(args));
     }
 }
 
@@ -375,8 +375,8 @@ BanditAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
         args.set("thread", static_cast<int>(tid));
         args.set("arms", static_cast<std::uint64_t>(armSet.size()));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "bandit",
-                     "churn.detach", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::BanditChurnDetach, std::move(args));
     }
 }
 

@@ -32,14 +32,14 @@ ipcJson(const IpcSample &s)
 StatCounter &
 rlEpochs()
 {
-    static StatCounter &c = globalStats().counter("smthill.rl.epochs");
+    static StatCounter &c = globalStats().counter(CounterId::RlEpochs);
     return c;
 }
 
 StatCounter &
 rlExplores()
 {
-    static StatCounter &c = globalStats().counter("smthill.rl.explores");
+    static StatCounter &c = globalStats().counter(CounterId::RlExplores);
     return c;
 }
 
@@ -47,7 +47,7 @@ StatCounter &
 rlMoves()
 {
     static StatCounter &c =
-        globalStats().counter("smthill.rl.anchor_moves");
+        globalStats().counter(CounterId::RlAnchorMoves);
     return c;
 }
 
@@ -207,7 +207,7 @@ RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         args.set("ipc", ipcJson(sample));
         evt->complete(lastEpochStart,
                       static_cast<std::int64_t>(lastElapsed), evtPid,
-                      kControlTid, "epoch", "epoch", std::move(args));
+                      kControlTid, EventId::Epoch, std::move(args));
     }
 
     int state = na >= 1 ? stateOf() : -1;
@@ -246,8 +246,8 @@ RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
                     args.set("anchor_step", shareJson(next));
                     args.set("anchor_after",
                              shareJson(anchorPartition));
-                    evt->instant(cpu.now(), evtPid, kControlTid, "rl",
-                                 "anchor.move", std::move(args));
+                    evt->instant(cpu.now(), evtPid, kControlTid,
+                                 EventId::RlAnchorMove, std::move(args));
                 }
             }
         }
@@ -299,8 +299,8 @@ RlAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "rl",
-                     "churn.attach", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::RlChurnAttach, std::move(args));
     }
 }
 
@@ -327,8 +327,8 @@ RlAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
         args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid, "rl",
-                     "churn.detach", std::move(args));
+        evt->instant(cpu.now(), eventTracePid(), kControlTid,
+                     EventId::RlChurnDetach, std::move(args));
     }
 }
 

@@ -159,8 +159,8 @@ OpenSystem::runOn(SmtCpu &cpu, ResourcePolicy &policy, EventTrace *trace,
                 args.set("benchmark", job.benchmark);
                 args.set("priority", job.priority);
                 args.set("instructions", job.instructions);
-                trace->instant(now, trace_pid, kControlTid, "job",
-                               "job.arrive", std::move(args));
+                trace->instant(now, trace_pid, kControlTid, EventId::JobArrive,
+                               std::move(args));
             }
             ++nextArrival;
         }
@@ -194,7 +194,7 @@ OpenSystem::runOn(SmtCpu &cpu, ResourcePolicy &policy, EventTrace *trace,
                 args.set("job", job.jobId);
                 args.set("context", tid);
                 args.set("waited", now - job.arriveCycle);
-                trace->instant(now, trace_pid, tid, "job", "job.attach",
+                trace->instant(now, trace_pid, tid, EventId::JobAttach,
                                std::move(args));
             }
             policy.threadAttached(cpu, static_cast<ThreadId>(tid));
@@ -230,8 +230,8 @@ OpenSystem::runOn(SmtCpu &cpu, ResourcePolicy &policy, EventTrace *trace,
                 args.set("context", tid);
                 args.set("committed", job.committed());
                 args.set("residency", job.residency());
-                trace->instant(cpu.now(), trace_pid, tid, "job",
-                               "job.depart", std::move(args));
+                trace->instant(cpu.now(), trace_pid, tid, EventId::JobDepart,
+                               std::move(args));
             }
             policy.threadDetached(cpu, static_cast<ThreadId>(tid));
         }

@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for the cross-TU analyzer (lint/analyze.hh): the phase-1
- * project model (call-graph edges, pool-lambda capture extraction,
- * stat/event tables), each phase-2 pass against its must-flag
- * / must-pass fixture pair under tests/lint/fixtures/, and the
- * smthill.lint.v1 JSON round-trip of analyzer findings.
+ * project model (call-graph edges, pool-lambda capture extraction),
+ * each phase-2 pass against its must-flag / must-pass fixture pair
+ * under tests/lint/fixtures/, and the smthill.lint.v1 JSON
+ * round-trip of analyzer findings.
  *
  * Fixtures are analyzed under *synthetic* paths, exactly like
- * test_lint.cc: the hot-path domain and the stat registration rules
- * key off the path handed to analyzeUnits, so fixture content can
- * stand in for any module from one on-disk directory (which the tree
- * walker skips, keeping the Analyze ctest run clean).
+ * test_lint.cc: the hot-path domain keys off the path handed to
+ * analyzeUnits, so fixture content can stand in for any module from
+ * one on-disk directory (which the tree walker skips, keeping the
+ * Analyze ctest run clean).
  */
 
 #include <algorithm>
@@ -63,15 +63,12 @@ expectOnlyRule(const std::vector<Finding> &findings,
     }
 }
 
-TEST(Analyze, PassNamesAreTheFourDocumentedPasses)
+TEST(Analyze, PassNamesAreTheThreeDocumentedPasses)
 {
     std::vector<std::string> names = lint::passNames();
-    ASSERT_EQ(names.size(), 4u);
+    ASSERT_EQ(names.size(), 3u);
     EXPECT_NE(std::find(names.begin(), names.end(), "parallel-capture"),
               names.end());
-    EXPECT_NE(
-        std::find(names.begin(), names.end(), "cross-tu-consistency"),
-        names.end());
     EXPECT_NE(
         std::find(names.begin(), names.end(), "hot-path-allocation"),
         names.end());
@@ -150,49 +147,6 @@ TEST(AnalyzeModel, PoolLambdaCapturesAndParamsExtracted)
     EXPECT_EQ(pl.workerParam, "w");
 }
 
-TEST(AnalyzeModel, StatTableSeparatesRegistrationFromMention)
-{
-    lint::ProjectModel m = lint::buildProjectModel(
-        {{"src/common/widget.cc",
-          "StatCounter &f() {\n"
-          "    static StatCounter &c =\n"
-          "        globalStats().counter(\"smthill.widget.frobs\");\n"
-          "    return c;\n"
-          "}\n"},
-         {"tests/test_widget.cc",
-          "void t() { check(\"smthill.widget.frobs\"); }\n"}});
-    ASSERT_EQ(m.stats.count("smthill.widget.frobs"), 1u);
-    const lint::StatUse &use = m.stats.at("smthill.widget.frobs");
-    ASSERT_EQ(use.registrations.size(), 1u);
-    EXPECT_EQ(use.registrations[0].file, "src/common/widget.cc");
-    // The bare string in the test is a mention, not a registration.
-    ASSERT_EQ(use.mentions.size(), 2u);
-    EXPECT_EQ(use.mentions[1].file, "tests/test_widget.cc");
-}
-
-TEST(AnalyzeModel, EventTablesRecordEmissionAndCatalog)
-{
-    lint::ProjectModel m = lint::buildProjectModel(
-        {{"src/core/emit.cc",
-          "void f(EventTrace *t) {\n"
-          "    t->instant(1, 0, 0, \"hill\", \"epoch\");\n"
-          "    t->counter(1, 0, 0, \"share.t\" + std::to_string(2), 8);\n"
-          "    link.instruction(1, 0, \"fetch\", 7, 64, op);\n"
-          "}\n"},
-         {"tools/smthill_trace_report.cc",
-          "const char *const kKnownEventNames[] = {\n"
-          "    \"epoch\", \"share.t*\",\n"
-          "};\n"}});
-    // instant: the name is the string after the category.
-    EXPECT_EQ(m.emittedEvents.count("epoch"), 1u);
-    // A computed counter name records as a prefix wildcard.
-    EXPECT_EQ(m.emittedEvents.count("share.t*"), 1u);
-    // instruction: the per-stage `inst` name is its only string.
-    EXPECT_EQ(m.emittedEvents.count("fetch"), 1u);
-    EXPECT_EQ(m.knownEventNames.count("epoch"), 1u);
-    EXPECT_EQ(m.knownEventNames.count("share.t*"), 1u);
-}
-
 // ---------------------------------------------------------------
 // Phase 2: fire/pass fixture pairs
 // ---------------------------------------------------------------
@@ -237,44 +191,6 @@ TEST(AnalyzePasses, HotPathDomainExcludesTestsAndValidate)
     EXPECT_TRUE(lint::analyzeUnits({unit("src/validate/fetch_q.cc",
                                          "hot_path_alloc_flag.cc")})
                     .empty());
-}
-
-TEST(AnalyzePasses, CrossTuStatFlagAndPass)
-{
-    std::vector<Finding> fire = lint::analyzeUnits(
-        {unit("src/common/widget.cc", "cross_tu_stat_flag.cc")});
-    expectOnlyRule(fire, "cross-tu-consistency");
-    ASSERT_EQ(fire.size(), 1u);
-    EXPECT_NE(fire[0].message.find("smthill.widget.frobs"),
-              std::string::npos);
-
-    // With the reader unit alongside, the stat is consumed cross-TU.
-    EXPECT_TRUE(
-        lint::analyzeUnits(
-            {unit("src/common/widget.cc", "cross_tu_stat_flag.cc"),
-             unit("tests/test_widget.cc", "cross_tu_stat_pass.cc")})
-            .empty());
-
-    // The reader alone fires the complementary direction: a lookup
-    // of a stat that src/ never registers.
-    std::vector<Finding> orphan = lint::analyzeUnits(
-        {unit("tests/test_widget.cc", "cross_tu_stat_pass.cc")});
-    expectOnlyRule(orphan, "cross-tu-consistency");
-}
-
-TEST(AnalyzePasses, CrossTuUnknownEventFires)
-{
-    std::vector<Finding> fire = lint::analyzeUnits(
-        {{"src/core/emit.cc",
-          "void f(EventTrace *t) {\n"
-          "    t->instant(1, 0, 0, \"hill\", \"epoch\");\n"
-          "    t->instant(1, 0, 0, \"hill\", \"mystery\");\n"
-          "}\n"},
-         {"tools/smthill_trace_report.cc",
-          "const char *const kKnownEventNames[] = {\"epoch\"};\n"}});
-    expectOnlyRule(fire, "cross-tu-consistency");
-    ASSERT_EQ(fire.size(), 1u);
-    EXPECT_NE(fire[0].message.find("mystery"), std::string::npos);
 }
 
 TEST(AnalyzePasses, StaleSuppressionFlagAndPass)

@@ -201,11 +201,11 @@ TEST(Bandit, ExportsEpochSwitchAndRebuildStats)
 {
     StatRegistry &stats = globalStats();
     std::uint64_t epochs0 =
-        stats.counter("smthill.bandit.epochs").value();
+        stats.counter(CounterId::BanditEpochs).value();
     std::uint64_t switches0 =
-        stats.counter("smthill.bandit.switches").value();
+        stats.counter(CounterId::BanditSwitches).value();
     std::uint64_t rebuilds0 =
-        stats.counter("smthill.bandit.rebuilds").value();
+        stats.counter(CounterId::BanditRebuilds).value();
 
     BanditConfig bc;
     bc.epochSize = 2048;
@@ -213,7 +213,7 @@ TEST(Bandit, ExportsEpochSwitchAndRebuildStats)
     BanditAllocator bandit(bc);
     SmtCpu cpu = makeMachine({"art", "mcf"});
     bandit.attach(cpu);
-    EXPECT_GE(stats.counter("smthill.bandit.rebuilds").value(),
+    EXPECT_GE(stats.counter(CounterId::BanditRebuilds).value(),
               rebuilds0 + 1)
         << "attach must rebuild the arm lattice";
 
@@ -222,22 +222,22 @@ TEST(Bandit, ExportsEpochSwitchAndRebuildStats)
         cpu.run(bc.epochSize);
         bandit.epoch(cpu, static_cast<std::uint64_t>(e));
     }
-    EXPECT_EQ(stats.counter("smthill.bandit.epochs").value(),
+    EXPECT_EQ(stats.counter(CounterId::BanditEpochs).value(),
               epochs0 + static_cast<std::uint64_t>(k));
     // The sweep phase pulls each arm once, so the first k epochs
     // switch arms at least k - 1 times.
-    EXPECT_GE(stats.counter("smthill.bandit.switches").value(),
+    EXPECT_GE(stats.counter(CounterId::BanditSwitches).value(),
               switches0 + static_cast<std::uint64_t>(k - 1));
 }
 
 TEST(RlAlloc, ExportsEpochExploreAndAnchorMoveStats)
 {
     StatRegistry &stats = globalStats();
-    std::uint64_t epochs0 = stats.counter("smthill.rl.epochs").value();
+    std::uint64_t epochs0 = stats.counter(CounterId::RlEpochs).value();
     std::uint64_t explores0 =
-        stats.counter("smthill.rl.explores").value();
+        stats.counter(CounterId::RlExplores).value();
     std::uint64_t moves0 =
-        stats.counter("smthill.rl.anchor_moves").value();
+        stats.counter(CounterId::RlAnchorMoves).value();
 
     RlConfig rc;
     rc.epochSize = 2048;
@@ -249,12 +249,12 @@ TEST(RlAlloc, ExportsEpochExploreAndAnchorMoveStats)
         cpu.run(rc.epochSize);
         rl.epoch(cpu, static_cast<std::uint64_t>(e));
     }
-    EXPECT_EQ(stats.counter("smthill.rl.epochs").value(),
+    EXPECT_EQ(stats.counter(CounterId::RlEpochs).value(),
               epochs0 + kEpochs);
     // Greedy/explore and anchor movement depend on the seeded streams;
     // both counters are monotone, so the floor assertion is exact.
-    EXPECT_GE(stats.counter("smthill.rl.explores").value(), explores0);
-    EXPECT_GE(stats.counter("smthill.rl.anchor_moves").value(), moves0);
+    EXPECT_GE(stats.counter(CounterId::RlExplores).value(), explores0);
+    EXPECT_GE(stats.counter(CounterId::RlAnchorMoves).value(), moves0);
 }
 
 } // namespace

@@ -42,7 +42,7 @@ instantAt(Cycle ts, int tid = 0)
 TEST(EventTrace, RingKeepsNewestAndCountsDrops)
 {
     std::uint64_t dropped_before =
-        globalStats().counter("smthill.event_trace.dropped").value();
+        globalStats().counter(CounterId::EventTraceDropped).value();
 
     EventTrace trace(4);
     for (Cycle ts = 0; ts < 10; ++ts)
@@ -61,7 +61,7 @@ TEST(EventTrace, RingKeepsNewestAndCountsDrops)
 
     // The drops are mirrored into the global registry.
     EXPECT_EQ(
-        globalStats().counter("smthill.event_trace.dropped").value(),
+        globalStats().counter(CounterId::EventTraceDropped).value(),
         dropped_before + 6);
 
     // The exporter reports them too.
@@ -85,7 +85,7 @@ TEST(EventTrace, ClearKeepsLifetimeCounters)
 TEST(EventTrace, DisabledTracerTouchesNoGlobalCounters)
 {
     std::uint64_t recorded_before =
-        globalStats().counter("smthill.event_trace.recorded").value();
+        globalStats().counter(CounterId::EventTraceRecorded).value();
 
     // A full policy run with no tracer attached anywhere must not
     // offer a single event.
@@ -99,7 +99,7 @@ TEST(EventTrace, DisabledTracerTouchesNoGlobalCounters)
     runPolicy(workloadByName("art-mcf"), hill, rc);
 
     EXPECT_EQ(
-        globalStats().counter("smthill.event_trace.recorded").value(),
+        globalStats().counter(CounterId::EventTraceRecorded).value(),
         recorded_before);
 }
 
@@ -110,9 +110,9 @@ TEST(EventTrace, PerfettoRoundTrip)
     trace.threadName(0, 1, "thr");
     Json args = Json::object();
     args.set("epoch", 7);
-    trace.instant(100, 0, 1, "hill", "anchor.move", std::move(args));
-    trace.complete(200, 64, 0, kControlTid, "epoch", "epoch");
-    trace.counter(300, 0, 1, "share.t1", 128.0);
+    trace.instant(100, 0, 1, EventId::HillAnchorMove, std::move(args));
+    trace.complete(200, 64, 0, kControlTid, EventId::Epoch);
+    trace.counter(300, 0, 1, EventId::ShareTrack, 128.0);
 
     Json doc = trace.toPerfettoJson();
     EXPECT_EQ(doc.at("otherData").at("schema").asString(),
@@ -129,9 +129,9 @@ TEST(EventTrace, JsonlRoundTripAndStreamingSinkMatch)
     std::ostringstream streamed;
     EventTrace trace;
     trace.streamTo(&streamed);
-    trace.instant(10, 0, 0, "machine", "thread.enabled");
-    trace.complete(20, 5, 0, kControlTid, "hill", "round");
-    trace.counter(30, 0, 1, "share.t1", 120.0);
+    trace.instant(10, 0, 0, EventId::MachineThreadEnabled);
+    trace.complete(20, 5, 0, kControlTid, EventId::HillRound);
+    trace.counter(30, 0, 1, EventId::ShareTrack, 120.0);
     trace.streamTo(nullptr);
 
     // No drops occurred, so the live stream and the batch export are

@@ -276,10 +276,10 @@ sampleTrace()
     trace.threadName(0, 1, "mcf");
     Json args = Json::object();
     args.set("epoch", 7);
-    trace.instant(100, 0, 1, "hill", "anchor.move", std::move(args));
-    trace.complete(200, 64, 0, kControlTid, "epoch", "epoch");
-    trace.counter(300, 0, 1, "share.t1", 128.0);
-    trace.instant(400, 1, 0, "machine", "partition.clear");
+    trace.instant(100, 0, 1, EventId::HillAnchorMove, std::move(args));
+    trace.complete(200, 64, 0, kControlTid, EventId::Epoch);
+    trace.counter(300, 0, 1, EventId::ShareTrack, 128.0);
+    trace.instant(400, 1, 0, EventId::MachinePartitionClear);
     return trace;
 }
 
@@ -353,7 +353,7 @@ TEST(JsonFields, EventsWrongType)
 std::vector<lint::Finding>
 sampleFindings()
 {
-    return {{"stat-name", "src/a.cc", 12, "stat name \"x\" is bad"},
+    return {{"no-wall-clock", "src/a.cc", 12, "clock \"x\" is banned"},
             {"layering", "src/b/c.cc", 3, "upward edge"}};
 }
 

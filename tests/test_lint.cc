@@ -83,11 +83,11 @@ expectClean(const std::string &name, const std::string &path)
 TEST(Lint, RuleCatalog)
 {
     std::vector<std::string> rules = lint::ruleNames();
-    EXPECT_EQ(rules.size(), 8u);
+    EXPECT_EQ(rules.size(), 7u);
     for (const char *rule : {"no-wall-clock", "no-libc-random",
-                             "no-unordered-container", "stat-name",
-                             "error-handling", "cpu-copy-hot-path",
-                             "include-guard", "layering"}) {
+                             "no-unordered-container", "error-handling",
+                             "cpu-copy-hot-path", "include-guard",
+                             "layering"}) {
         EXPECT_NE(std::find(rules.begin(), rules.end(), rule),
                   rules.end())
             << rule;
@@ -140,34 +140,6 @@ TEST(Lint, NoUnorderedContainerFixtures)
                   "no-unordered-container");
     expectClean("no_unordered_container_pass.cc",
                 "src/fixture/no_unordered_container_pass.cc");
-}
-
-TEST(Lint, StatNameFixtures)
-{
-    expectFlagged("stat_name_flag.cc", "src/fixture/stat_name_flag.cc",
-                  "stat-name");
-    expectClean("stat_name_pass.cc", "src/fixture/stat_name_pass.cc");
-
-    // The flag fixture carries one convention violation and one
-    // duplicate registration; both must surface.
-    std::vector<Finding> findings = lintFixture(
-        "stat_name_flag.cc", "src/fixture/stat_name_flag.cc");
-    ASSERT_EQ(findings.size(), 2u);
-    EXPECT_NE(findings[0].message.find("convention"),
-              std::string::npos);
-    EXPECT_NE(findings[1].message.find("already registered"),
-              std::string::npos);
-}
-
-TEST(Lint, StatDuplicatesIgnoredOutsideSrc)
-{
-    // Tests and benches look up production stats by name to assert
-    // on them; that re-lookup is not a duplicate registration.
-    std::vector<Finding> findings = lint::lintFile(
-        "tests/fixture_stat.cc", fixture("stat_name_flag.cc"));
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("convention"),
-              std::string::npos);
 }
 
 TEST(Lint, ErrorHandlingFixtures)
@@ -282,7 +254,7 @@ TEST(Lint, FindingsJsonRoundTrip)
     const std::vector<std::pair<std::string, std::string>> cases = {
         {"no_libc_random_flag.cc",
          "src/fixture/no_libc_random_flag.cc"},
-        {"stat_name_flag.cc", "src/fixture/stat_name_flag.cc"},
+        {"no_wall_clock_flag.cc", "src/fixture/no_wall_clock_flag.cc"},
         {"layering_flag.cc", "src/pipeline/layering_flag.cc"},
     };
     for (const auto &[name, path] : cases) {
@@ -323,7 +295,7 @@ TEST(Lint, FindingsJsonRejectsMalformedDocs)
     badEntry.set("schema", Json("smthill.lint.v1"));
     Json arr = Json::array();
     Json item = Json::object();
-    item.set("rule", Json("stat-name"));
+    item.set("rule", Json("layering"));
     arr.push(std::move(item));
     badEntry.set("findings", std::move(arr));
     EXPECT_FALSE(lint::findingsFromJson(badEntry, out, error));

@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests for periodic stat snapshots: StatDistribution quantile
- * estimates (exact nearest-rank below the reservoir cap, strided
- * estimates above it), delta-row semantics of StatSnapshotter, the
- * streaming JSONL sink, and exact JSONL round-trips.
+ * Unit tests for periodic stat snapshots: delta-row semantics of
+ * StatSnapshotter, the streaming JSONL sink, and exact JSONL
+ * round-trips.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,82 +19,11 @@ namespace smthill
 namespace
 {
 
-TEST(Snapshot, DistributionQuantilesExactBelowCap)
-{
-    StatDistribution d;
-    for (int v = 1; v <= 100; ++v)
-        d.add(static_cast<double>(v));
-    // Nearest-rank over 1..100: q*(n-1)+0.5 rounds to index 50 / 94.
-    EXPECT_EQ(d.p50(), 51.0);
-    EXPECT_EQ(d.p95(), 95.0);
-    EXPECT_EQ(d.quantile(0.0), 1.0);
-    EXPECT_EQ(d.quantile(1.0), 100.0);
-    EXPECT_EQ(d.min(), 1.0);
-    EXPECT_EQ(d.max(), 100.0);
-}
-
-TEST(Snapshot, DistributionQuantileOfEmptyIsZero)
-{
-    StatDistribution d;
-    EXPECT_EQ(d.p50(), 0.0);
-    EXPECT_EQ(d.quantile(0.9), 0.0);
-}
-
-TEST(Snapshot, DistributionQuantilesSurviveDecimation)
-{
-    // Four times the reservoir cap forces at least two stride
-    // doublings; the strided subset still tracks the underlying
-    // uniform ramp closely.
-    StatDistribution d;
-    const int n = static_cast<int>(StatDistribution::kSampleCap) * 4;
-    for (int v = 1; v <= n; ++v)
-        d.add(static_cast<double>(v));
-    EXPECT_EQ(d.count(), static_cast<std::uint64_t>(n));
-    EXPECT_EQ(d.min(), 1.0);
-    EXPECT_EQ(d.max(), static_cast<double>(n));
-    EXPECT_NEAR(d.p50(), 0.50 * n, 0.02 * n);
-    EXPECT_NEAR(d.p95(), 0.95 * n, 0.02 * n);
-}
-
-TEST(Snapshot, DistributionResetClearsReservoir)
-{
-    StatDistribution d;
-    for (int v = 0; v < 10; ++v)
-        d.add(5.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.p50(), 0.0);
-    d.add(7.0);
-    EXPECT_EQ(d.p50(), 7.0);
-}
-
-TEST(Snapshot, RegistryJsonCarriesQuantiles)
-{
-    StatRegistry reg;
-    StatDistribution &d = reg.distribution("smthill.test.lat");
-    for (int v = 1; v <= 100; ++v)
-        d.add(static_cast<double>(v));
-
-    Json doc = reg.toJson();
-    const Json &dj = doc.at("smthill.test.lat");
-    EXPECT_EQ(dj.at("count").asDouble(), 100.0);
-    EXPECT_EQ(dj.at("min").asDouble(), 1.0);
-    EXPECT_EQ(dj.at("p50").asDouble(), 51.0);
-    EXPECT_EQ(dj.at("p95").asDouble(), 95.0);
-    EXPECT_EQ(dj.at("max").asDouble(), 100.0);
-
-    // The document reparses to the identical value (exact doubles).
-    Json back;
-    std::string error;
-    ASSERT_TRUE(Json::parse(doc.dump(2), back, error)) << error;
-    EXPECT_EQ(back, doc);
-}
-
 TEST(Snapshot, CounterRowsAreDeltas)
 {
     StatRegistry reg;
-    StatCounter &hits = reg.counter("smthill.test.hits");
-    StatCounter &misses = reg.counter("smthill.test.misses");
+    StatCounter &hits = reg.counter(CounterId::WarmMachineHits);
+    StatCounter &misses = reg.counter(CounterId::WarmMachineMisses);
     StatSnapshotter snap(reg);
 
     hits.add(10);
@@ -105,54 +32,52 @@ TEST(Snapshot, CounterRowsAreDeltas)
     EXPECT_EQ(r0.at("seq").asDouble(), 0.0);
     EXPECT_EQ(r0.at("epoch").asDouble(), 0.0);
     EXPECT_EQ(r0.at("cycle").asDouble(), 1000.0);
-    EXPECT_EQ(r0.at("counters").at("smthill.test.hits").asDouble(),
+    EXPECT_EQ(r0.at("counters").at("smthill.warm_cache.machine.hits").asDouble(),
               10.0);
-    EXPECT_EQ(r0.at("counters").at("smthill.test.misses").asDouble(),
+    EXPECT_EQ(r0.at("counters").at("smthill.warm_cache.machine.misses").asDouble(),
               3.0);
 
     // Only movement shows up: misses is flat, so its key vanishes.
     hits.add(7);
     Json r1 = snap.sample(1, 2000);
     EXPECT_EQ(r1.at("seq").asDouble(), 1.0);
-    EXPECT_EQ(r1.at("counters").at("smthill.test.hits").asDouble(), 7.0);
-    EXPECT_FALSE(r1.at("counters").contains("smthill.test.misses"));
+    EXPECT_EQ(r1.at("counters").at("smthill.warm_cache.machine.hits").asDouble(), 7.0);
+    EXPECT_FALSE(r1.at("counters").contains("smthill.warm_cache.machine.misses"));
 
     // A reset between samples re-baselines instead of underflowing.
     reg.resetValues();
     hits.add(2);
     Json r2 = snap.sample(2, 3000);
-    EXPECT_EQ(r2.at("counters").at("smthill.test.hits").asDouble(), 2.0);
+    EXPECT_EQ(r2.at("counters").at("smthill.warm_cache.machine.hits").asDouble(), 2.0);
 }
 
-TEST(Snapshot, GaugesAreLevelsAndDistsCumulative)
+TEST(Snapshot, GaugesAreLevels)
 {
     StatRegistry reg;
-    StatGauge &depth = reg.gauge("smthill.test.depth");
-    StatDistribution &lat = reg.distribution("smthill.test.lat");
+    StatGauge &depth = reg.gauge(GaugeId::ThreadPoolQueueDepth);
     StatSnapshotter snap(reg);
 
     depth.set(4.0);
     Json r0 = snap.sample(0, 0);
-    EXPECT_EQ(r0.at("gauges").at("smthill.test.depth").asDouble(), 4.0);
-    // A distribution with no samples yet is omitted, not zero-filled.
-    EXPECT_FALSE(r0.at("dists").contains("smthill.test.lat"));
+    EXPECT_EQ(r0.at("gauges").at("smthill.thread_pool.queue_depth")
+                  .asDouble(),
+              4.0);
 
-    lat.add(10.0);
-    lat.add(20.0);
     depth.set(1.5);
     Json r1 = snap.sample(1, 0);
-    EXPECT_EQ(r1.at("gauges").at("smthill.test.depth").asDouble(), 1.5);
-    const Json &dj = r1.at("dists").at("smthill.test.lat");
-    EXPECT_EQ(dj.at("count").asDouble(), 2.0);
-    EXPECT_EQ(dj.at("mean").asDouble(), 15.0);
-    EXPECT_EQ(dj.at("min").asDouble(), 10.0);
-    EXPECT_EQ(dj.at("max").asDouble(), 20.0);
+    EXPECT_EQ(r1.at("gauges").at("smthill.thread_pool.queue_depth")
+                  .asDouble(),
+              1.5);
+    // A row holds exactly its marks, counters and gauges.
+    EXPECT_EQ(r1.dump(), "{\"seq\":1,\"epoch\":1,\"cycle\":0,"
+                         "\"counters\":{},\"gauges\":{"
+                         "\"smthill.thread_pool.queue_depth\":1.5}}");
 }
 
 TEST(Snapshot, StreamingSinkMatchesToJsonl)
 {
     StatRegistry reg;
-    StatCounter &c = reg.counter("smthill.test.ticks");
+    StatCounter &c = reg.counter(CounterId::ThreadPoolTasks);
     StatSnapshotter snap(reg);
 
     std::ostringstream stream;
@@ -172,14 +97,12 @@ TEST(Snapshot, StreamingSinkMatchesToJsonl)
 TEST(Snapshot, JsonlRoundTripIsExact)
 {
     StatRegistry reg;
-    StatCounter &c = reg.counter("smthill.test.work");
-    StatGauge &g = reg.gauge("smthill.test.level");
-    StatDistribution &d = reg.distribution("smthill.test.lat");
+    StatCounter &c = reg.counter(CounterId::ThreadPoolTasks);
+    StatGauge &g = reg.gauge(GaugeId::ThreadPoolQueueDepth);
     StatSnapshotter snap(reg);
     for (int e = 0; e < 4; ++e) {
         c.add(static_cast<std::uint64_t>(e) * 3 + 1);
         g.set(0.25 * e);
-        d.add(static_cast<double>(e) + 0.5);
         snap.sample(static_cast<std::uint64_t>(e),
                     static_cast<std::uint64_t>(e) * 8192);
     }

@@ -1,15 +1,16 @@
 /**
  * @file
  * Unit tests for the named-statistic registry: find-or-create
- * semantics, reference stability, JSON export, and concurrent
- * updates from pool-like worker threads.
+ * semantics by catalog id, reference stability, JSON export in
+ * registration order, and concurrent updates from pool-like worker
+ * threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/stat_registry.hh"
@@ -20,12 +21,18 @@ namespace smthill
 namespace
 {
 
+// Asking for a stat of the wrong kind, or by a string, does not
+// compile: the registry takes only catalog ids of the matching kind.
+static_assert(!std::is_convertible_v<CounterId, GaugeId>);
+static_assert(!std::is_convertible_v<GaugeId, CounterId>);
+static_assert(!std::is_convertible_v<const char *, CounterId>);
+
 TEST(StatRegistry, CounterFindOrCreate)
 {
     StatRegistry reg;
-    StatCounter &a = reg.counter("hits");
-    StatCounter &b = reg.counter("hits");
-    EXPECT_EQ(&a, &b) << "same name must yield the same object";
+    StatCounter &a = reg.counter(CounterId::WarmMachineHits);
+    StatCounter &b = reg.counter(CounterId::WarmMachineHits);
+    EXPECT_EQ(&a, &b) << "same id must yield the same object";
     a.inc();
     b.add(4);
     EXPECT_EQ(a.value(), 5u);
@@ -34,72 +41,35 @@ TEST(StatRegistry, CounterFindOrCreate)
 TEST(StatRegistry, GaugeSetAndAdd)
 {
     StatRegistry reg;
-    StatGauge &g = reg.gauge("depth");
+    StatGauge &g = reg.gauge(GaugeId::ThreadPoolQueueDepth);
     g.set(3.0);
     g.add(-1.5);
     EXPECT_DOUBLE_EQ(g.value(), 1.5);
 }
 
-TEST(StatRegistry, DistributionSummary)
-{
-    StatRegistry reg;
-    StatDistribution &d = reg.distribution("lat");
-    for (double v : {2.0, 4.0, 6.0})
-        d.add(v);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 6.0);
-    EXPECT_NEAR(d.stddev(), std::sqrt(8.0 / 3.0), 1e-12);
-}
-
-TEST(StatRegistry, EmptyDistributionIsDefined)
-{
-    StatRegistry reg;
-    StatDistribution &d = reg.distribution("empty");
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
 TEST(StatRegistry, NamesInRegistrationOrder)
 {
     StatRegistry reg;
-    reg.counter("c1");
-    reg.gauge("g1");
-    reg.distribution("d1");
-    reg.counter("c1"); // lookup, not a new registration
+    reg.counter(CounterId::RlEpochs);
+    reg.gauge(GaugeId::ThreadPoolQueueDepth);
+    reg.counter(CounterId::BanditEpochs);
+    reg.counter(CounterId::RlEpochs); // lookup, not a new registration
     std::vector<std::string> names = reg.names();
     ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "c1");
-    EXPECT_EQ(names[1], "g1");
-    EXPECT_EQ(names[2], "d1");
-}
-
-TEST(StatRegistry, KindMismatchDies)
-{
-    StatRegistry reg;
-    reg.counter("x");
-    EXPECT_DEATH(reg.gauge("x"), "x");
+    EXPECT_EQ(names[0], "smthill.rl.epochs");
+    EXPECT_EQ(names[1], "smthill.thread_pool.queue_depth");
+    EXPECT_EQ(names[2], "smthill.bandit.epochs");
 }
 
 TEST(StatRegistry, ToJsonExportsEveryKind)
 {
     StatRegistry reg;
-    reg.counter("hits").add(7);
-    reg.gauge("depth").set(2.25);
-    StatDistribution &d = reg.distribution("lat");
-    d.add(1.0);
-    d.add(3.0);
+    reg.counter(CounterId::WarmMachineHits).add(7);
+    reg.gauge(GaugeId::ThreadPoolQueueDepth).set(2.25);
 
     Json j = reg.toJson();
-    EXPECT_EQ(j.at("hits").asInt(), 7);
-    EXPECT_DOUBLE_EQ(j.at("depth").asDouble(), 2.25);
-    const Json &dist = j.at("lat");
-    EXPECT_EQ(dist.at("count").asInt(), 2);
-    EXPECT_DOUBLE_EQ(dist.at("mean").asDouble(), 2.0);
-    EXPECT_DOUBLE_EQ(dist.at("min").asDouble(), 1.0);
-    EXPECT_DOUBLE_EQ(dist.at("max").asDouble(), 3.0);
+    EXPECT_EQ(j.dump(), "{\"smthill.warm_cache.machine.hits\":7,"
+                        "\"smthill.thread_pool.queue_depth\":2.25}");
 
     // The export round-trips through the parser.
     Json back;
@@ -111,15 +81,14 @@ TEST(StatRegistry, ToJsonExportsEveryKind)
 TEST(StatRegistry, ResetValuesKeepsRegistrations)
 {
     StatRegistry reg;
-    StatCounter &c = reg.counter("c");
+    StatCounter &c = reg.counter(CounterId::RlExplores);
     c.add(5);
-    reg.gauge("g").set(1.0);
-    reg.distribution("d").add(2.0);
+    reg.gauge(GaugeId::ThreadPoolQueueDepth).set(1.0);
     reg.resetValues();
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
-    EXPECT_EQ(reg.distribution("d").count(), 0u);
-    EXPECT_EQ(reg.names().size(), 3u);
+    EXPECT_DOUBLE_EQ(reg.gauge(GaugeId::ThreadPoolQueueDepth).value(),
+                     0.0);
+    EXPECT_EQ(reg.names().size(), 2u);
 }
 
 TEST(StatRegistry, ConcurrentCountsAreExact)
@@ -132,14 +101,14 @@ TEST(StatRegistry, ConcurrentCountsAreExact)
         threads.emplace_back([&reg] {
             // Registration races with other workers on purpose; every
             // thread must land on the same counter object.
-            StatCounter &c = reg.counter("shared");
+            StatCounter &c = reg.counter(CounterId::ThreadPoolTasks);
             for (int i = 0; i < kPerThread; ++i)
                 c.inc();
         });
     }
     for (auto &t : threads)
         t.join();
-    EXPECT_EQ(reg.counter("shared").value(),
+    EXPECT_EQ(reg.counter(CounterId::ThreadPoolTasks).value(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
@@ -152,13 +121,13 @@ TEST(StatRegistry, ThreadPoolRegistersItsStats)
 {
     // The pool wires itself into globalStats(); tasks executed there
     // are visible in the export.
-    std::uint64_t before = globalStats().counter("smthill.thread_pool.tasks")
-                               .value();
+    std::uint64_t before =
+        globalStats().counter(CounterId::ThreadPoolTasks).value();
     ThreadPool pool(2);
     std::atomic<int> ran{0};
     pool.parallelFor(16, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran.load(), 16);
-    EXPECT_GE(globalStats().counter("smthill.thread_pool.tasks").value(),
+    EXPECT_GE(globalStats().counter(CounterId::ThreadPoolTasks).value(),
               before);
 }
 

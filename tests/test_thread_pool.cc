@@ -157,15 +157,15 @@ TEST(ThreadPool, ExportsIndexAndQueueDepthStats)
 {
     ThreadPool pool(4);
     std::uint64_t before =
-        globalStats().counter("smthill.thread_pool.for_indices").value();
+        globalStats().counter(CounterId::ThreadPoolForIndices).value();
     pool.parallelFor(64, [](std::size_t) {});
     EXPECT_GE(
-        globalStats().counter("smthill.thread_pool.for_indices").value(),
+        globalStats().counter(CounterId::ThreadPoolForIndices).value(),
         before + 64);
     // queue_depth is a live gauge; once parallelFor returns, every
     // enqueued task has been drained.
     EXPECT_EQ(
-        globalStats().gauge("smthill.thread_pool.queue_depth").value(),
+        globalStats().gauge(GaugeId::ThreadPoolQueueDepth).value(),
         0.0);
 }
 

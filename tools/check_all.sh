@@ -12,7 +12,8 @@
 #   analyze  smthill_analyze cross-TU passes (ctest -R Analyze)
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + FuzzSmoke + QuietSkip
-#            + Attachment + JsonFields
+#            + Attachment + JsonFields + EventCatalog
+#            + TraceReportHostSpans
 #   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites
 #   benchdiff  report-only perf diff of bench/BENCH_sim_speed.json
 #              against a fresh bench_sim_speed run (never fails the
@@ -74,7 +75,7 @@ record tidy $?
 echo "== asan: address-sanitized fuzz smoke + tests =="
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
-     ctest --output-on-failure -j "$JOBS" -R 'FuzzSmoke|QuietSkip|TsanFixture|Attachment|JsonFields')
+     ctest --output-on-failure -j "$JOBS" -R 'FuzzSmoke|QuietSkip|TsanFixture|Attachment|JsonFields|EventCatalog|TraceReportHostSpans')
 record asan $?
 
 echo "== tsan: thread-sanitized parallel suites =="

@@ -3,9 +3,9 @@
  * smthill-analyze driver: run the two-phase cross-translation-unit
  * analyzer (lint/analyze.hh, architecture in DESIGN.md §9) over
  * files and directory trees. Phase 1 builds a project model (call
- * graph, pool-lambda captures, stat and event tables, suppression
- * audit); phase 2 runs the parallel-capture, cross-tu-consistency,
- * hot-path-allocation, and stale-suppression passes over it.
+ * graph, pool-lambda captures, suppression audit); phase 2 runs the
+ * parallel-capture, hot-path-allocation, and stale-suppression
+ * passes over it.
  *
  * Usage:
  *   smthill_analyze [json=FILE] [quiet=1] [list_passes=1] <paths...>

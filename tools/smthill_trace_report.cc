@@ -38,41 +38,11 @@ using namespace smthill;
 namespace
 {
 
-/**
- * Every event name the simulator emits (smthill_analyze keeps this
- * in sync with the instant/complete/counter call sites cross-TU). A
- * trailing '*' marks a prefix wildcard for computed names. Names
- * outside this catalog are bucketed as unknown by summarize —
- * usually a typo at the emitter or a new event missing its report
- * support.
- */
-const char *const kKnownEventNames[] = {
-    "anchor.move",       "arm.pull",        "best.partition",
-    "churn.attach",      "churn.detach",    "classify",
-    "commit",            "complete",        "context.idle",
-    "context.reset",     "dispatch",        "epoch",
-    "fetch",             "flush",           "issue",
-    "job.arrive",        "job.attach",      "job.depart",
-    "partition.clear",   "reuse.decision",  "round",
-    "sample.begin",      "share.t*",        "single_ipc.update",
-    "squash",            "stall",           "thread.enabled",
-    "transition",        "trial.install",
-};
-
-/** @return true when @p name matches a catalog entry or wildcard. */
+/** @return whether @p e is an event of catalog entry @p id. */
 bool
-knownEventName(const std::string &name)
+isEvent(const SimEvent &e, EventId id)
 {
-    for (const char *entry : kKnownEventNames) {
-        std::string e = entry;
-        if (!e.empty() && e.back() == '*') {
-            if (name.rfind(e.substr(0, e.size() - 1), 0) == 0)
-                return true;
-        } else if (name == e) {
-            return true;
-        }
-    }
-    return false;
+    return findEvent(e.cat, e.name) == id;
 }
 
 /** Slurp @p path, fataling on I/O failure. */
@@ -130,17 +100,18 @@ printEventCounts(const std::vector<SimEvent> &events)
     t.print();
     std::printf("total: %zu events\n", events.size());
 
-    // Names outside the catalog get called out rather than silently
-    // folded into the table — catching emitter typos is the point.
+    // Names outside the catalog (common/catalog.hh) get called out
+    // rather than silently folded into the table: the simulator cannot
+    // emit them, so they come from a foreign or hand-edited trace.
     // Perfetto 'M' metadata (process_name/thread_name) is viewer
     // plumbing, not a simulator event, and is exempt.
     std::map<std::string, std::uint64_t> unknown;
     for (const SimEvent &e : events)
-        if (e.ph != 'M' && !knownEventName(e.name))
-            ++unknown[e.name];
+        if (e.ph != 'M' && !findEvent(e.cat, e.name))
+            ++unknown[e.cat + "/" + e.name];
     for (const auto &[name, n] : unknown)
         std::printf("warning: unknown event name '%s' (%llu events) — "
-                    "not in this report's catalog\n",
+                    "not in the event catalog\n",
                     name.c_str(),
                     static_cast<unsigned long long>(n));
 }
@@ -150,7 +121,7 @@ printEpochLatency(const std::vector<SimEvent> &events)
 {
     std::vector<std::int64_t> durs;
     for (const SimEvent &e : events)
-        if (e.ph == 'X' && e.cat == "epoch" && e.dur >= 0)
+        if (e.ph == 'X' && isEvent(e, EventId::Epoch) && e.dur >= 0)
             durs.push_back(e.dur);
 
     banner("epoch latency (cycles)");
@@ -189,7 +160,7 @@ collectShares(const std::vector<SimEvent> &events)
 {
     ShareTimeline tl;
     for (const SimEvent &e : events) {
-        if (e.ph != 'C' || e.name.rfind("share.t", 0) != 0)
+        if (e.ph != 'C' || !isEvent(e, EventId::ShareTrack))
             continue;
         tl.updates[e.pid][e.ts][e.tid] = EventTrace::counterValue(e);
         std::vector<int> &tids = tl.threads[e.pid];
@@ -214,7 +185,7 @@ printShareTimeline(const ShareTimeline &tl)
         const std::vector<int> &tids = tl.threads.at(pid);
         std::vector<std::string> headers = {"cycle"};
         for (int tid : tids)
-            headers.push_back(msg("share.t", tid));
+            headers.push_back(msg(eventSpec(EventId::ShareTrack).name, tid));
         Table t(std::move(headers));
 
         // Carry the last seen value forward so each printed row is a
