@@ -76,9 +76,8 @@ struct ProfileReport
     /**
      * Measured pool-worker utilization: busy / (busy + idle) over the
      * kWorkerBusySpan/kWorkerIdleSpan totals of all pool workers, or
-     * -1 when no pool worker recorded anything. Unlike the derived
-     * `parallel_efficiency` in bench_sim_speed (real-time ratio of a
-     * jobs=1 run), this is measured directly from worker timelines.
+     * -1 when no pool worker recorded anything. Exported as
+     * `parallel_efficiency`; measured directly from worker timelines.
      */
     double parallelEfficiency = -1.0;
 

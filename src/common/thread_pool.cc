@@ -56,8 +56,9 @@ ThreadPool::workerLoop()
         std::function<void()> task;
         {
             // Idle span: time this worker spends parked on the queue.
-            // Together with the busy span below it yields a measured
-            // parallel_efficiency (see prof::ProfileReport).
+            // Together with the busy span below it yields the
+            // profile's measured parallel_efficiency
+            // (prof::ProfileReport::parallelEfficiency).
             SMTHILL_PROF_SCOPE(prof::kWorkerIdleSpan);
             std::unique_lock<std::mutex> lock(queueMutex);
             queueCv.wait(lock,
