@@ -41,9 +41,7 @@ ThreadPool::enqueue(std::function<void()> task)
     }
     {
         std::lock_guard<std::mutex> lock(queueMutex);
-        // Queue growth is amortized and bounded by outstanding tasks
-        // (a handful per fan-out); a ring would buy nothing here.
-        queue.push_back(std::move(task)); // smthill-lint: allow(hot-path-allocation)
+        queue.push_back(std::move(task));
         queueDepthStat.set(static_cast<double>(queue.size()));
     }
     queueCv.notify_one();
@@ -139,7 +137,7 @@ ThreadPool::parallelForWorker(
 
     // One control block per fan-out call, not per index — the shared
     // state must outlive both the helpers and the caller's frame.
-    auto state = std::make_shared<ForState>(); // smthill-lint: allow(hot-path-allocation)
+    auto state = std::make_shared<ForState>();
     state->n = n;
 
     // One helper task per worker (capped by n - the caller drains

@@ -22,7 +22,7 @@ MachineArena::acquire(int worker, const SmtCpu &checkpoint)
     if (!m) {
         // First-touch warm-up: one clone per worker for the arena's
         // lifetime; every later trial reuses it via restoreFrom.
-        m.emplace(checkpoint); // smthill-lint: allow(hot-path-allocation)
+        m.emplace(checkpoint);
         return *m;
     }
     // The machine stands in for a copy of the checkpoint, and a copy

@@ -5,10 +5,11 @@
  * The OFF-LINE exhaustive sweep and RAND-HILL both evaluate many
  * one-epoch trials from the same checkpoint. Copy-constructing an
  * SmtCpu per trial pays a full set of allocations (instruction rings,
- * per-slot dependence vectors, cache arrays) on top of the state
- * copy; the arena instead keeps one preallocated machine per pool
- * worker and restores it with SmtCpu::restoreFrom, which reuses the
- * warm machine's storage. Each worker index owns exactly one machine,
+ * cycle-loop queues, cache arrays) on top of the state copy; the
+ * arena instead keeps one preallocated machine per pool worker and
+ * restores it with SmtCpu::restoreFrom, which reuses the warm
+ * machine's storage: after a worker's first trial, acquire plus the
+ * trial itself allocate nothing (tests/test_zero_alloc.cc). Each worker index owns exactly one machine,
  * so concurrent trials on different workers never share mutable
  * state — the checkpoint itself is only ever read.
  */

@@ -93,10 +93,8 @@ OfflineExhaustive::stepEpoch(SmtCpu &cpu) const
 
     for (std::size_t i = 0; i < trials.size(); ++i) {
         if (cfg.keepCurves) {
-            // Diagnostic curves are opt-in (keepCurves) and amortized
-            // at one sample per trial; sweeps leave this off.
-            rec.curveShares.push_back(trials[i].share[0]); // smthill-lint: allow(hot-path-allocation)
-            rec.curve.push_back(metrics[i]); // smthill-lint: allow(hot-path-allocation)
+            rec.curveShares.push_back(trials[i].share[0]);
+            rec.curve.push_back(metrics[i]);
         }
         if (metrics[i] > best_metric) {
             best_metric = metrics[i];
@@ -117,11 +115,9 @@ OfflineResult
 OfflineExhaustive::run(SmtCpu &cpu, int num_epochs) const
 {
     OfflineResult res;
-    // The preallocation itself: one reserve up front, then every
-    // per-epoch push_back lands in already-committed storage.
-    res.epochs.reserve(num_epochs); // smthill-lint: allow(hot-path-allocation)
+    res.epochs.reserve(num_epochs);
     for (int e = 0; e < num_epochs; ++e)
-        res.epochs.push_back(stepEpoch(cpu)); // smthill-lint: allow(hot-path-allocation)
+        res.epochs.push_back(stepEpoch(cpu));
     return res;
 }
 

@@ -17,9 +17,7 @@ std::vector<Partition> enumeratePartitions2(int total, int stride)
         p.numThreads = 2;
         p.share[0] = a;
         p.share[1] = total - a;
-        // Builds the (small, total/stride-sized) trial list handed to
-        // a whole epoch of sampling — setup cost, not per-cycle work.
-        out.push_back(p); // smthill-lint: allow(hot-path-allocation)
+        out.push_back(p);
     }
     return out;
 }

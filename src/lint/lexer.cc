@@ -19,7 +19,7 @@ namespace
  * suppression syntax — doc comments quoting
  * `smthill-lint: allow(<rule>)` mid-sentence — never registers a
  * suppression. Without this, every documentation mention would be a
- * dead allow for the stale-suppression pass to flag.
+ * dead allow for the stale-suppression rule to flag.
  */
 void
 recordAllows(const std::string &comment, int first_line, int last_line,
@@ -74,12 +74,6 @@ isIdentChar(char c)
 }
 
 } // namespace
-
-bool
-LexedFile::suppressed(const std::string &rule, int line) const
-{
-    return allowLineFor(rule, line) != 0;
-}
 
 int
 LexedFile::allowLineFor(const std::string &rule, int line) const
@@ -265,7 +259,6 @@ lexFile(const std::string &content)
         ++i;
     }
 
-    out.numLines = line;
     return out;
 }
 

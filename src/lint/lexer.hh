@@ -55,20 +55,11 @@ struct LexedFile
      */
     std::map<int, std::set<std::string>> allows;
 
-    /** Number of source lines (for bounds in diagnostics). */
-    int numLines = 0;
-
-    /**
-     * @return true if a finding of @p rule on @p line is suppressed
-     * by an allow marker on the same line or the line above.
-     */
-    bool suppressed(const std::string &rule, int line) const;
-
     /**
      * @return the line of the allow marker that suppresses a finding
      * of @p rule on @p line (the line itself or the line above), or
-     * 0 when no marker applies. The stale-suppression analyzer pass
-     * uses this to credit the exact marker a finding consumed.
+     * 0 when no marker applies. The stale-suppression rule uses this
+     * to credit the exact marker a finding consumed.
      */
     int allowLineFor(const std::string &rule, int line) const;
 };

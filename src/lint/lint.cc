@@ -16,6 +16,10 @@ namespace smthill
 namespace lint
 {
 
+namespace
+{
+
+/** Split a path into components, normalizing separators. */
 std::vector<std::string>
 pathComponents(const std::string &path)
 {
@@ -35,6 +39,7 @@ pathComponents(const std::string &path)
     return parts;
 }
 
+/** @return true if @p s ends with @p suffix. */
 bool
 endsWith(const std::string &s, const std::string &suffix)
 {
@@ -42,6 +47,7 @@ endsWith(const std::string &s, const std::string &suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/** @return the module dir under `src/`, or "" if not library code. */
 std::string
 srcModule(const std::vector<std::string> &parts)
 {
@@ -51,9 +57,6 @@ srcModule(const std::vector<std::string> &parts)
     }
     return "";
 }
-
-namespace
-{
 
 /** @return true if @p path has a `src` component (library code). */
 bool
@@ -183,16 +186,29 @@ canonicalGuard(const std::string &path)
     return guard;
 }
 
+/**
+ * Which `// smthill-lint: allow(<rule>)` markers of one file earned
+ * their keep: every (marker line, rule) pair that suppressed a
+ * finding. A marker absent here once the rules ran is stale.
+ */
+struct SuppressionAudit
+{
+    std::set<std::pair<int, std::string>> used;
+
+    void
+    recordUse(int allow_line, const std::string &rule)
+    {
+        used.insert({allow_line, rule});
+    }
+};
+
 class FileScanner
 {
   public:
-    FileScanner(const std::string &file_path, const std::string &content,
-                SuppressionAudit *audit_sink = nullptr)
+    FileScanner(const std::string &file_path, const std::string &content)
         : path(file_path), parts(pathComponents(file_path)),
-          lex(lexFile(content)), audit(audit_sink)
+          lex(lexFile(content))
     {
-        if (audit && !lex.allows.empty())
-            audit->allows[path] = lex.allows;
     }
 
     std::vector<Finding>
@@ -202,6 +218,7 @@ class FileScanner
         scanDirectives();
         if (endsWith(path, ".hh") || endsWith(path, ".h"))
             checkIncludeGuard();
+        checkStaleAllows(); // last: every other rule recorded its uses
         return findings;
     }
 
@@ -211,8 +228,7 @@ class FileScanner
     {
         int allowLine = lex.allowLineFor(rule, line);
         if (allowLine != 0) {
-            if (audit)
-                audit->recordUse(path, allowLine, rule);
+            audit.recordUse(allowLine, rule);
             return;
         }
         findings.push_back({rule, path, line, message});
@@ -246,11 +262,12 @@ class FileScanner
     void checkDeterminismIdent(std::size_t i);
     void checkErrorHandlingIdent(std::size_t i);
     void checkCpuCopyIdent(std::size_t i);
+    void checkStaleAllows();
 
     const std::string path;
     const std::vector<std::string> parts;
     const LexedFile lex;
-    SuppressionAudit *audit;
+    SuppressionAudit audit;
     std::vector<Finding> findings;
 };
 
@@ -515,6 +532,31 @@ FileScanner::checkIncludeGuard()
     }
 }
 
+void
+FileScanner::checkStaleAllows()
+{
+    // A marker that suppresses nothing hides the next regression on
+    // its line; one naming no rule never suppressed anything. Both
+    // are reported straight to the findings: an allow() cannot
+    // excuse itself.
+    const std::vector<std::string> rules = ruleNames();
+    for (const auto &[line, names] : lex.allows) {
+        for (const std::string &rule : names) {
+            bool known = std::find(rules.begin(), rules.end(), rule) !=
+                         rules.end();
+            if (known && audit.used.count({line, rule}))
+                continue;
+            findings.push_back(
+                {"stale-suppression", path, line,
+                 "allow(" + rule + ") " +
+                     (known ? "suppresses no finding on this or the "
+                              "next line; delete the stale marker"
+                            : "names no smthill_lint rule (list_rules=1 "
+                              "prints them)")});
+        }
+    }
+}
+
 /** Stable finding order: file, line, rule, message. */
 void
 sortFindings(std::vector<Finding> &findings)
@@ -543,26 +585,12 @@ skipDirectory(const std::string &name)
            name == "header_tus" || name == "CMakeFiles";
 }
 
-} // namespace
-
-std::vector<std::string>
-ruleNames()
-{
-    return {
-        "no-wall-clock",  "no-libc-random",    "no-unordered-container",
-        "error-handling", "cpu-copy-hot-path", "include-guard",
-        "layering",
-    };
-}
-
-std::vector<Finding>
-lintFile(const std::string &path, const std::string &content)
-{
-    std::vector<Finding> findings = FileScanner(path, content).run();
-    sortFindings(findings);
-    return findings;
-}
-
+/**
+ * Collect every lintable file under @p paths in deterministic
+ * (sorted, deduplicated) order, skipping build outputs,
+ * dot-directories and fixture trees. @return false with @p error set
+ * on unreadable paths.
+ */
 bool
 collectSourceFiles(const std::vector<std::string> &paths,
                    std::vector<std::string> &files, std::string &error)
@@ -608,14 +636,22 @@ collectSourceFiles(const std::vector<std::string> &paths,
     return true;
 }
 
-std::vector<Finding>
-lintUnits(const std::vector<SourceUnit> &units, SuppressionAudit *audit)
+} // namespace
+
+std::vector<std::string>
+ruleNames()
 {
-    std::vector<Finding> findings;
-    for (const auto &[path, content] : units) {
-        std::vector<Finding> here = FileScanner(path, content, audit).run();
-        findings.insert(findings.end(), here.begin(), here.end());
-    }
+    return {
+        "no-wall-clock",  "no-libc-random",    "no-unordered-container",
+        "error-handling", "cpu-copy-hot-path", "include-guard",
+        "layering",       "stale-suppression",
+    };
+}
+
+std::vector<Finding>
+lintFile(const std::string &path, const std::string &content)
+{
+    std::vector<Finding> findings = FileScanner(path, content).run();
     sortFindings(findings);
     return findings;
 }
@@ -627,8 +663,7 @@ lintPaths(const std::vector<std::string> &paths, std::string &error)
     if (!collectSourceFiles(paths, files, error))
         return {};
 
-    std::vector<SourceUnit> units;
-    units.reserve(files.size());
+    std::vector<Finding> findings;
     for (const std::string &file : files) {
         std::ifstream in(file, std::ios::binary);
         if (!in) {
@@ -637,9 +672,11 @@ lintPaths(const std::vector<std::string> &paths, std::string &error)
         }
         std::ostringstream buf;
         buf << in.rdbuf();
-        units.emplace_back(file, buf.str());
+        std::vector<Finding> here = FileScanner(file, buf.str()).run();
+        findings.insert(findings.end(), here.begin(), here.end());
     }
-    return lintUnits(units);
+    sortFindings(findings);
+    return findings;
 }
 
 namespace
@@ -654,7 +691,7 @@ constexpr JsonField<Finding> kFindingFields[] = {
     jsonField<&Finding::message>("message"),
 };
 
-/** The document; smthill_analyze appends its `tool`/`passes` keys. */
+/** The `smthill.lint.v1` document. */
 struct FindingsDoc
 {
     std::vector<Finding> findings;

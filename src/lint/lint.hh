@@ -40,15 +40,15 @@
  *                            branch/memory -> pipeline -> policy/
  *                            workload -> core -> phase -> harness ->
  *                            validate)
+ *  - stale-suppression:      an `allow(<rule>)` marker that suppressed
+ *                            no finding, or names no rule; not itself
+ *                            suppressible
  */
 
 #ifndef SMTHILL_LINT_LINT_HH
 #define SMTHILL_LINT_LINT_HH
 
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -72,38 +72,6 @@ struct Finding
 /** @return the names of every implemented rule. */
 std::vector<std::string> ruleNames();
 
-/** Split a path into components, normalizing separators. */
-std::vector<std::string> pathComponents(const std::string &path);
-
-/** @return true if @p s ends with @p suffix. */
-bool endsWith(const std::string &s, const std::string &suffix);
-
-/** @return the module dir under `src/`, or "" if not library code. */
-std::string srcModule(const std::vector<std::string> &parts);
-
-/**
- * Suppression bookkeeping threaded through a lint run so the
- * analyzer's stale-suppression pass can prove which
- * `// smthill-lint: allow(<rule>)` markers still earn their keep.
- * `allows` records every marker seen; `used` records, per file, the
- * (marker line, rule) pairs that actually suppressed a finding.
- */
-struct SuppressionAudit
-{
-    std::map<std::string, std::map<int, std::set<std::string>>> allows;
-    std::map<std::string, std::set<std::pair<int, std::string>>> used;
-
-    void
-    recordUse(const std::string &file, int allow_line,
-              const std::string &rule)
-    {
-        used[file].insert({allow_line, rule});
-    }
-};
-
-/** One in-memory source file: (path, content). */
-using SourceUnit = std::pair<std::string, std::string>;
-
 /**
  * Lint one file given its @p path and @p content. Path-scoped rules
  * (allowlists, module ranks) key off @p path, so tests
@@ -125,25 +93,6 @@ std::vector<Finding> lintFile(const std::string &path,
  */
 std::vector<Finding> lintPaths(const std::vector<std::string> &paths,
                                std::string &error);
-
-/**
- * Lint a set of in-memory units (the analyzer's phase-1 entry: it
- * reads the tree once, lints for suppression accounting, then builds
- * the project model from the same bytes). When @p audit is non-null
- * it receives every allow marker and every (marker, rule) use.
- */
-std::vector<Finding> lintUnits(const std::vector<SourceUnit> &units,
-                               SuppressionAudit *audit = nullptr);
-
-/**
- * Collect every `.hh`/`.h`/`.cc`/`.cpp` file under @p paths in
- * deterministic (sorted, deduplicated) order, applying the same
- * skip rules as lintPaths (build outputs, dot-directories, fixture
- * trees). @return false with @p error set on unreadable paths.
- */
-bool collectSourceFiles(const std::vector<std::string> &paths,
-                        std::vector<std::string> &files,
-                        std::string &error);
 
 /** Serialize findings as a `smthill.lint.v1` JSON document. */
 Json findingsToJson(const std::vector<Finding> &findings);

@@ -103,8 +103,22 @@ SmtCpu::SmtCpu(const SmtConfig &config, std::vector<StreamGenerator> programs)
     for (auto &prog : programs) {
         ThreadState t(std::move(prog));
         t.ring.resize(ring_size);
+        t.misses.reserve(static_cast<std::size_t>(cfg.lsqSize));
         threads.push_back(std::move(t));
     }
+    // Reserve the cycle loop's queues to their bounds (see the
+    // members) so it never allocates.
+    const auto iq = static_cast<std::size_t>(cfg.intIqSize + cfg.fpIqSize);
+    readyList.reserve(iq);
+    issueScratch.reserve(iq);
+    const Cycle longest = std::max(
+        {cfg.intAluLatency, cfg.intMulLatency, cfg.fpAluLatency,
+         cfg.fpMulLatency, cfg.branchLatency, cfg.storeLatency,
+         cfg.mem.l1Latency + cfg.mem.l2Latency + cfg.mem.memFirstChunk});
+    ReservedVector<CompletionEvent> heap;
+    heap.reserve(static_cast<std::size_t>(cfg.issueWidth) * longest);
+    events = decltype(events)(std::greater<CompletionEvent>(),
+                              std::move(heap));
     predictors.reserve(cfg.numThreads);
     for (int i = 0; i < cfg.numThreads; ++i)
         predictors.emplace_back(cfg.metaEntries, cfg.gshareEntries,
@@ -118,8 +132,9 @@ void
 SmtCpu::restoreFrom(const SmtCpu &checkpoint)
 {
     // Plain member-wise assignment is the whole restore: vector
-    // assignment writes into existing storage when capacity suffices,
-    // so a warm machine of the same shape takes zero allocations.
+    // assignment writes into existing storage when capacity suffices
+    // (the rings' trivially copyable slots copy flat), so a warm
+    // machine of the same shape takes zero allocations.
     *this = checkpoint;
 }
 
@@ -439,24 +454,23 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
     evt->instruction(curCycle, tid, InstStage::Complete, s.seq, s.si.pc,
                      s.si.op);
 
-    // Wake register-dependent instructions.
-    for (const DepRef &dep : s.dependents) {
-        Slot &d = t.ring[dep.slot];
-        if (d.genId != dep.genId || d.state != SlotDispatched)
-            continue;
-        if (d.pendingSrcs == 0)
-            continue;
+    // Wake register-dependent instructions. Every link names a live
+    // dispatched consumer: squashes unlink theirs (unlinkSquashed).
+    // The list runs newest first; issue sorts readyList, so wake
+    // order cannot change results.
+    for (std::uint32_t link = s.wakeHead; link != kNoLink;) {
+        std::uint32_t di = link >> 1;
+        Slot &d = t.ring[di];
+        link = d.wakeNext[link & 1];
         if (--d.pendingSrcs == 0) {
             // Completions run before issue within a cycle, so a
             // dependent can issue back-to-back with its producer.
-            // readyList capacity is retained across cycles, so growth
-            // stops once the window's high-water mark is reached.
-            readyList.push_back(ReadyEntry{curCycle, d.fetchCycle, tid, // smthill-lint: allow(hot-path-allocation)
-                                           dep.slot, d.genId});
+            readyList.push_back(
+                ReadyEntry{curCycle, d.fetchCycle, tid, di, d.genId});
             readySorted = false;
         }
     }
-    s.dependents.clear();
+    s.wakeHead = kNoLink;
 
     if (s.si.isLoad()) {
         // Retire the outstanding-miss record, if any.
@@ -493,6 +507,64 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
     }
 }
 
+std::vector<SmtCpu::WakeupLink>
+SmtCpu::wakeupList(ThreadId tid, InstSeq seq) const
+{
+    std::vector<WakeupLink> out;
+    const ThreadState &t = threads.at(tid);
+    const Slot &p = t.ring[seq & ringMask];
+    if (p.seq != seq || (p.state != SlotDispatched && p.state != SlotIssued))
+        return out;
+    for (std::uint32_t link = p.wakeHead;
+         link != kNoLink && out.size() <= 2 * t.ring.size();) {
+        const Slot &c = t.ring[link >> 1];
+        out.push_back({c.seq, static_cast<int>(link & 1)});
+        link = c.wakeNext[link & 1];
+    }
+    return out;
+}
+
+std::string
+SmtCpu::wakeupListError() const
+{
+    for (int i = 0; i < cfg.numThreads; ++i) {
+        const ThreadState &t = threads[i];
+        std::vector<std::size_t> named(t.ring.size(), 0);
+        for (const Slot &p : t.ring) {
+            if (p.state != SlotDispatched && p.state != SlotIssued) {
+                if (p.wakeHead != kNoLink)
+                    return msg("thread ", i, " seq ", p.seq,
+                               " keeps a wakeup list out of flight");
+                continue;
+            }
+            // Strictly newest first; this also catches a cycle, which
+            // wakeupList() cuts off after the ring's worth of links.
+            WakeupLink prev{kNoSeq, 2};
+            for (WakeupLink l : wakeupList(static_cast<ThreadId>(i), p.seq)) {
+                const Slot &c = t.ring[l.consumer & ringMask];
+                const std::int32_t dist = c.si.srcDist[l.src];
+                if (c.state != SlotDispatched || dist <= 0 ||
+                    l.consumer - static_cast<InstSeq>(dist) != p.seq ||
+                    l.consumer > prev.consumer ||
+                    (l.consumer == prev.consumer && l.src >= prev.src))
+                    return msg("thread ", i, " seq ", p.seq, " links seq ",
+                               l.consumer, " source ", l.src,
+                               " out of order or not waiting on it");
+                ++named[l.consumer & ringMask];
+                prev = l;
+            }
+        }
+        for (std::size_t k = 0; k < t.ring.size(); ++k) {
+            const Slot &c = t.ring[k];
+            if (c.state == SlotDispatched && c.pendingSrcs != named[k])
+                return msg("thread ", i, " seq ", c.seq, " waits on ",
+                           int{c.pendingSrcs}, " sources but ", named[k],
+                           " wakeup links name it");
+        }
+    }
+    return "";
+}
+
 // --------------------------------------------------------------------
 // Issue
 // --------------------------------------------------------------------
@@ -523,22 +595,19 @@ SmtCpu::doIssue()
     int budget = cfg.issueWidth;
 
     std::vector<ReadyEntry> &remaining = issueScratch;
-    remaining.clear();
-    // The scratch keeps its capacity across cycles; this reserve is a
-    // no-op in steady state and the push_backs below never reallocate.
-    remaining.reserve(readyList.size()); // smthill-lint: allow(hot-path-allocation)
+    remaining.clear(); // reserved to readyList's bound: never grows
 
     for (const ReadyEntry &e : readyList) {
         Slot &s = threads[e.tid].ring[e.slot];
         if (s.genId != e.genId || s.state != SlotDispatched)
             continue; // squashed or already handled
         if (e.readyAt > curCycle || budget == 0) {
-            remaining.push_back(e); // smthill-lint: allow(hot-path-allocation)
+            remaining.push_back(e);
             continue;
         }
         int pool = fuPoolOf(s.si.op);
         if (fu[pool] == 0) {
-            remaining.push_back(e); // smthill-lint: allow(hot-path-allocation)
+            remaining.push_back(e);
             continue;
         }
         --fu[pool];
@@ -583,9 +652,7 @@ SmtCpu::doIssue()
             lat = res.latency;
             ++statCounters.loads[tid];
             if (res.level != MemLevel::L1) {
-                // Outstanding-miss list is bounded by in-flight loads
-                // and keeps its capacity once warmed up.
-                threads[tid].misses.push_back(OutstandingMiss{ // smthill-lint: allow(hot-path-allocation)
+                threads[tid].misses.push_back(OutstandingMiss{
                     s.seq, curCycle, curCycle + lat,
                     res.level == MemLevel::Memory});
             }
@@ -597,9 +664,7 @@ SmtCpu::doIssue()
         evt->instruction(curCycle, tid, InstStage::Issue, s.seq, s.si.pc,
                          s.si.op);
         s.completeCycle = curCycle + std::max<Cycle>(1, lat);
-        // The completion heap is bounded by issued-but-uncompleted
-        // instructions; its backing storage stabilizes after warm-up.
-        events.push(CompletionEvent{s.completeCycle, tid, e.slot, s.genId}); // smthill-lint: allow(hot-path-allocation)
+        events.push(CompletionEvent{s.completeCycle, tid, e.slot, s.genId});
     }
     readyList.swap(remaining);
     // Keep the scratch (old readyList storage) empty so machine
@@ -748,15 +813,14 @@ SmtCpu::linkDependences(ThreadId tid, InstSeq seq, Slot &slot)
         Slot &p = slotOf(t, prod);
         if (p.state == SlotCompleted || p.state == SlotFree)
             continue;
-        // Dependent lists live in ring slots that are recycled, so
-        // their capacity amortizes to zero growth per dispatch.
-        p.dependents.push_back(DepRef{my_idx, slot.genId}); // smthill-lint: allow(hot-path-allocation)
+        // Push onto the head of the producer's wakeup list.
+        slot.wakeNext[k] = p.wakeHead;
+        p.wakeHead = my_idx * 2 + static_cast<std::uint32_t>(k);
         ++pending;
     }
     slot.pendingSrcs = static_cast<std::uint8_t>(pending);
     if (pending == 0) {
-        // Same retained-capacity story as the completion-side push.
-        readyList.push_back( // smthill-lint: allow(hot-path-allocation)
+        readyList.push_back(
             ReadyEntry{curCycle + 1, slot.fetchCycle, tid, my_idx,
                        slot.genId});
         readySorted = false;
@@ -890,7 +954,7 @@ SmtCpu::doFetch()
 
             s.fetchCycle = curCycle;
             s.state = SlotFetched;
-            s.dependents.clear();
+            s.wakeHead = kNoLink;
             s.pendingSrcs = 0;
             s.mispredicted = false;
 
@@ -936,6 +1000,7 @@ int
 SmtCpu::squashFrom(ThreadId tid, InstSeq start)
 {
     ThreadState &t = threads.at(tid);
+    unlinkSquashed(t, start);
     int squashed = 0;
     for (InstSeq i = start; i < t.fetchSeq; ++i) {
         Slot &s = slotOf(t, i);
@@ -950,7 +1015,7 @@ SmtCpu::squashFrom(ThreadId tid, InstSeq start)
         releaseResources(tid, s);
         s.state = SlotFree;
         ++s.genId;
-        s.dependents.clear();
+        s.wakeHead = kNoLink;
         ++squashed;
         // Every squash counts as flushed, whatever triggered it —
         // the fetched == committed + flushed + in-flight identity
@@ -967,6 +1032,27 @@ SmtCpu::squashFrom(ThreadId tid, InstSeq start)
         return m.seq >= start;
     });
     return squashed;
+}
+
+void
+SmtCpu::unlinkSquashed(ThreadState &t, InstSeq start)
+{
+    for (InstSeq i = t.dispatchSeq; i-- > start;) {
+        const Slot &c = slotOf(t, i);
+        if (c.state != SlotDispatched || c.pendingSrcs == 0)
+            continue; // not on any list
+        const std::uint32_t idx = slotIndex(i);
+        // Source 1 linked after source 0, so it sits nearer the head
+        // when both name the same producer.
+        for (int k = 1; k >= 0; --k) {
+            std::int32_t dist = c.si.srcDist[k];
+            if (dist <= 0 || static_cast<InstSeq>(dist) > i)
+                continue;
+            Slot &p = slotOf(t, i - static_cast<InstSeq>(dist));
+            if (p.wakeHead == idx * 2 + static_cast<std::uint32_t>(k))
+                p.wakeHead = c.wakeNext[k];
+        }
+    }
 }
 
 int

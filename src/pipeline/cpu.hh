@@ -29,6 +29,8 @@
 #include <array>
 #include <cstdint>
 #include <queue>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "branch/predictors.hh"
@@ -92,6 +94,27 @@ struct LoadEvent
     bool toMemory;
 };
 
+/**
+ * A vector whose copies keep the source's capacity, so the bounds
+ * SmtCpu reserves its cycle-loop queues to survive checkpoint copies
+ * (a plain vector copy shrinks capacity to size; assignment already
+ * reuses the target's storage).
+ */
+template <typename T>
+class ReservedVector : public std::vector<T>
+{
+  public:
+    ReservedVector() = default;
+    ReservedVector(const ReservedVector &other) : std::vector<T>()
+    {
+        this->reserve(other.capacity());
+        this->assign(other.begin(), other.end());
+    }
+    ReservedVector(ReservedVector &&) noexcept = default;
+    ReservedVector &operator=(const ReservedVector &) = default;
+    ReservedVector &operator=(ReservedVector &&) noexcept = default;
+};
+
 /** The SMT processor. */
 class SmtCpu
 {
@@ -106,10 +129,11 @@ class SmtCpu
     /**
      * Restore this machine to @p checkpoint's exact simulated state,
      * reusing this machine's existing allocations (instruction rings,
-     * dependence vectors, cache arrays) instead of making fresh ones —
-     * the cheap path trial sweeps restore through instead of
-     * copy-constructing an SmtCpu per trial. This machine keeps its
-     * own observer links (Attachment rule).
+     * cache arrays) instead of making fresh ones — the cheap path
+     * trial sweeps restore through instead of copy-constructing an
+     * SmtCpu per trial. The rings hold trivially copyable slots, so
+     * their part of the restore is a flat copy. This machine keeps
+     * its own observer links (Attachment rule).
      */
     void restoreFrom(const SmtCpu &checkpoint);
 
@@ -286,15 +310,39 @@ class SmtCpu
     /** @return the trace-event process id of the attached trace. */
     int eventTracePid() const { return evt->pid; }
 
+    /**
+     * Wakeup-list consistency for InvariantChecker::checkCpu: links
+     * hang off in-flight producers, name dispatched consumers of
+     * them, newest first, and each dispatched instruction's pending
+     * count equals the links naming it. @return "" or the first breach
+     */
+    std::string wakeupListError() const;
+
+    /** One link of a producer's wakeup list: consumer and source. */
+    struct WakeupLink
+    {
+        InstSeq consumer;
+        int src; ///< which source operand (0 or 1) the link feeds
+        bool operator==(const WakeupLink &) const = default;
+    };
+
+    /**
+     * The wakeup list of in-flight instruction @p seq of @p tid,
+     * newest consumer first: the dispatched instructions its
+     * completion will wake. Empty for an instruction that is not
+     * waiting in an issue queue or executing.
+     */
+    std::vector<WakeupLink> wakeupList(ThreadId tid, InstSeq seq) const;
+
   private:
     static constexpr InstSeq kNoSeq = ~InstSeq{0};
 
-    /** Reference to a dependent instruction's slot incarnation. */
-    struct DepRef
-    {
-        std::uint32_t slot;
-        std::uint32_t genId;
-    };
+    /**
+     * Wakeup lists are intrusive: link `slot * 2 + k` is source k of
+     * the consumer in ring slot `slot`, and a producer's list is a
+     * LIFO chain through its consumers' `wakeNext[k]`.
+     */
+    static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
 
     /** Dynamic state of one in-flight (or replay-buffered) inst. */
     struct Slot
@@ -304,7 +352,9 @@ class SmtCpu
         Cycle fetchCycle = 0;
         Cycle completeCycle = 0;
         HybridPredictor::Lookup bp;
-        std::vector<DepRef> dependents;
+        std::uint32_t wakeHead = kNoLink; ///< newest consumer link
+        /** Next-older link on source k's producer list. */
+        std::array<std::uint32_t, 2> wakeNext{kNoLink, kNoLink};
         std::uint32_t genId = 0;
         std::uint8_t pendingSrcs = 0;
         std::uint8_t state = 0;       ///< SlotState
@@ -316,6 +366,9 @@ class SmtCpu
         bool holdsLsq = false;
         bool holdsRob = false;
     };
+    // Ring copies (checkpoints, restoreFrom) are flat copies, and no
+    // slot ever owns heap storage for the cycle loop to grow.
+    static_assert(std::is_trivially_copyable_v<Slot>);
 
     enum SlotState : std::uint8_t
     {
@@ -344,7 +397,8 @@ class SmtCpu
         bool policyLocked = false;
         bool enabled = true;
 
-        std::vector<OutstandingMiss> misses; ///< in-flight DL1 misses
+        /** In-flight DL1 misses; bounded by the LSQ size. */
+        ReservedVector<OutstandingMiss> misses;
     };
 
     struct ReadyEntry
@@ -416,6 +470,15 @@ class SmtCpu
     /** Hook up the dependences of a newly dispatched instruction. */
     void linkDependences(ThreadId tid, InstSeq seq, Slot &slot);
 
+    /**
+     * Take every instruction of @p tid at or after @p start off the
+     * wakeup lists of the producers that survive a squash from
+     * @p start. Consumers are younger than their producers and link
+     * in dispatch order, so the squashed links are always the head of
+     * each surviving list: walking youngest first pops them there.
+     */
+    void unlinkSquashed(ThreadState &t, InstSeq start);
+
     /** Mark a slot completed and wake its dependents. */
     void complete(ThreadId tid, std::uint32_t slot_idx);
 
@@ -451,7 +514,12 @@ class SmtCpu
     std::uint32_t rrDispatch = 0; ///< round-robin dispatch start
     std::uint32_t rrCommit = 0;   ///< round-robin commit start
 
-    std::vector<ReadyEntry> readyList;
+    /**
+     * Ready instructions. At each issue every entry names a distinct
+     * instruction that sat in an issue queue after the previous
+     * cycle's dispatch, so the issue-queue capacity bounds it.
+     */
+    ReservedVector<ReadyEntry> readyList;
     /**
      * True when readyList is in issue order. Issue filters the sorted
      * list (order-preserving), so only wakeups dirty it; sorting the
@@ -460,8 +528,13 @@ class SmtCpu
      */
     bool readySorted = true;
     /** Scratch for doIssue's retained entries; cleared after use. */
-    std::vector<ReadyEntry> issueScratch;
-    std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
+    ReservedVector<ReadyEntry> issueScratch;
+    /**
+     * Pending completions, stale (squashed) ones included. Each was
+     * issued within the longest latency, so issue width times that
+     * latency bounds the heap.
+     */
+    std::priority_queue<CompletionEvent, ReservedVector<CompletionEvent>,
                         std::greater<CompletionEvent>>
         events;
 

@@ -408,6 +408,9 @@ InvariantChecker::checkCpu(const SmtCpu &cpu)
     }
     checkFlowCounters(cpu.stats(), cpu.config());
     checkCacheCounters(cpu.memory());
+    std::string wakeup = cpu.wakeupListError();
+    if (!wakeup.empty())
+        report("cpu.wakeup_list", wakeup);
 }
 
 std::string

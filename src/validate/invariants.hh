@@ -183,7 +183,8 @@ class InvariantChecker
     /**
      * Run every stateless check against a live machine: occupancy
      * capacities, partition shape (when enforced), flow counters,
-     * and cache reconciliation.
+     * cache reconciliation, and wakeup-list consistency
+     * (SmtCpu::wakeupListError).
      */
     void checkCpu(const SmtCpu &cpu);
 

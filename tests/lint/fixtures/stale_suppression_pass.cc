@@ -1,10 +1,10 @@
-// Must-pass fixture for the analyzer's stale-suppression pass: the
-// marker consumes a real parallel-capture finding, so it is live and
-// the whole unit analyzes clean.
+// Must-pass fixture for the stale-suppression rule: the marker
+// consumes a real no-libc-random finding, so it is live and the
+// whole unit lints clean.
+#include <cstdlib>
 
-void
-inlineOnly(ThreadPool &pool)
+int
+seeded()
 {
-    int n = 0;
-    pool.parallelFor(4, [&](std::size_t) { n++; }); // smthill-lint: allow(parallel-capture)
+    return rand(); // smthill-lint: allow(no-libc-random)
 }

@@ -1,6 +1,6 @@
 // Suppression fixture: the first two violations carry a matching
 // `smthill-lint: allow(...)` (same line, then line above); the third
-// names the wrong rule, so exactly one finding must survive.
+// names the wrong rule, so its finding survives and its marker is stale.
 #include <cstdlib>
 
 int

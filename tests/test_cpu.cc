@@ -4,10 +4,15 @@
  * invariants, statistics, determinism, and checkpoint-by-copy.
  */
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "pipeline/cpu.hh"
 #include "trace/spec_profiles.hh"
+#include "validate/invariants.hh"
 
 namespace smthill
 {
@@ -288,6 +293,85 @@ TEST(SmtCpu, SingleThreadIpcReasonable)
                  100000.0;
     EXPECT_GT(ipc, 1.0);
     EXPECT_LT(ipc, 8.0);
+}
+
+TEST(CpuWakeup, SquashedConsumersRelinkBeforeTheirProducerCompletes)
+{
+    // A load stuck on a memory miss collects consumers on its wakeup
+    // list; a flush squashes the younger ones; their slots refill and
+    // re-dispatch while the load is still in flight. Its completion
+    // must then wake exactly the consumers linked at that moment.
+    using Link = SmtCpu::WakeupLink;
+    SmtCpu cpu = makeToyCpu(1, 0.3);
+    InvariantChecker chk;
+    auto expectClean = [&] {
+        chk.checkCpu(cpu);
+        ASSERT_TRUE(chk.ok()) << chk.violations()[0].check << ": "
+                              << chk.violations()[0].detail;
+    };
+
+    // A long miss whose list (newest first) names older and younger
+    // consumers: squashing from the middle link's consumer leaves
+    // survivors.
+    InstSeq producer = 0, start = 0;
+    Cycle completes = 0;
+    std::vector<Link> links;
+    for (int i = 0; i < 200000 && start == 0; ++i) {
+        cpu.step();
+        for (const OutstandingMiss &m : cpu.outstandingMisses(0)) {
+            links = cpu.wakeupList(0, m.seq);
+            if (!m.toMemory || m.completesAt < cpu.now() + 100 ||
+                links.size() < 2 ||
+                links[links.size() / 2].consumer == links.back().consumer)
+                continue;
+            producer = m.seq;
+            completes = m.completesAt;
+            start = links[links.size() / 2].consumer;
+            break;
+        }
+    }
+    ASSERT_NE(start, 0u) << "no suitable producer found";
+    expectClean();
+
+    // The survivors keep their links, in order; the squashed leave.
+    ASSERT_GT(cpu.flushThreadAfter(0, start - 1), 0);
+    std::vector<Link> survivors;
+    std::copy_if(links.begin(), links.end(), std::back_inserter(survivors),
+                 [&](const Link &l) { return l.consumer < start; });
+    EXPECT_EQ(cpu.wakeupList(0, producer), survivors);
+    expectClean();
+
+    // The squashed consumers refetch and re-dispatch (same seqs, same
+    // sources) and link again before the producer completes.
+    auto relinked = [&] {
+        std::vector<Link> now = cpu.wakeupList(0, producer);
+        return std::all_of(links.begin(), links.end(), [&](const Link &l) {
+            return std::find(now.begin(), now.end(), l) != now.end();
+        });
+    };
+    while (!relinked() && cpu.now() + 1 < completes) {
+        cpu.step();
+        expectClean();
+    }
+    ASSERT_TRUE(relinked()) << "no re-dispatch before the producer completed";
+
+    // Completion drains the list. Every dispatched instruction's
+    // pending count equals the links naming it before and after
+    // (expectClean), so each consumer was woken once per link it
+    // still had — never through a squashed incarnation.
+    while (!cpu.wakeupList(0, producer).empty()) {
+        ASSERT_LE(cpu.now(), completes);
+        cpu.step();
+        expectClean();
+    }
+
+    // Every consumer issues and commits: none was left waiting.
+    for (int i = 0; i < 20000; ++i) {
+        cpu.step();
+        if (i % 64 == 0)
+            expectClean();
+    }
+    EXPECT_GT(cpu.stats().committed[0], links.front().consumer);
 }
 
 } // namespace

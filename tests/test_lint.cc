@@ -2,7 +2,8 @@
  * @file
  * Tests for the project linter (lint/lint.hh): every rule has a
  * must-flag and a must-pass fixture under tests/lint/fixtures/, the
- * suppression comment works (and only for the named rule), and
+ * suppression comment works (and only for the named rule), a marker
+ * that suppresses nothing is itself a finding, and
  * findings round-trip through the common/json layer as
  * `smthill.lint.v1` documents.
  *
@@ -83,11 +84,11 @@ expectClean(const std::string &name, const std::string &path)
 TEST(Lint, RuleCatalog)
 {
     std::vector<std::string> rules = lint::ruleNames();
-    EXPECT_EQ(rules.size(), 7u);
+    EXPECT_EQ(rules.size(), 8u);
     for (const char *rule : {"no-wall-clock", "no-libc-random",
                              "no-unordered-container", "error-handling",
                              "cpu-copy-hot-path", "include-guard",
-                             "layering"}) {
+                             "layering", "stale-suppression"}) {
         EXPECT_NE(std::find(rules.begin(), rules.end(), rule),
                   rules.end())
             << rule;
@@ -237,15 +238,43 @@ TEST(Lint, LayeringFixtures)
 TEST(Lint, SuppressionComment)
 {
     // Two matching allows (same line, line above) suppress; the
-    // wrong-rule allow does not.
+    // wrong-rule allow does not and, suppressing nothing, is stale.
     std::vector<Finding> findings = lintFixture(
         "suppression.cc", "src/fixture/suppression.cc");
-    ASSERT_EQ(findings.size(), 1u);
+    ASSERT_EQ(findings.size(), 2u);
     EXPECT_EQ(findings[0].rule, "no-libc-random");
-    EXPECT_FALSE(
-        lint::lexFile(fixture("suppression.cc"))
-            .suppressed("no-libc-random", 12))
+    EXPECT_EQ(findings[1].rule, "stale-suppression");
+    EXPECT_EQ(findings[1].line, findings[0].line);
+    EXPECT_EQ(lint::lexFile(fixture("suppression.cc"))
+                  .allowLineFor("no-libc-random", 12),
+              0)
         << "wrong-rule allow must not suppress";
+}
+
+TEST(Lint, StaleSuppressionFixtures)
+{
+    // A marker that suppressed nothing, one naming no rule, and one
+    // that tries to excuse the stale-suppression rule itself.
+    expectFlagged("stale_suppression_flag.cc",
+                  "src/fixture/stale_suppression_flag.cc",
+                  "stale-suppression");
+    std::vector<Finding> stale =
+        lintFixture("stale_suppression_flag.cc",
+                    "src/fixture/stale_suppression_flag.cc");
+    ASSERT_EQ(stale.size(), 3u);
+    EXPECT_EQ(stale[0].line, 9);
+    EXPECT_NE(stale[0].message.find("suppresses no"), std::string::npos);
+    EXPECT_EQ(stale[1].line, 15);
+    EXPECT_NE(stale[1].message.find("names no"), std::string::npos);
+    EXPECT_EQ(stale[2].line, 18);
+
+    expectClean("stale_suppression_pass.cc",
+                "src/fixture/stale_suppression_pass.cc");
+
+    // Liveness is per path: the same marker is stale where its rule
+    // does not apply (the RNG's own sources may call rand()).
+    expectFlagged("stale_suppression_pass.cc", "src/common/rng.cc",
+                  "stale-suppression");
 }
 
 TEST(Lint, FindingsJsonRoundTrip)

@@ -54,7 +54,7 @@ TEST(ThreadPool, JobsOneRunsInlineOnCaller)
         seen[i] = std::this_thread::get_id();
         // Safe only because jobs=1 runs every index inline on the
         // caller — this test asserts exactly that serial order.
-        order.push_back(i); // smthill-lint: allow(parallel-capture)
+        order.push_back(i);
     });
     for (const auto &id : seen)
         EXPECT_EQ(id, caller);
@@ -70,7 +70,7 @@ TEST(ThreadPool, JobsClampedToAtLeastOne)
     int ran = 0;
     // jobs clamps to 1, so the lambda runs inline; the unguarded
     // counter is the point of the clamping test.
-    pool.parallelFor(3, [&](std::size_t) { ran++; }); // smthill-lint: allow(parallel-capture)
+    pool.parallelFor(3, [&](std::size_t) { ran++; });
     EXPECT_EQ(ran, 3);
 }
 

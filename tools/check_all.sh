@@ -9,12 +9,13 @@
 #   tier1    default build + full ctest suite
 #   werror   -DSMTHILL_WERROR=ON build (warnings are errors)
 #   lint     smthill_lint over the tree (ctest -R Lint)
-#   analyze  smthill_analyze cross-TU passes (ctest -R Analyze)
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + the ASAN_SUITES
 #            regex below (observability/export, open-system churn,
-#            learner, quiet-skip suites, FuzzSmoke, TsanFixture)
-#   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites
+#            learner, quiet-skip, wakeup-list and zero-allocation
+#            suites, FuzzSmoke, TsanFixture)
+#   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites and
+#            TsanFixtureRacy, which passes only on TSan's race report
 #
 # Every stage runs even after a failure; the exit status is nonzero
 # iff any stage (other than an explicit skip) failed. Build trees are
@@ -31,7 +32,7 @@ OVERALL=0
 
 # The one list of suites run under ASan+UBSan (ROADMAP.md and the
 # verify skill point here rather than repeat it).
-ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EventTrace|TraceReport|MachineReport|Observability|Profile|Snapshot|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture'
+ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EventTrace|TraceReport|MachineReport|Observability|Profile|Snapshot|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc'
 
 record()
 {
@@ -64,10 +65,6 @@ record werror $?
 echo "== lint: project linter over the tree =="
 (cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Lint$')
 record lint $?
-
-echo "== analyze: cross-TU analyzer passes =="
-(cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Analyze$')
-record analyze $?
 
 echo "== tidy: clang-tidy wrapper =="
 "$SRC_DIR/tools/run_clang_tidy.sh" "$SRC_DIR" "$SRC_DIR/build"

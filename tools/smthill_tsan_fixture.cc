@@ -1,24 +1,17 @@
 /**
  * @file
- * Distilled ThreadSanitizer fixture for the analyzer's
- * parallel-capture pass (DESIGN.md §9): the exact race shape the
- * pass flags in tests/lint/fixtures/parallel_capture_flag.cc — a
- * by-reference capture mutated inside a parallelFor lambda without
- * index-disjoint access, atomics, or a lock — next to its three
- * sanctioned repairs.
+ * Distilled ThreadSanitizer fixture for the TSan stage of
+ * tools/check_all.sh (DESIGN.md §9.1): the race shape pool users must
+ * avoid — a by-reference capture mutated inside a parallelFor lambda
+ * without index-disjoint access, atomics, or a lock — next to its
+ * three sanctioned repairs.
  *
- * Usage:
- *   smthill_tsan_fixture racy    # the flagged shape; TSan reports a
- *                                # data race (build with
- *                                # -DSMTHILL_SANITIZE=thread)
- *   smthill_tsan_fixture fixed   # disjoint slots + atomic + lock;
- *                                # clean under TSan
+ * Usage: smthill_tsan_fixture racy|fixed
  *
- * The `TsanFixtureFixed` ctest entry runs `fixed` in every build
- * flavor; `racy` is the manual cross-validation step recorded in
- * EXPERIMENTS.md — one confirmed TSan report per analyzer finding
- * shape, so the pass is anchored to a real schedule-dependent bug,
- * not just a lexical pattern.
+ * `TsanFixtureFixed` runs `fixed` (disjoint slots, atomic, lock) in
+ * every build flavor. In a -DSMTHILL_SANITIZE=thread build,
+ * `TsanFixtureRacy` runs `racy` and passes only on TSan's data-race
+ * report, so the stage proves it sees the race it exists to catch.
  */
 
 #include <atomic>
@@ -40,15 +33,19 @@ int
 runRacy()
 {
     ThreadPool pool(4);
-    // The flagged shape: 'sum' is captured by reference and mutated
-    // from every worker with no synchronization. TSan reports the
-    // race; without TSan the sum is merely (sometimes) wrong.
+    // The race: 'sum' is captured by reference and mutated from every
+    // worker with no synchronization. TSan reports it; without TSan
+    // the sum is merely (sometimes) wrong. The caller drains indices
+    // too, so repeat the fan-out until the workers surely join in.
+    constexpr int kRounds = 64;
     long sum = 0;
-    pool.parallelFor(kN, [&](std::size_t i) { // smthill-lint: allow(parallel-capture)
-        sum += static_cast<long>(i);
-    });
+    for (int round = 0; round < kRounds; ++round) {
+        pool.parallelFor(kN, [&](std::size_t i) {
+            sum += static_cast<long>(i);
+        });
+    }
     std::printf("racy sum = %ld (expected %ld)\n", sum,
-                static_cast<long>(kN) * (kN - 1) / 2);
+                kRounds * static_cast<long>(kN) * (kN - 1) / 2);
     return 0;
 }
 
