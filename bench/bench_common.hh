@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "common/log.hh"
 #include "common/profile.hh"
 #include "common/stat_registry.hh"
-#include "common/stat_snapshot.hh"
 #include "harness/runner.hh"
 
 namespace smthill::benchutil
@@ -102,7 +100,6 @@ struct FigureConfig
     std::string workload;       ///< fig05's workload (SMTHILL_WORKLOAD)
     std::string statsJson;      ///< SMTHILL_STATS_JSON
     std::string eventTrace;     ///< SMTHILL_EVENT_TRACE
-    std::string snapshots;      ///< SMTHILL_SNAPSHOTS
 };
 
 // One function per reproduced table/figure, in the driver's order.
@@ -119,54 +116,6 @@ void fig12Behaviors(const FigureConfig &cfg);
 void sec5Phase(const FigureConfig &cfg);
 void ablSweeps(const FigureConfig &cfg);
 void openSystemSweep(const FigureConfig &cfg);
-
-/**
- * Streaming snapshot sink over globalStats(): opens @p path and
- * emits one `smthill.snapshots.v1` row per sample() call; an empty
- * path makes every operation a no-op. sample() is thread-safe, so
- * grid cells can report completion from pool workers.
- */
-class SnapshotSink
-{
-  public:
-    explicit SnapshotSink(const std::string &path)
-    {
-        if (path.empty())
-            return;
-        out.open(path, std::ios::binary);
-        if (!out)
-            fatal(msg("cannot write '", path, "'"));
-        snap.emplace(globalStats());
-        snap->streamTo(&out);
-        file = path;
-    }
-
-    ~SnapshotSink()
-    {
-        if (!snap)
-            return;
-        snap->streamTo(nullptr);
-        if (!out)
-            fatal(msg("cannot write '", file, "'"));
-        std::printf("wrote %zu stat snapshots to %s\n",
-                    snap->rows().size(), file.c_str());
-    }
-
-    SnapshotSink(const SnapshotSink &) = delete;
-    SnapshotSink &operator=(const SnapshotSink &) = delete;
-
-    void
-    sample(std::uint64_t epoch, std::uint64_t cycle)
-    {
-        if (snap)
-            snap->sample(epoch, cycle);
-    }
-
-  private:
-    std::ofstream out;
-    std::optional<StatSnapshotter> snap;
-    std::string file;
-};
 
 /**
  * Write @p trace to @p path: a ".jsonl" extension selects the JSONL

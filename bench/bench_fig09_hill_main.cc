@@ -54,11 +54,6 @@ fig09HillMain(const FigureConfig &cfg)
     const std::vector<Workload> &workloads = allWorkloads();
     std::vector<Row> rows(workloads.size());
 
-    // Opt-in time series: one smthill.snapshots.v1 delta row per
-    // completed workload cell (host telemetry only; the race results
-    // are unaffected).
-    SnapshotSink snapshots(cfg.snapshots);
-
     runGrid(workloads.size(), rc.jobs, [&](std::size_t i) {
         const Workload &w = workloads[i];
         auto solo = soloIpcs(w, rc, soloWindow(rc));
@@ -102,7 +97,6 @@ fig09HillMain(const FigureConfig &cfg)
         r.bandit = runPolicy(w, bandit, rc)
                        .metric(PerfMetric::WeightedIpc, solo);
         r.rl = runPolicy(w, rl, rc).metric(PerfMetric::WeightedIpc, solo);
-        snapshots.sample(i, 0);
     });
 
     Table t({"workload", "group", "ICOUNT", "FLUSH", "DCRA",

@@ -117,11 +117,6 @@ openSystemSweep(const FigureConfig &cfg)
     const SmtCpu checkpoint = proto.makeMachine();
     MachineArena arena(jobs);
 
-    // Opt-in time series: one smthill.snapshots.v1 delta row per
-    // completed cell (host telemetry only; cell results are
-    // unaffected).
-    SnapshotSink snapshots(cfg.snapshots);
-
     runGridWorker(cells, jobs, [&](std::size_t cell, int worker) {
         const Cycle gap = mean_gaps[cell / kNumPolicies];
         const int pi = static_cast<int>(cell % kNumPolicies);
@@ -131,7 +126,6 @@ openSystemSweep(const FigureConfig &cfg)
         auto policy = makePolicy(pi, sys_cfg.epochSize, base.seed);
         SmtCpu &cpu = arena.acquire(worker, checkpoint);
         results[cell] = sys.runOn(cpu, *policy);
-        snapshots.sample(cell, results[cell].cycles);
     });
 
     for (std::size_t gi = 0; gi < kNumGaps; ++gi) {

@@ -78,9 +78,21 @@ readEnv()
         }
         return v ? std::optional<int>(static_cast<int>(*v)) : std::nullopt;
     };
+    // A size of 0 would average over no cycles (nan cells) or never
+    // advance a sweep loop. Warm-up, seed and horizon may be 0.
+    auto size = [&count](const char *name) {
+        const std::optional<int> v = count(name);
+        if (v == 0)
+            fatal(msg(name, "=0: sizes must be at least 1"));
+        return v;
+    };
     Env env;
     RunConfig &rc = env.shared.rc;
-    rc.epochSize = envScale("SMTHILL_EPOCH_SIZE", rc.epochSize);
+    const std::optional<std::uint64_t> epoch_size =
+        envKnob("SMTHILL_EPOCH_SIZE");
+    if (epoch_size == 0u)
+        fatal("SMTHILL_EPOCH_SIZE=0: sizes must be at least 1");
+    rc.epochSize = epoch_size.value_or(rc.epochSize);
     rc.warmupCycles = envScale("SMTHILL_WARMUP", rc.warmupCycles);
     rc.jobs = count("SMTHILL_JOBS").value_or(rc.jobs);
     // The closed-system figures salt their streams with 0 by default;
@@ -89,18 +101,17 @@ readEnv()
     rc.seedSalt = seed.value_or(0);
     env.shared.osSeed = seed.value_or(1);
 
-    env.epochs = count("SMTHILL_EPOCHS");
-    env.offlineStride = count("SMTHILL_OFFLINE_STRIDE");
-    env.randHillIters = count("SMTHILL_RANDHILL_ITERS");
-    env.surfaceStep = count("SMTHILL_SURFACE_STEP");
-    env.osJobs = count("SMTHILL_OS_JOBS");
+    env.epochs = size("SMTHILL_EPOCHS");
+    env.offlineStride = size("SMTHILL_OFFLINE_STRIDE");
+    env.randHillIters = size("SMTHILL_RANDHILL_ITERS");
+    env.surfaceStep = size("SMTHILL_SURFACE_STEP");
+    env.osJobs = size("SMTHILL_OS_JOBS");
     env.osHorizon = envKnob("SMTHILL_OS_HORIZON");
 
     const std::string workload = path("SMTHILL_WORKLOAD");
     env.shared.workload = workload.empty() ? kDefaultWorkload : workload;
     env.shared.statsJson = path("SMTHILL_STATS_JSON");
     env.shared.eventTrace = path("SMTHILL_EVENT_TRACE");
-    env.shared.snapshots = path("SMTHILL_SNAPSHOTS");
     env.profileJson = path("SMTHILL_PROFILE_JSON");
     return env;
 }
@@ -148,7 +159,7 @@ printUsage()
                  "SMTHILL_SEED SMTHILL_JOBS; SMTHILL_WORKLOAD picks "
                  "fig05's workload (default %s).\n"
                  "One file each, so one figure only: SMTHILL_STATS_JSON "
-                 "SMTHILL_EVENT_TRACE SMTHILL_SNAPSHOTS.\n",
+                 "SMTHILL_EVENT_TRACE.\n",
                  kDefaultWorkload);
 }
 
@@ -192,7 +203,6 @@ main(int argc, char **argv)
         const std::pair<const char *, const std::string &> exports[] = {
             {"SMTHILL_STATS_JSON", env.shared.statsJson},
             {"SMTHILL_EVENT_TRACE", env.shared.eventTrace},
-            {"SMTHILL_SNAPSHOTS", env.shared.snapshots},
         };
         for (const auto &[name, file] : exports)
             if (!file.empty())

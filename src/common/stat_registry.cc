@@ -43,31 +43,6 @@ StatRegistry::toJson() const
     return out;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
-StatRegistry::counterValues() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (std::size_t i : order) {
-        if (kStatCatalog[i].kind == StatKind::Counter)
-            out.emplace_back(kStatCatalog[i].name, counters[i].value());
-    }
-    return out;
-}
-
-std::vector<std::pair<std::string, double>>
-StatRegistry::gaugeValues() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::vector<std::pair<std::string, double>> out;
-    for (std::size_t i : order) {
-        if (kStatCatalog[i].kind == StatKind::Gauge)
-            out.emplace_back(kStatCatalog[i].name,
-                             gauges[i - kCounterCount].value());
-    }
-    return out;
-}
-
 std::vector<std::string>
 StatRegistry::names() const
 {

@@ -19,7 +19,7 @@
  *
  * A process-wide registry (globalStats()) serves the long-lived
  * subsystems — thread pool, warm-machine/solo-IPC caches — while
- * per-run structures (EpochTracer) own their own data.
+ * per-run structures (a learner's epoch history) own their own data.
  */
 
 #ifndef SMTHILL_COMMON_STAT_REGISTRY_HH
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/catalog.hh"
@@ -101,15 +100,6 @@ class StatRegistry
 
     /** Registered names in registration order (tests, listings). */
     std::vector<std::string> names() const;
-
-    // --- Typed enumeration (periodic snapshots) --------------------
-
-    /** (name, value) of every counter, registration order. */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    counterValues() const;
-
-    /** (name, value) of every gauge, registration order. */
-    std::vector<std::pair<std::string, double>> gaugeValues() const;
 
     /** Reset every counter and gauge to zero. */
     void resetValues();

@@ -76,8 +76,7 @@ constexpr JsonField<EpochTraceRecord> kEpochFields[] = {
     // null when no trial partition was enforced during the epoch.
     {"trial",
      [](const EpochTraceRecord &r, Json &v) {
-         v = r.partitioned ? threadArray(r.trial.share, r.trial.numThreads)
-                           : Json();
+         v = r.partitioned ? shareJson(r.trial) : Json();
          return true;
      },
      [](const Json &v, EpochTraceRecord &r, std::string &error) {
@@ -86,7 +85,7 @@ constexpr JsonField<EpochTraceRecord> kEpochFields[] = {
      }},
     {"anchor",
      [](const EpochTraceRecord &r, Json &v) {
-         v = threadArray(r.anchor.share, r.anchor.numThreads);
+         v = shareJson(r.anchor);
          return true;
      },
      [](const Json &v, EpochTraceRecord &r, std::string &error) {
@@ -118,7 +117,27 @@ constexpr JsonField<EpochTraceDoc> kDocFields[] = {
 } // namespace
 
 Json
-EpochTracer::toJson(PerfMetric metric) const
+shareJson(const Partition &p)
+{
+    return threadArray(p.share, p.numThreads);
+}
+
+Json
+epochRecordToJson(const EpochTraceRecord &rec)
+{
+    return writeFields(kEpochFields, rec);
+}
+
+bool
+epochRecordFromJson(const Json &j, EpochTraceRecord &out,
+                    std::string &error)
+{
+    return readFields(kEpochFields, j, out, error);
+}
+
+Json
+epochTraceToJson(const std::vector<EpochTraceRecord> &recs,
+                 PerfMetric metric)
 {
     return writeFields(
         kDocFields,
@@ -127,7 +146,7 @@ EpochTracer::toJson(PerfMetric metric) const
 }
 
 std::string
-EpochTracer::toCsv() const
+epochTraceToCsv(const std::vector<EpochTraceRecord> &recs)
 {
     // The CSV columns are the JSON keys: the scalar rows of
     // kEpochFields, then `<key>_<i>` per thread for the array rows.
@@ -187,8 +206,8 @@ EpochTracer::toCsv() const
 }
 
 bool
-EpochTracer::fromJson(const Json &j, std::vector<EpochTraceRecord> &out,
-                      std::string &error)
+epochTraceFromJson(const Json &j, std::vector<EpochTraceRecord> &out,
+                   std::string &error)
 {
     out.clear();
     EpochTraceDoc doc;

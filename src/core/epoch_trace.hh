@@ -1,13 +1,17 @@
 /**
  * @file
- * Per-epoch observability for the learning policies: an EpochTracer
- * collects one EpochTraceRecord per epoch boundary — measured
- * per-thread IPCs over the *actual* elapsed cycles, the trial and
- * anchor partitions, per-trial metric values of the current round,
- * the chosen gradient thread, SingleIPC estimate state, and the
- * software cost charged — so Figure 5/12-style time-varying traces
- * fall out of any run as machine-readable JSON or CSV instead of
- * stdout scraping.
+ * Per-epoch observability for the learning policies: one
+ * EpochTraceRecord per epoch boundary — measured per-thread IPCs
+ * over the *actual* elapsed cycles, the trial and anchor partitions,
+ * per-trial metric values of the current round, the chosen gradient
+ * thread, SingleIPC estimate state, and the software cost charged —
+ * so Figure 5/12-style time-varying traces fall out of any run as
+ * machine-readable JSON or CSV instead of stdout scraping.
+ *
+ * A learner (HillClimbing and descendants) builds the record once
+ * per boundary, keeps it in its epochHistory(), and, with an event
+ * trace attached, writes it as the args of that epoch's `epoch`
+ * slice. The codec below is the one key list for both sinks.
  *
  * Schema (`smthill.epoch-trace.v1`): a top-level object
  *   { "schema": "smthill.epoch-trace.v1",
@@ -59,37 +63,41 @@ struct EpochTraceRecord
     bool operator==(const EpochTraceRecord &) const = default;
 };
 
-/** Accumulates records and exports them as JSON or CSV. */
-class EpochTracer
-{
-  public:
-    /** Append one epoch's record. */
-    void record(EpochTraceRecord rec) { recs.push_back(std::move(rec)); }
+/**
+ * @p p's shares as a JSON array: how epoch records and the learners'
+ * decision-audit events spell a partition.
+ */
+Json shareJson(const Partition &p);
 
-    const std::vector<EpochTraceRecord> &records() const { return recs; }
-    std::size_t size() const { return recs.size(); }
-    bool empty() const { return recs.empty(); }
-    void clear() { recs.clear(); }
+/** One record as a JSON object: an `epochs` row, or `epoch` args. */
+Json epochRecordToJson(const EpochTraceRecord &rec);
 
-    /** @param metric the feedback metric label for the header */
-    Json toJson(PerfMetric metric) const;
-
-    /** Flat CSV: header line + one row per epoch. */
-    std::string toCsv() const;
-
-    /**
-     * Rebuild records from a toJson() export (round-trip tests and
-     * external consumers re-deriving figure series).
-     * @return false with @p error naming the first missing or
-     * wrong-typed key if @p j is not a v1 trace
-     */
-    static bool fromJson(const Json &j,
-                         std::vector<EpochTraceRecord> &out,
+/**
+ * Rebuild one record from epochRecordToJson() output.
+ * @return false with @p error naming the first missing or
+ * wrong-typed key
+ */
+bool epochRecordFromJson(const Json &j, EpochTraceRecord &out,
                          std::string &error);
 
-  private:
-    std::vector<EpochTraceRecord> recs;
-};
+/**
+ * The whole `smthill.epoch-trace.v1` document over @p recs.
+ * @param metric the feedback metric label for the header
+ */
+Json epochTraceToJson(const std::vector<EpochTraceRecord> &recs,
+                      PerfMetric metric);
+
+/** Flat CSV of @p recs: header line + one row per epoch. */
+std::string epochTraceToCsv(const std::vector<EpochTraceRecord> &recs);
+
+/**
+ * Rebuild records from an epochTraceToJson() export (round-trip
+ * tests and external consumers re-deriving figure series).
+ * @return false with @p error naming the first missing or
+ * wrong-typed key if @p j is not a v1 trace
+ */
+bool epochTraceFromJson(const Json &j, std::vector<EpochTraceRecord> &out,
+                        std::string &error);
 
 } // namespace smthill
 

@@ -7,29 +7,6 @@
 namespace smthill
 {
 
-namespace
-{
-
-Json
-shareJson(const Partition &p)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < p.numThreads; ++i)
-        arr.push(Json(p.share[i]));
-    return arr;
-}
-
-Json
-ipcJson(const IpcSample &s)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < s.numThreads; ++i)
-        arr.push(Json(s.ipc[i]));
-    return arr;
-}
-
-} // namespace
-
 HillClimbing::HillClimbing(HillConfig config) : cfg(config)
 {
     if (cfg.delta < 1)
@@ -71,6 +48,7 @@ HillClimbing::attach(SmtCpu &cpu)
     sampleRotation = 0;
     samplingThread = -1;
     bootstrapPending = 0;
+    history.clear();
     roundPos = 0;
     roundDirty = false;
     needsSolo.fill(false);
@@ -388,8 +366,6 @@ HillClimbing::traceEpoch(const SmtCpu &cpu, std::uint64_t epoch_id,
                          int sampled_thread, int gradient_thread,
                          bool anchor_moved)
 {
-    if (!epochTracer())
-        return;
     EpochTraceRecord rec;
     rec.epochId = epoch_id;
     rec.cycle = cpu.now();
@@ -411,7 +387,15 @@ HillClimbing::traceEpoch(const SmtCpu &cpu, std::uint64_t epoch_id,
     rec.samplingThread = sampled_thread;
     rec.anchorMoved = anchor_moved;
     rec.softwareCost = cfg.softwareCost;
-    epochTracer()->record(std::move(rec));
+    if (EventTrace *evt = eventTrace()) {
+        // The epoch that just finished, as one slice on the control
+        // track covering the cycles the measurement actually saw.
+        evt->complete(lastEpochStart,
+                      static_cast<std::int64_t>(lastElapsed),
+                      eventTracePid(), kControlTid, EventId::Epoch,
+                      epochRecordToJson(rec));
+    }
+    history.push_back(std::move(rec));
 }
 
 void
@@ -429,17 +413,6 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
 
     EventTrace *evt = eventTrace();
     int evtPid = eventTracePid();
-    if (evt) {
-        // The epoch that just finished, as one slice on the control
-        // track covering the cycles the measurement actually saw.
-        Json args = Json::object();
-        args.set("epoch", epoch_id);
-        args.set("kind", samplingThread >= 0 ? "sample" : "learn");
-        args.set("ipc", ipcJson(sample));
-        evt->complete(lastEpochStart,
-                      static_cast<std::int64_t>(lastElapsed), evtPid,
-                      kControlTid, EventId::Epoch, std::move(args));
-    }
 
     if (samplingThread >= 0) {
         // The epoch that just ended ran samplingThread solo; its IPC

@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "core/epoch_trace.hh"
 #include "core/metrics.hh"
@@ -113,6 +114,16 @@ class HillClimbing : public ResourcePolicy
      */
     bool soloResamplePending(int tid) const { return needsSolo[tid]; }
 
+    /**
+     * @return one record per epoch() call since the last attach(), in
+     * order: the learner's own history, and the args of the `epoch`
+     * events it emits when an event trace is attached.
+     */
+    const std::vector<EpochTraceRecord> &epochHistory() const
+    {
+        return history;
+    }
+
   protected:
     /**
      * Hook for extensions (Section 5 phase-based learning), invoked
@@ -165,7 +176,12 @@ class HillClimbing : public ResourcePolicy
      */
     double evalActiveMetric(const IpcSample &sample) const;
 
-    /** Record this boundary's state into the attached tracer. */
+    /**
+     * Append this boundary's record to epochHistory() and, with an
+     * event trace attached, emit it as the `epoch` slice covering the
+     * measured window. Runs after the boundary's decisions and before
+     * chargeBoundary().
+     */
     void traceEpoch(const SmtCpu &cpu, std::uint64_t epoch_id,
                     const IpcSample &sample, const Partition &trial,
                     bool was_partitioned, double metric_value,
@@ -185,6 +201,7 @@ class HillClimbing : public ResourcePolicy
     int sampleRotation = 0;       ///< next thread to sample
     int samplingThread = -1;      ///< thread running solo, or -1
     int bootstrapPending = 0;     ///< attach-time solo samples left
+    std::vector<EpochTraceRecord> history; ///< see epochHistory()
 
     // --- Open-system churn state (time-varying active set). All of
     // --- it is inert in a closed system: activeMask is all-true,

@@ -128,30 +128,6 @@ makeCpu(const Workload &workload, const RunConfig &config)
     });
 }
 
-void
-advanceToWake(SmtCpu &cpu, ResourcePolicy &policy, Cycle until,
-              bool &probe)
-{
-    policy.cycle(cpu);
-    if (probe) {
-        Cycle now = cpu.now();
-        Cycle wake = cpu.nextActiveCycle();
-        if (wake > now) {
-            // cycle() already ran at now, so now itself is always
-            // skippable whatever nextWake() claims.
-            Cycle target = std::min(
-                {wake, std::max(policy.nextWake(cpu), now + 1), until});
-            cpu.skipQuietTo(target);
-            // Landing on the machine's own wake point means it is
-            // active there; an earlier stop (policy or caller) may
-            // still be quiet.
-            probe = target < wake;
-            return;
-        }
-    }
-    probe = !cpu.step();
-}
-
 IpcSample
 runOneEpoch(SmtCpu &cpu, ResourcePolicy &policy, Cycle epoch_size)
 {
@@ -316,6 +292,11 @@ benchRunConfig(int default_epochs)
         envScale("SMTHILL_EPOCHS", static_cast<std::uint64_t>(
                                        default_epochs)));
     rc.epochSize = envScale("SMTHILL_EPOCH_SIZE", rc.epochSize);
+    // Zero epochs or cycles would average over nothing (nan metrics).
+    if (rc.epochs == 0)
+        fatal("SMTHILL_EPOCHS=0: sizes must be at least 1");
+    if (rc.epochSize == 0)
+        fatal("SMTHILL_EPOCH_SIZE=0: sizes must be at least 1");
     rc.seedSalt = envScale("SMTHILL_SEED", 0);
     rc.warmupCycles = envScale("SMTHILL_WARMUP", rc.warmupCycles);
     rc.jobs = static_cast<int>(

@@ -98,8 +98,8 @@ RunResult runPolicy(const Workload &workload, ResourcePolicy &policy,
 /**
  * Per-epoch observer for runPolicyOn: called after each epoch's
  * policy.epoch() hook with the epoch index and the machine. Host-side
- * telemetry only (stat snapshots, progress); the run ignores anything
- * the callback does, so results are identical with or without one.
+ * telemetry only (progress); the run ignores anything the callback
+ * does, so results are identical with or without one.
  */
 using EpochObserver = std::function<void(int epoch, const SmtCpu &cpu)>;
 
@@ -107,19 +107,6 @@ using EpochObserver = std::function<void(int epoch, const SmtCpu &cpu)>;
 RunResult runPolicyOn(SmtCpu cpu, ResourcePolicy &policy, int epochs,
                       Cycle epoch_size,
                       const EpochObserver &on_epoch = {});
-
-/**
- * One wake point of a policy-driven run: call policy.cycle(), then
- * either jump the quiet stretch up to the earliest of the machine's
- * nextActiveCycle(), the policy's nextWake() and @p until, or step
- * one cycle. Calling this until cpu.now() == @p until is
- * bit-identical to calling policy.cycle() and cpu.step() every cycle.
- * @param probe in/out: whether to look for a quiet stretch first;
- *        start a run with true. It is set after a step that did no
- *        work, so busy machines do not pay for the probe.
- */
-void advanceToWake(SmtCpu &cpu, ResourcePolicy &policy, Cycle until,
-                   bool &probe);
 
 /**
  * Advance @p cpu by exactly one epoch under @p policy (cycle hooks
@@ -174,7 +161,10 @@ std::optional<std::uint64_t> envKnob(const char *name);
 /** envKnob(@p name), or @p def when the knob has no usable value. */
 std::uint64_t envScale(const char *name, std::uint64_t def);
 
-/** Example-program RunConfig honoring SMTHILL_EPOCHS/EPOCH_SIZE/SEED. */
+/**
+ * Example-program RunConfig honoring SMTHILL_EPOCHS/EPOCH_SIZE/SEED;
+ * fatal when SMTHILL_EPOCHS or SMTHILL_EPOCH_SIZE is 0.
+ */
 RunConfig benchRunConfig(int default_epochs);
 
 } // namespace smthill

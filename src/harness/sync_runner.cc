@@ -72,10 +72,7 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
             Json args = Json::object();
             args.set("epoch", e);
             args.set("metric", rec.metricValue);
-            Json shares = Json::array();
-            for (int i = 0; i < rec.best.numThreads; ++i)
-                shares.push(Json(rec.best.share[i]));
-            args.set("best", std::move(shares));
+            args.set("best", shareJson(rec.best));
             trace->instant(cpu.now(), 0, kControlTid,
                            EventId::OfflineBestPartition, std::move(args));
         }

@@ -163,10 +163,7 @@ PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
         args.set("predicted", predicted);
         args.set("reused", reused);
         args.set("reason", reason);
-        Json shares = Json::array();
-        for (int i = 0; i < next.numThreads; ++i)
-            shares.push(Json(next.share[i]));
-        args.set("next_anchor", std::move(shares));
+        args.set("next_anchor", shareJson(next));
         evt->instant(cpu.now(), eventTracePid(), kControlTid,
                      EventId::PhaseReuseDecision, std::move(args));
     }

@@ -12,24 +12,6 @@ namespace smthill
 namespace
 {
 
-Json
-shareJson(const Partition &p)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < p.numThreads; ++i)
-        arr.push(Json(p.share[i]));
-    return arr;
-}
-
-Json
-ipcJson(const IpcSample &s)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < s.numThreads; ++i)
-        arr.push(Json(s.ipc[i]));
-    return arr;
-}
-
 StatCounter &
 banditEpochs()
 {
@@ -249,6 +231,7 @@ BanditAllocator::attach(SmtCpu &cpu)
     sampleRotation = 0;
     samplingThread = -1;
     bootstrapPending = 0;
+    history.clear();
     roundPos = 0;
     roundDirty = false;
     needsSolo.fill(false);
@@ -285,17 +268,6 @@ BanditAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     Partition ran = cpu.partition();
     bool ran_partitioned = cpu.partitioningEnabled();
     double reward = evalActiveMetric(sample);
-
-    if (EventTrace *evt = eventTrace()) {
-        Json args = Json::object();
-        args.set("epoch", epoch_id);
-        args.set("kind", "learn");
-        args.set("ipc", ipcJson(sample));
-        evt->complete(lastEpochStart,
-                      static_cast<std::int64_t>(lastElapsed),
-                      eventTracePid(), kControlTid, EventId::Epoch,
-                      std::move(args));
-    }
 
     // A churn-dirtied epoch ran (at least partly) under a different
     // active set; crediting its reward would poison the arm stats.

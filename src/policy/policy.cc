@@ -36,6 +36,30 @@ ResourcePolicy::threadDetached(SmtCpu &, ThreadId)
 {
 }
 
+void
+advanceToWake(SmtCpu &cpu, ResourcePolicy &policy, Cycle until,
+              bool &probe)
+{
+    policy.cycle(cpu);
+    if (probe) {
+        Cycle now = cpu.now();
+        Cycle wake = cpu.nextActiveCycle();
+        if (wake > now) {
+            // cycle() already ran at now, so now itself is always
+            // skippable whatever nextWake() claims.
+            Cycle target = std::min(
+                {wake, std::max(policy.nextWake(cpu), now + 1), until});
+            cpu.skipQuietTo(target);
+            // Landing on the machine's own wake point means it is
+            // active there; an earlier stop (policy or caller) may
+            // still be quiet.
+            probe = target < wake;
+            return;
+        }
+    }
+    probe = !cpu.step();
+}
+
 Cycle
 nextMissAge(const SmtCpu &cpu, Cycle threshold, bool to_memory_only)
 {

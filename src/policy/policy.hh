@@ -3,16 +3,16 @@
  * Resource-distribution policy interface.
  *
  * A policy observes the machine and controls fetch locks and resource
- * partitions. The experiment runner drives the machine through its
- * wake points (advanceToWake): cycle() runs before every
- * SmtCpu::step(), and before every jump over a quiet stretch, which
- * ends no later than the policy's nextWake(); epoch() runs at every
- * epoch boundary. Skipped cycles are ones where the machine is quiet
- * and cycle() would do nothing, so the run is bit-identical to
- * calling cycle() and step() every cycle. All policies rely on the
- * ICOUNT fetch priority that is built into the core's fetch stage
- * (Section 3.1.2: fetch bandwidth itself is always distributed by
- * ICOUNT).
+ * partitions. The experiment runner and the open-system engine drive
+ * the machine through its wake points (advanceToWake): cycle() runs
+ * before every SmtCpu::step(), and before every jump over a quiet
+ * stretch, which ends no later than the policy's nextWake(); epoch()
+ * runs at every epoch boundary. Skipped cycles are ones where the
+ * machine is quiet and cycle() would do nothing, so the run is
+ * bit-identical to calling cycle() and step() every cycle. All
+ * policies rely on the ICOUNT fetch priority that is built into the
+ * core's fetch stage (Section 3.1.2: fetch bandwidth itself is always
+ * distributed by ICOUNT).
  */
 
 #ifndef SMTHILL_POLICY_POLICY_HH
@@ -27,8 +27,6 @@
 
 namespace smthill
 {
-
-class EpochTracer;
 
 /** Abstract base for all resource-distribution mechanisms. */
 class ResourcePolicy
@@ -88,20 +86,9 @@ class ResourcePolicy
     /** @return a deep copy (for synchronized comparison runs). */
     virtual std::unique_ptr<ResourcePolicy> clone() const = 0;
 
-    // --- Observer links ---------------------------------------------
+    // --- Observer link ----------------------------------------------
     // Attachment rule: a clone starts with none, so trial and
-    // comparison copies never write into the committing run's traces.
-
-    /**
-     * Attach an epoch-trace observer (nullptr detaches). Owned by
-     * the caller; zero-cost when absent. Policies that learn
-     * (HillClimbing and descendants) record one EpochTraceRecord per
-     * epoch() call; monitor-only policies record nothing.
-     */
-    void setEpochTracer(EpochTracer *t) { epochTracerLink.attach(t); }
-
-    /** @return the attached tracer, or nullptr. */
-    EpochTracer *epochTracer() const { return *epochTracerLink; }
+    // comparison copies never write into the committing run's trace.
 
     /**
      * Attach a cycle-level event trace (nullptr detaches). Owned by
@@ -123,9 +110,22 @@ class ResourcePolicy
     int eventTracePid() const { return eventTraceLink->pid; }
 
   private:
-    Attachment<EpochTracer *> epochTracerLink;
     Attachment<EventTraceLink> eventTraceLink;
 };
+
+/**
+ * One wake point of a policy-driven run (the runner's epochs, the
+ * open-system engine): call policy.cycle(), then either jump the
+ * quiet stretch up to the earliest of the machine's
+ * nextActiveCycle(), the policy's nextWake() and @p until, or step
+ * one cycle. Calling this until cpu.now() == @p until is
+ * bit-identical to calling policy.cycle() and cpu.step() every cycle.
+ * @param probe in/out: whether to look for a quiet stretch first;
+ *        start a run with true. It is set after a step that did no
+ *        work, so busy machines do not pay for the probe.
+ */
+void advanceToWake(SmtCpu &cpu, ResourcePolicy &policy, Cycle until,
+                   bool &probe);
 
 /**
  * @return the earliest cycle after cpu.now() at which an outstanding

@@ -11,24 +11,6 @@ namespace smthill
 namespace
 {
 
-Json
-shareJson(const Partition &p)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < p.numThreads; ++i)
-        arr.push(Json(p.share[i]));
-    return arr;
-}
-
-Json
-ipcJson(const IpcSample &s)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < s.numThreads; ++i)
-        arr.push(Json(s.ipc[i]));
-    return arr;
-}
-
 StatCounter &
 rlEpochs()
 {
@@ -154,6 +136,7 @@ RlAllocator::attach(SmtCpu &cpu)
     sampleRotation = 0;
     samplingThread = -1;
     bootstrapPending = 0;
+    history.clear();
     roundPos = 0;
     roundDirty = false;
     needsSolo.fill(false);
@@ -200,16 +183,6 @@ RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
 
     EventTrace *evt = eventTrace();
     int evtPid = eventTracePid();
-    if (evt) {
-        Json args = Json::object();
-        args.set("epoch", epoch_id);
-        args.set("kind", "learn");
-        args.set("ipc", ipcJson(sample));
-        evt->complete(lastEpochStart,
-                      static_cast<std::int64_t>(lastElapsed), evtPid,
-                      kControlTid, EventId::Epoch, std::move(args));
-    }
-
     int state = na >= 1 ? stateOf() : -1;
     // Q-update from the transition that just completed. A
     // churn-dirtied epoch ran under a different active set; its

@@ -138,25 +138,27 @@ makeLearner(const FuzzCase &c, int which)
 }
 
 std::unique_ptr<ResourcePolicy>
-makePolicy(const FuzzCase &c, HillClimbing **hill_out)
+makePolicy(const FuzzCase &c)
 {
-    *hill_out = nullptr;
     switch (c.policyChoice & 3) {
-      case 0: {
-        auto p = std::make_unique<HillClimbing>(c.hill);
-        *hill_out = p.get();
-        return p;
-      }
-      case 1: {
-        auto p = std::make_unique<PhaseHillClimbing>(c.hill);
-        *hill_out = p.get();
-        return p;
-      }
+      case 0:
+        return std::make_unique<HillClimbing>(c.hill);
+      case 1:
+        return std::make_unique<PhaseHillClimbing>(c.hill);
       case 2:
         return std::make_unique<DcraPolicy>();
       default:
         return std::make_unique<FlushPolicy>();
     }
+}
+
+/** @return @p p's epoch history, or an empty one if it does not learn. */
+const std::vector<EpochTraceRecord> &
+historyOf(const ResourcePolicy &p)
+{
+    static const std::vector<EpochTraceRecord> kNone;
+    const auto *hill = dynamic_cast<const HillClimbing *>(&p);
+    return hill ? hill->epochHistory() : kNone;
 }
 
 // --- Stage A: partition algebra properties -------------------------
@@ -319,11 +321,8 @@ stageCheckedRun(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
 {
     static const char *kStage = "C.invariants";
 
-    HillClimbing *hill = nullptr;
-    std::unique_ptr<ResourcePolicy> policy = makePolicy(c, &hill);
-    EpochTracer tracer;
-    if (hill != nullptr)
-        policy->setEpochTracer(&tracer);
+    std::unique_ptr<ResourcePolicy> policy = makePolicy(c);
+    const auto *hill = dynamic_cast<const HillClimbing *>(policy.get());
 
     InvariantChecker::Options opts;
     opts.strictPartitionTotal = true; // every in-repo policy conserves
@@ -342,7 +341,7 @@ stageCheckedRun(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
         checked.checkNow();
     }
     if (hill != nullptr)
-        checked.checker().checkEpochTrace(*hill, tracer);
+        checked.checker().checkEpochTrace(*hill);
     drainChecker(r, kStage, checked.checker());
 
     // MachineReport JSON round trip.
@@ -365,19 +364,20 @@ stageCheckedRun(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
     }
 
     // Epoch-trace JSON round trip.
-    if (hill != nullptr && !tracer.empty()) {
-        std::string ttext = tracer.toJson(c.hill.metric).dump();
+    const std::vector<EpochTraceRecord> &history = historyOf(*policy);
+    if (!history.empty()) {
+        std::string ttext = epochTraceToJson(history, c.hill.metric).dump();
         Json tparsed;
         if (!Json::parse(ttext, tparsed, err)) {
             finding(r, "C.json", "trace.parse", err);
         } else {
             std::vector<EpochTraceRecord> recs;
-            if (!EpochTracer::fromJson(tparsed, recs, err)) {
+            if (!epochTraceFromJson(tparsed, recs, err)) {
                 finding(r, "C.json", "trace.import", err);
-            } else if (!(recs == tracer.records())) {
+            } else if (!(recs == history)) {
                 finding(r, "C.json", "trace.round_trip",
                         msg("trace changed across toJson/fromJson (",
-                            recs.size(), " vs ", tracer.size(),
+                            recs.size(), " vs ", history.size(),
                             " records)"));
             }
         }
@@ -423,8 +423,7 @@ stageCopyDeterminism(const FuzzCase &c, FuzzResult &r,
 {
     static const char *kStage = "D.copy-determinism";
 
-    HillClimbing *ignored = nullptr;
-    std::unique_ptr<ResourcePolicy> p1 = makePolicy(c, &ignored);
+    std::unique_ptr<ResourcePolicy> p1 = makePolicy(c);
     std::unique_ptr<ResourcePolicy> p2 = p1->clone();
 
     RunResult r1 =
@@ -523,10 +522,6 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
 
     HillClimbing plain(c.hill);
     PhaseHillClimbing phased(c.hill);
-    EpochTracer ta;
-    EpochTracer tb;
-    plain.setEpochTracer(&ta);
-    phased.setEpochTracer(&tb);
     EventTrace eva;
     EventTrace evb;
     plain.setEventTrace(&eva, 0);
@@ -562,6 +557,8 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
     events_chk.checkEventStream(evb.events());
     drainChecker(r, kStage, events_chk);
 
+    const std::vector<EpochTraceRecord> &ta = plain.epochHistory();
+    const std::vector<EpochTraceRecord> &tb = phased.epochHistory();
     if (ta.size() != tb.size()) {
         finding(r, kStage, "trace_length",
                 msg("HILL traced ", ta.size(), " epochs, PHASE-HILL ",
@@ -569,8 +566,8 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
         return;
     }
     for (std::size_t e = 0; e < ta.size(); ++e) {
-        const EpochTraceRecord &ea = ta.records()[e];
-        const EpochTraceRecord &eb = tb.records()[e];
+        const EpochTraceRecord &ea = ta[e];
+        const EpochTraceRecord &eb = tb[e];
         if (!(ea.anchor == eb.anchor) || !(ea.trial == eb.trial)) {
             finding(r, kStage, "anchor_divergence",
                     msg("epoch ", e, ": HILL anchor ", ea.anchor.str(),
@@ -732,11 +729,12 @@ stageOpenSystemChurn(const FuzzCase &c, FuzzResult &r)
 
     OpenSystem sys(c.machine, oc);
 
-    HillClimbing *ignored = nullptr;
-    std::unique_ptr<ResourcePolicy> p1 = makePolicy(c, &ignored);
+    std::unique_ptr<ResourcePolicy> p1 = makePolicy(c);
     std::unique_ptr<ResourcePolicy> p2 = p1->clone();
 
-    // Run 1: periodic full-machine invariant sweeps under churn.
+    // Run 1: full-machine invariant sweeps under churn, at every 64th
+    // wake point (the observer fires per advanceToWake call, so a
+    // skipped quiet stretch counts once).
     InvariantChecker chk;
     std::uint64_t tick = 0;
     sys.setCycleObserver([&](const SmtCpu &m) {
@@ -766,8 +764,7 @@ stageOpenSystemChurn(const FuzzCase &c, FuzzResult &r)
             cc.arrivalRate =
                 oc.arrivalRate / static_cast<double>(cell + 1);
             OpenSystem s(c.machine, cc);
-            HillClimbing *ig = nullptr;
-            std::unique_ptr<ResourcePolicy> p = makePolicy(c, &ig);
+            std::unique_ptr<ResourcePolicy> p = makePolicy(c);
             out[cell] = s.run(*p);
         });
         return out;
@@ -819,8 +816,6 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
         const char *who = learnerName(pair[k]);
         std::unique_ptr<ResourcePolicy> p = makeLearner(c, pair[k]);
         std::unique_ptr<ResourcePolicy> q = p->clone();
-        EpochTracer tracer;
-        p->setEpochTracer(&tracer);
         EventTrace evt;
         p->setEventTrace(&evt, 0);
 
@@ -832,7 +827,8 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
             runPolicyOn(flat, *q, c.epochs, c.hill.epochSize);
         compareRuns(r, kStage, who, ra, rb, c.machine.numThreads);
         finalCycle[k] = ra.finalSnapshot.cycle;
-        traceLen[k] = tracer.size();
+        const std::vector<EpochTraceRecord> &history = historyOf(*p);
+        traceLen[k] = history.size();
 
         // The decision-audit event stream must be internally sane.
         InvariantChecker chk;
@@ -841,13 +837,13 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
 
         // Epoch-trace sanity: one record per boundary; any installed
         // partition conserves the register file; metrics are finite.
-        if (tracer.size() != static_cast<std::size_t>(c.epochs)) {
+        if (history.size() != static_cast<std::size_t>(c.epochs)) {
             finding(r, kStage, "trace_length",
-                    msg(who, " traced ", tracer.size(), " epochs of ",
+                    msg(who, " traced ", history.size(), " epochs of ",
                         c.epochs));
         }
-        for (std::size_t e = 0; e < tracer.size(); ++e) {
-            const EpochTraceRecord &rec = tracer.records()[e];
+        for (std::size_t e = 0; e < history.size(); ++e) {
+            const EpochTraceRecord &rec = history[e];
             if (rec.partitioned &&
                 rec.trial.total() != c.machine.intRegs) {
                 finding(r, kStage, "partition_conservation",
@@ -934,14 +930,15 @@ makeQuietExtra(int which)
 /** The report and (learners only) epoch-trace JSON of one clone. */
 std::string
 exportsOf(const FuzzCase &c, const MachineSnapshot &before,
-          const SmtCpu &cpu, const EpochTracer &tracer)
+          const SmtCpu &cpu, const ResourcePolicy &policy)
 {
     std::string out = buildReport(before, MachineSnapshot::capture(cpu),
                                   c.workload.benchmarks)
                           .toJson()
                           .dump();
-    if (!tracer.empty())
-        out += tracer.toJson(c.hill.metric).dump();
+    const std::vector<EpochTraceRecord> &history = historyOf(policy);
+    if (!history.empty())
+        out += epochTraceToJson(history, c.hill.metric).dump();
     return out;
 }
 
@@ -959,10 +956,6 @@ lockstepQuietSkip(const FuzzCase &c, FuzzResult &r, SmtCpu skip,
     static const char *kStage = "I.quiet-skip";
 
     std::unique_ptr<ResourcePolicy> ref_policy = policy.clone();
-    EpochTracer skip_trace;
-    EpochTracer ref_trace;
-    policy.setEpochTracer(&skip_trace);
-    ref_policy->setEpochTracer(&ref_trace);
 
     policy.attach(skip);
     ref_policy->attach(ref);
@@ -994,8 +987,8 @@ lockstepQuietSkip(const FuzzCase &c, FuzzResult &r, SmtCpu skip,
             return;
         }
     }
-    if (exportsOf(c, before, skip, skip_trace) !=
-        exportsOf(c, before, ref, ref_trace)) {
+    if (exportsOf(c, before, skip, policy) !=
+        exportsOf(c, before, ref, *ref_policy)) {
         finding(r, kStage, "export_divergence",
                 msg(what, ": report/epoch-trace JSON differ"));
     }
@@ -1014,8 +1007,7 @@ stageQuietSkip(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
     if (!d.empty())
         finding(r, kStage, "warmup_divergence", d);
 
-    HillClimbing *ignored = nullptr;
-    std::unique_ptr<ResourcePolicy> p = makePolicy(c, &ignored);
+    std::unique_ptr<ResourcePolicy> p = makePolicy(c);
     lockstepQuietSkip(c, r, warm, warm, *p, policyName(c.policyChoice));
     std::unique_ptr<ResourcePolicy> extra = makeQuietExtra(c.quietExtra);
     lockstepQuietSkip(c, r, warm, warm, *extra,

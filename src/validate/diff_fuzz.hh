@@ -14,9 +14,10 @@
  *     under arbitrary signature streams, and the Markov predictor
  *     answers "don't know" (-1) before it has observed anything;
  *  C. an invariant-checked policy run: the chosen policy drives a
- *     CheckedCpu with per-cycle invariant sweeps, the epoch trace is
- *     cross-checked against the live learner, and the MachineReport
- *     and epoch-trace JSON exports must round-trip exactly;
+ *     CheckedCpu with per-cycle invariant sweeps, the learner's
+ *     epoch history is cross-checked against its live state, and the
+ *     MachineReport and epoch-trace JSON exports must round-trip
+ *     exactly;
  *  D. checkpoint determinism: two copies of the same warm machine
  *     under cloned policies must stay bit-identical;
  *  E. OfflineExhaustive with jobs == 1 vs jobs == 3 must produce
@@ -28,19 +29,21 @@
  *     chosen policy through mid-run thread attach/detach. Per-job
  *     lifecycle accounting must reconcile exactly (snapshots
  *     monotone, jobs on one context disjoint in time, per-job
- *     committed sums to the machine total), periodic invariant
- *     sweeps must stay clean under churn, a same-config rerun must
- *     be bit-identical, and a 2-cell runGrid sweep must match at
- *     jobs == 1 vs jobs == 3;
+ *     committed sums to the machine total), invariant sweeps at
+ *     every 64th wake point (the engine runs on advanceToWake, so a
+ *     skipped quiet stretch is one wake point) must stay clean under
+ *     churn, a same-config rerun must be bit-identical, and a
+ *     2-cell runGrid sweep must match at jobs == 1 vs jobs == 3;
  *  H. cross-learner differential: a randomly drawn pair from the
  *     full learner family (HILL, PHASE-HILL, BANDIT-UCB,
  *     BANDIT-EXP3, RL-Q) runs the same phase-free machine. Each
  *     learner must replay bit-identically under a fresh clone, emit
- *     an internally sane event stream, and trace one record per
- *     epoch whose installed partitions conserve the register file;
- *     the pair must agree on epoch cadence (final cycle and trace
- *     length), and each learner must survive a churn scenario with
- *     exact job accounting and a bit-identical cloned rerun;
+ *     an internally sane event stream, and keep one history record
+ *     per epoch whose installed partitions conserve the register
+ *     file; the pair must agree on epoch cadence (final cycle and
+ *     history length), and each learner must survive a churn
+ *     scenario with exact job accounting and a bit-identical cloned
+ *     rerun;
  *  I. quiet-cycle skipping: the warm-up (SmtCpu::run) must match a
  *     step-every-cycle build, and the chosen policy plus a drawn
  *     STALL/DG/PDG each drive a skipping clone (the runner's

@@ -315,12 +315,11 @@ InvariantChecker::checkCacheCounters(const MemoryHierarchy &memory)
 }
 
 void
-InvariantChecker::checkEpochTrace(const HillClimbing &hill,
-                                  const EpochTracer &tracer)
+InvariantChecker::checkEpochTrace(const HillClimbing &hill)
 {
-    if (tracer.empty())
+    const std::vector<EpochTraceRecord> &recs = hill.epochHistory();
+    if (recs.empty())
         return;
-    const auto &recs = tracer.records();
     const EpochTraceRecord &last = recs.back();
     if (!(last.anchor == hill.anchor())) {
         report("trace.anchor",

@@ -161,13 +161,12 @@ class InvariantChecker
     void checkCacheCounters(const MemoryHierarchy &memory);
 
     /**
-     * Epoch-trace records agree with the live learner: the last
-     * record's anchor and SingleIPC estimates equal the learner's
-     * current state, epoch ids increase strictly, and measured
-     * windows/IPCs are sane.
+     * The learner's epoch history agrees with its live state: the
+     * last record's anchor and SingleIPC estimates equal the
+     * learner's current ones, epoch ids increase strictly, and
+     * measured windows/IPCs are sane.
      */
-    void checkEpochTrace(const HillClimbing &hill,
-                         const EpochTracer &tracer);
+    void checkEpochTrace(const HillClimbing &hill);
 
     /**
      * Cycle-level event-stream sanity (common/event_trace.hh): per

@@ -143,8 +143,9 @@ OpenSystem::runOn(SmtCpu &cpu, ResourcePolicy &policy, EventTrace *trace,
     std::vector<int> waiting; ///< FIFO of arrived, unplaced job indices
     std::size_t nextArrival = 0;
     int done = 0;
-    Cycle cycleInEpoch = 0;
     std::uint64_t epochId = 0;
+    Cycle epochEnd = cpu.now() + cfg.epochSize;
+    bool probe = true;
 
     while (true) {
         Cycle now = cpu.now();
@@ -205,8 +206,16 @@ OpenSystem::runOn(SmtCpu &cpu, ResourcePolicy &policy, EventTrace *trace,
         if (cfg.horizon > 0 && now >= cfg.horizon)
             break;
 
-        policy.cycle(cpu);
-        cpu.step();
+        // Run to the next wake point, stopping no later than the next
+        // arrival, the epoch boundary or the horizon. Nothing commits
+        // across a skipped quiet stretch, so no departure falls inside
+        // one and checking departures after each call is exact.
+        Cycle until = epochEnd;
+        if (nextArrival < res.jobs.size())
+            until = std::min(until, res.jobs[nextArrival].arriveCycle);
+        if (cfg.horizon > 0)
+            until = std::min(until, cfg.horizon);
+        advanceToWake(cpu, policy, until, probe);
         if (observer)
             observer(cpu);
 
@@ -236,8 +245,8 @@ OpenSystem::runOn(SmtCpu &cpu, ResourcePolicy &policy, EventTrace *trace,
             policy.threadDetached(cpu, static_cast<ThreadId>(tid));
         }
 
-        if (++cycleInEpoch >= cfg.epochSize) {
-            cycleInEpoch = 0;
+        if (cpu.now() >= epochEnd) {
+            epochEnd += cfg.epochSize;
             policy.epoch(cpu, epochId++);
         }
     }

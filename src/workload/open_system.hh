@@ -169,8 +169,10 @@ class OpenSystem
     const std::vector<JobRecord> &schedule() const { return jobs; }
 
     /**
-     * Per-cycle observer (invariant sweeps in the fuzz harness);
-     * invoked after every machine step. Not part of run results.
+     * Wake-point observer (invariant sweeps in the fuzz harness):
+     * invoked after every advanceToWake() call, i.e. after each step
+     * and after each jump over a quiet stretch, not every cycle. Not
+     * part of run results.
      */
     using CycleObserver = std::function<void(const SmtCpu &)>;
     void setCycleObserver(CycleObserver fn) { observer = std::move(fn); }

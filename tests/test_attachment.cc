@@ -96,20 +96,21 @@ TEST(Attachment, PolicyCloneRecordsNothingIntoOriginalsTracers)
     HillConfig hc;
     hc.epochSize = kEpoch;
     HillClimbing hill(hc);
-    EpochTracer tracer;
     EventTrace trace;
-    hill.setEpochTracer(&tracer);
     hill.setEventTrace(&trace, 2);
 
     std::unique_ptr<ResourcePolicy> clone = hill.clone();
-    EXPECT_EQ(clone->epochTracer(), nullptr);
     EXPECT_EQ(clone->eventTrace(), nullptr);
     runPolicyOn(artMcf(), *clone, 3, kEpoch);
-    EXPECT_TRUE(tracer.empty());
+    EXPECT_EQ(dynamic_cast<const HillClimbing &>(*clone)
+                  .epochHistory()
+                  .size(),
+              3u);
+    EXPECT_TRUE(hill.epochHistory().empty());
     EXPECT_TRUE(trace.empty());
 
     runPolicyOn(artMcf(), hill, 3, kEpoch);
-    EXPECT_EQ(tracer.size(), 3u);
+    EXPECT_EQ(hill.epochHistory().size(), 3u);
     EXPECT_FALSE(trace.empty());
 }
 

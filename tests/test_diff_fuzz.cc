@@ -78,13 +78,12 @@ TEST(FuzzRegression, TraceRoundTripWithSamplingEpochs)
     hc.samplePeriod = 1; // a solo-sampling epoch in every round
     hc.sampleSingleIpc = true;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
     runPolicyOn(std::move(cpu), hill, 8, hc.epochSize);
-    ASSERT_FALSE(tracer.empty());
+    const std::vector<EpochTraceRecord> &history = hill.epochHistory();
+    ASSERT_FALSE(history.empty());
 
     bool saw_sampling_epoch = false;
-    for (const EpochTraceRecord &r : tracer.records())
+    for (const EpochTraceRecord &r : history)
         saw_sampling_epoch |= !r.partitioned;
     ASSERT_TRUE(saw_sampling_epoch)
         << "samplePeriod=1 produced no solo epochs; regression "
@@ -93,11 +92,12 @@ TEST(FuzzRegression, TraceRoundTripWithSamplingEpochs)
     std::string err;
     Json parsed;
     ASSERT_TRUE(
-        Json::parse(tracer.toJson(hc.metric).dump(), parsed, err))
+        Json::parse(epochTraceToJson(history, hc.metric).dump(), parsed,
+                    err))
         << err;
     std::vector<EpochTraceRecord> back;
-    ASSERT_TRUE(EpochTracer::fromJson(parsed, back, err)) << err;
-    EXPECT_EQ(back, tracer.records())
+    ASSERT_TRUE(epochTraceFromJson(parsed, back, err)) << err;
+    EXPECT_EQ(back, history)
         << "epoch trace does not round-trip through JSON";
 }
 

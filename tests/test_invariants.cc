@@ -255,6 +255,23 @@ TEST(InvariantCache, CleanMachinePassesCorruptedSampleFires)
     EXPECT_TRUE(fired(chk, "cache.level_reconcile")) << chk.summary();
 }
 
+/** A learner whose epoch history a test can corrupt. */
+struct CorruptibleHill : HillClimbing
+{
+    using HillClimbing::HillClimbing;
+
+    /** A copy of this learner with @p edit applied to every record. */
+    template <typename Edit>
+    CorruptibleHill
+    corrupted(Edit edit) const
+    {
+        CorruptibleHill copy = *this;
+        for (EpochTraceRecord &r : copy.history)
+            edit(r);
+        return copy;
+    }
+};
+
 TEST(InvariantEpochTrace, CleanRunPassesCorruptedRecordsFire)
 {
     SmtCpu cpu = smallMachine();
@@ -262,55 +279,38 @@ TEST(InvariantEpochTrace, CleanRunPassesCorruptedRecordsFire)
     hc.epochSize = 2048;
     hc.delta = 4;
     hc.minShare = 2;
-    HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    CorruptibleHill hill(hc);
     runPolicyOn(std::move(cpu), hill, 5, hc.epochSize);
-    ASSERT_FALSE(tracer.empty());
+    ASSERT_FALSE(hill.epochHistory().empty());
 
     InvariantChecker chk;
-    chk.checkEpochTrace(hill, tracer);
+    chk.checkEpochTrace(hill);
     EXPECT_TRUE(chk.ok()) << chk.summary();
 
     // Stale anchor in the last record.
-    EpochTracer bad;
-    for (EpochTraceRecord r : tracer.records()) {
-        r.anchor.share[0] += 1;
-        bad.record(r);
-    }
     chk.clear();
-    chk.checkEpochTrace(hill, bad);
+    chk.checkEpochTrace(
+        hill.corrupted([](EpochTraceRecord &r) { r.anchor.share[0] += 1; }));
     EXPECT_TRUE(fired(chk, "trace.anchor")) << chk.summary();
 
     // SingleIPC estimates that disagree with the live learner.
-    bad.clear();
-    for (EpochTraceRecord r : tracer.records()) {
-        r.singleIpcEst[0] += 0.5;
-        bad.record(r);
-    }
     chk.clear();
-    chk.checkEpochTrace(hill, bad);
+    chk.checkEpochTrace(hill.corrupted(
+        [](EpochTraceRecord &r) { r.singleIpcEst[0] += 0.5; }));
     EXPECT_TRUE(fired(chk, "trace.single_ipc")) << chk.summary();
 
     // Duplicated epoch id.
-    bad.clear();
-    for (EpochTraceRecord r : tracer.records()) {
-        r.epochId = 3;
-        bad.record(r);
-    }
     chk.clear();
-    chk.checkEpochTrace(hill, bad);
+    chk.checkEpochTrace(
+        hill.corrupted([](EpochTraceRecord &r) { r.epochId = 3; }));
     EXPECT_TRUE(fired(chk, "trace.epoch_order")) << chk.summary();
 
     // Impossible measurement windows and IPCs.
-    bad.clear();
-    for (EpochTraceRecord r : tracer.records()) {
+    chk.clear();
+    chk.checkEpochTrace(hill.corrupted([](EpochTraceRecord &r) {
         r.elapsedCycles = 0;
         r.ipc[0] = std::nan("");
-        bad.record(r);
-    }
-    chk.clear();
-    chk.checkEpochTrace(hill, bad);
+    }));
     EXPECT_TRUE(fired(chk, "trace.elapsed")) << chk.summary();
     EXPECT_TRUE(fired(chk, "trace.ipc")) << chk.summary();
 }

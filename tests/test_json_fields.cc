@@ -132,10 +132,9 @@ TEST(JsonFields, ReportWrongType)
 
 // --- smthill.epoch-trace.v1 -----------------------------------------
 
-EpochTracer
-sampleTracer()
+std::vector<EpochTraceRecord>
+sampleEpochs()
 {
-    EpochTracer tracer;
     EpochTraceRecord a;
     a.epochId = 3;
     a.cycle = 85536;
@@ -154,7 +153,6 @@ sampleTracer()
     a.samplingThread = -1;
     a.anchorMoved = true;
     a.softwareCost = 200;
-    tracer.record(a);
 
     EpochTraceRecord b = a;
     b.epochId = 4;
@@ -163,44 +161,45 @@ sampleTracer()
     b.gradientThread = -1;
     b.samplingThread = 0;
     b.anchorMoved = false;
-    tracer.record(b);
-    return tracer;
+    return {a, b};
 }
 
 TEST(JsonFields, EpochTraceRoundTrip)
 {
-    const EpochTracer tracer = sampleTracer();
-    const Json doc = tracer.toJson(PerfMetric::WeightedIpc);
+    const std::vector<EpochTraceRecord> recs = sampleEpochs();
+    const Json doc = epochTraceToJson(recs, PerfMetric::WeightedIpc);
     EXPECT_TRUE(doc.at("epochs").items()[1].at("trial").isNull());
 
     std::vector<EpochTraceRecord> back;
     std::string error;
-    ASSERT_TRUE(EpochTracer::fromJson(reparse(doc), back, error)) << error;
-    EXPECT_EQ(back, tracer.records());
+    ASSERT_TRUE(epochTraceFromJson(reparse(doc), back, error)) << error;
+    EXPECT_EQ(back, recs);
 }
 
 TEST(JsonFields, EpochTraceMissingKey)
 {
-    const Json doc = sampleTracer().toJson(PerfMetric::WeightedIpc);
+    const Json doc =
+        epochTraceToJson(sampleEpochs(), PerfMetric::WeightedIpc);
     std::vector<EpochTraceRecord> out;
     std::string error;
-    EXPECT_FALSE(EpochTracer::fromJson(
+    EXPECT_FALSE(epochTraceFromJson(
         withItemMember(doc, "epochs", "cycle", nullptr), out, error));
     expectNamesKey(error, "cycle");
     EXPECT_TRUE(out.empty());
 
-    EXPECT_FALSE(EpochTracer::fromJson(withMember(doc, "metric", nullptr),
-                                       out, error));
+    EXPECT_FALSE(epochTraceFromJson(withMember(doc, "metric", nullptr),
+                                    out, error));
     expectNamesKey(error, "metric");
 }
 
 TEST(JsonFields, EpochTraceWrongType)
 {
-    const Json doc = sampleTracer().toJson(PerfMetric::WeightedIpc);
+    const Json doc =
+        epochTraceToJson(sampleEpochs(), PerfMetric::WeightedIpc);
     std::vector<EpochTraceRecord> out;
     std::string error;
     const Json text("x");
-    EXPECT_FALSE(EpochTracer::fromJson(
+    EXPECT_FALSE(epochTraceFromJson(
         withItemMember(doc, "epochs", "cycle", &text), out, error));
     expectNamesKey(error, "cycle");
 
@@ -209,7 +208,7 @@ TEST(JsonFields, EpochTraceWrongType)
     Json wide = Json::array();
     for (int i = 0; i <= kMaxThreads; ++i)
         wide.push(Json(0.5));
-    EXPECT_FALSE(EpochTracer::fromJson(
+    EXPECT_FALSE(epochTraceFromJson(
         withItemMember(doc, "epochs", "ipc", &wide), out, error));
     expectNamesKey(error, "ipc");
 }

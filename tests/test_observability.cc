@@ -2,7 +2,7 @@
  * @file
  * Tests for the observability layer and the measurement bugfixes it
  * made visible:
- *  - EpochTracer JSON/CSV export and round-trip;
+ *  - the epoch-trace codec: JSON/CSV export and round-trip;
  *  - MachineReport JSON round-trip, the flushed-with-zero-commits
  *    reporting, and snapshot/report thread-range consistency;
  *  - hill-climbing epoch IPCs measured over actual elapsed cycles
@@ -81,16 +81,16 @@ sampleRecord(std::uint64_t id)
 
 TEST(EpochTracer, JsonRoundTripsEveryField)
 {
-    EpochTracer tracer;
-    tracer.record(sampleRecord(0));
+    std::vector<EpochTraceRecord> recs = {sampleRecord(0)};
     EpochTraceRecord unpart = sampleRecord(1);
     unpart.partitioned = false;
+    unpart.trial = Partition{}; // as traceEpoch records a solo epoch
     unpart.samplingThread = 0;
     unpart.gradientThread = -1;
     unpart.anchorMoved = false;
-    tracer.record(unpart);
+    recs.push_back(unpart);
 
-    Json j = tracer.toJson(PerfMetric::WeightedIpc);
+    Json j = epochTraceToJson(recs, PerfMetric::WeightedIpc);
     EXPECT_EQ(j.at("schema").asString(), "smthill.epoch-trace.v1");
     EXPECT_EQ(j.at("metric").asString(), "WIPC");
     EXPECT_EQ(j.at("num_threads").asInt(), 2);
@@ -103,31 +103,16 @@ TEST(EpochTracer, JsonRoundTripsEveryField)
     std::string error;
     ASSERT_TRUE(Json::parse(j.dump(2), reparsed, error)) << error;
     std::vector<EpochTraceRecord> back;
-    ASSERT_TRUE(EpochTracer::fromJson(reparsed, back, error)) << error;
-    ASSERT_EQ(back.size(), tracer.size());
-    for (std::size_t i = 0; i < back.size(); ++i) {
-        const EpochTraceRecord &a = tracer.records()[i];
-        const EpochTraceRecord &b = back[i];
-        EXPECT_EQ(b.epochId, a.epochId);
-        EXPECT_EQ(b.cycle, a.cycle);
-        EXPECT_EQ(b.elapsedCycles, a.elapsedCycles);
-        EXPECT_EQ(b.numThreads, a.numThreads);
-        EXPECT_EQ(b.partitioned, a.partitioned);
-        if (a.partitioned) {
-            EXPECT_EQ(b.trial, a.trial);
-        }
-        EXPECT_EQ(b.anchor, a.anchor);
-        EXPECT_EQ(b.gradientThread, a.gradientThread);
-        EXPECT_EQ(b.samplingThread, a.samplingThread);
-        EXPECT_EQ(b.anchorMoved, a.anchorMoved);
-        EXPECT_EQ(b.softwareCost, a.softwareCost);
-        for (int t = 0; t < a.numThreads; ++t) {
-            EXPECT_EQ(b.ipc[t], a.ipc[t]);
-            EXPECT_EQ(b.roundPerf[t], a.roundPerf[t]);
-            EXPECT_EQ(b.singleIpcEst[t], a.singleIpcEst[t]);
-        }
-        EXPECT_EQ(b.metricValue, a.metricValue);
-    }
+    ASSERT_TRUE(epochTraceFromJson(reparsed, back, error)) << error;
+    EXPECT_EQ(back, recs);
+
+    // One record alone: the `epoch` event's args.
+    Json row;
+    ASSERT_TRUE(Json::parse(epochRecordToJson(unpart).dump(), row, error))
+        << error;
+    EpochTraceRecord one;
+    ASSERT_TRUE(epochRecordFromJson(row, one, error)) << error;
+    EXPECT_EQ(one, unpart);
 }
 
 TEST(EpochTracer, RejectsForeignDocuments)
@@ -136,16 +121,13 @@ TEST(EpochTracer, RejectsForeignDocuments)
     j.set("schema", Json("smthill.report.v1"));
     std::vector<EpochTraceRecord> out;
     std::string error;
-    EXPECT_FALSE(EpochTracer::fromJson(j, out, error));
+    EXPECT_FALSE(epochTraceFromJson(j, out, error));
     EXPECT_FALSE(error.empty());
 }
 
 TEST(EpochTracer, CsvHasHeaderAndOneRowPerEpoch)
 {
-    EpochTracer tracer;
-    tracer.record(sampleRecord(0));
-    tracer.record(sampleRecord(1));
-    std::string csv = tracer.toCsv();
+    std::string csv = epochTraceToCsv({sampleRecord(0), sampleRecord(1)});
     std::size_t lines = 0;
     for (char c : csv)
         lines += c == '\n';
@@ -258,7 +240,8 @@ TEST(MachineReport, StalledCyclesCountedByCpu)
 }
 
 // ---------------------------------------------------------------
-// Hill-climbing measurement fixes, observed through the tracer.
+// Hill-climbing measurement fixes, observed through the learner's
+// epoch history.
 
 HillConfig
 tracedConfig()
@@ -279,26 +262,24 @@ TEST(HillMeasurement, IpcUsesActualElapsedCycles)
     HillConfig hc = tracedConfig();
     hc.softwareCost = 4096; // a quarter of the epoch, unmissable
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
     hill.attach(cpu);
     for (int e = 0; e < 3; ++e) {
         runOneEpoch(cpu, hill, hc.epochSize);
         hill.epoch(cpu, e);
     }
-    ASSERT_EQ(tracer.size(), 3u);
+    ASSERT_EQ(hill.epochHistory().size(), 3u);
     // First epoch after attach: no stall charged yet.
-    EXPECT_EQ(tracer.records()[0].elapsedCycles, hc.epochSize);
+    EXPECT_EQ(hill.epochHistory()[0].elapsedCycles, hc.epochSize);
     // Every later epoch lost softwareCost cycles to the boundary
     // stall.
     for (std::size_t e = 1; e < 3; ++e)
-        EXPECT_EQ(tracer.records()[e].elapsedCycles,
+        EXPECT_EQ(hill.epochHistory()[e].elapsedCycles,
                   hc.epochSize - hc.softwareCost)
             << "epoch " << e;
     // And the IPCs are measured over that shorter window: with a
     // quarter of the epoch stalled, dividing the same commits by the
     // nominal size would understate IPC by exactly 25%.
-    const EpochTraceRecord &r = tracer.records()[1];
+    const EpochTraceRecord &r = hill.epochHistory()[1];
     EXPECT_GT(r.ipc[0] + r.ipc[1], 0.0);
 }
 
@@ -311,14 +292,12 @@ TEST(HillMeasurement, ElapsedConsistentAcrossEpochSizes)
     HillConfig hc = tracedConfig();
     hc.softwareCost = 0;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
     hill.attach(cpu);
     Cycle actual = 2 * hc.epochSize;
     runOneEpoch(cpu, hill, actual);
     hill.epoch(cpu, 0);
-    ASSERT_EQ(tracer.size(), 1u);
-    EXPECT_EQ(tracer.records()[0].elapsedCycles, actual)
+    ASSERT_EQ(hill.epochHistory().size(), 1u);
+    EXPECT_EQ(hill.epochHistory()[0].elapsedCycles, actual)
         << "measurement window must follow the machine, not the config";
 }
 
@@ -333,8 +312,6 @@ TEST(HillBootstrap, SamplesEveryThreadBeforeLearning)
     hc.sampleSingleIpc = true;
     hc.samplePeriod = 40;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
     hill.attach(cpu);
 
     EXPECT_TRUE(hill.bootstrapping());
@@ -362,10 +339,10 @@ TEST(HillBootstrap, SamplesEveryThreadBeforeLearning)
         << "no anchor moves before estimates exist";
 
     // The trace labels the bootstrap epochs as sampling epochs.
-    ASSERT_EQ(tracer.size(), 2u);
-    EXPECT_EQ(tracer.records()[0].samplingThread, 0);
-    EXPECT_EQ(tracer.records()[1].samplingThread, 1);
-    for (const EpochTraceRecord &r : tracer.records())
+    ASSERT_EQ(hill.epochHistory().size(), 2u);
+    EXPECT_EQ(hill.epochHistory()[0].samplingThread, 0);
+    EXPECT_EQ(hill.epochHistory()[1].samplingThread, 1);
+    for (const EpochTraceRecord &r : hill.epochHistory())
         EXPECT_FALSE(r.partitioned);
 }
 
@@ -386,15 +363,13 @@ TEST(HillBootstrap, EstimatesExposedInTrace)
     hc.metric = PerfMetric::WeightedIpc;
     hc.sampleSingleIpc = true;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
     hill.attach(cpu);
     for (int e = 0; e < 3; ++e) {
         runOneEpoch(cpu, hill, hc.epochSize);
         hill.epoch(cpu, e);
     }
     // The first post-bootstrap record carries both estimates.
-    const EpochTraceRecord &r = tracer.records()[2];
+    const EpochTraceRecord &r = hill.epochHistory()[2];
     EXPECT_GT(r.singleIpcEst[0], 0.0);
     EXPECT_GT(r.singleIpcEst[1], 0.0);
 }

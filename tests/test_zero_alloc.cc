@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -177,7 +178,12 @@ testName(std::string s)
     return s;
 }
 
-using EpochCase = std::tuple<const char *, int>;
+/**
+ * The mix is a std::string, not a const char *: gtest prints a char
+ * pointer inside a tuple with its address, and the address would put
+ * a per-build random number into every ctest name.
+ */
+using EpochCase = std::tuple<std::string, int>;
 
 class ZeroAllocEpoch : public ::testing::TestWithParam<EpochCase>
 {
@@ -205,7 +211,8 @@ TEST_P(ZeroAllocEpoch, CycleLoopAllocatesNothingOnceWarm)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ZeroAllocEpoch,
-    ::testing::Combine(::testing::ValuesIn(kMixes),
+    ::testing::Combine(::testing::ValuesIn(std::vector<std::string>(
+                           std::begin(kMixes), std::end(kMixes))),
                        ::testing::Range(0, kPolicies)),
     [](const ::testing::TestParamInfo<EpochCase> &p) {
         const Cycle epoch = config().epochSize;

@@ -30,14 +30,16 @@
  *     same three metrics per workload x policy cell.
  *   epoch_trace=FILE  (or --epoch-trace=FILE) writes the per-epoch
  *     `smthill.epoch-trace.v1` trace (see core/epoch_trace.hh); a
- *     path ending in ".csv" writes the flat CSV form instead. Hill
- *     policies record their internal state (anchor/trial partitions,
- *     round perf, SingleIPC estimates); other policies get a generic
- *     trace synthesized from the per-epoch IPC series.
+ *     path ending in ".csv" writes the flat CSV form instead.
+ *     Learning policies export their epoch history (anchor/trial
+ *     partitions, round perf, SingleIPC estimates), the same records
+ *     their `epoch` events carry; other policies get a generic trace
+ *     synthesized from the per-epoch IPC series.
  *   event_trace=FILE  (or --event-trace=FILE) writes the cycle-level
  *     `smthill.events.v1` event trace (see common/event_trace.hh):
- *     epoch/round slices, anchor-move and phase-reuse decision
- *     audits, and per-thread resource-share counter tracks. A path
+ *     epoch/round slices (a learner's `epoch` slice carries its
+ *     epoch-trace record as args), anchor-move and phase-reuse
+ *     decision audits, and per-thread resource-share counter tracks. A path
  *     ending in ".jsonl" writes the streaming JSONL form; any other
  *     path writes Chrome trace-event / Perfetto JSON loadable at
  *     ui.perfetto.dev.
@@ -45,9 +47,6 @@
  *     issue, complete, commit, squash) into the same event trace and
  *     prints the last N after the run; with event_trace= they are
  *     exported too.
- *   snapshots=FILE    (or --snapshots=FILE) streams one
- *     `smthill.snapshots.v1` delta row of the process-wide
- *     StatRegistry per measured epoch (single-run mode only).
  *   profile=1 turns on the host-side span profiler for this run
  *     (equivalent to SMTHILL_PROFILE=ON); profile_json=FILE writes
  *     the `smthill.profile.v1` report there instead of the stdout
@@ -59,7 +58,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +67,6 @@
 #include "common/options.hh"
 #include "common/profile.hh"
 #include "common/stat_registry.hh"
-#include "common/stat_snapshot.hh"
 #include "core/epoch_trace.hh"
 #include "core/hill_climbing.hh"
 #include "harness/report.hh"
@@ -342,7 +339,6 @@ main(int argc, char **argv)
     std::string stats_json;
     std::string epoch_trace;
     std::string event_trace;
-    std::string snapshots;
     std::string profile_json;
     bool profile_on = false;
 
@@ -368,9 +364,6 @@ main(int argc, char **argv)
                    "write the smthill.events.v1 cycle-level event "
                    "trace here (.jsonl extension selects JSONL; "
                    "anything else gets Perfetto JSON)");
-    opts.addString("snapshots", &snapshots,
-                   "stream one smthill.snapshots.v1 stat-delta row "
-                   "per epoch to this JSONL file");
     opts.addBool("profile", &profile_on,
                  "turn on the host span profiler "
                  "(same as SMTHILL_PROFILE=ON)");
@@ -430,6 +423,13 @@ main(int argc, char **argv)
         fatal(error);
     if (profile_on)
         prof::setProfilingEnabled(true);
+    // A size of 0 would average over no cycles (nan metrics).
+    if (rc.epochs < 1)
+        fatal("epochs must be at least 1");
+    if (rc.epochSize == 0)
+        fatal("epoch_size must be at least 1");
+    if (solo_epochs == 0)
+        fatal("solo_epochs must be at least 1");
 
     std::vector<std::string> workload_names = splitList(workload_name);
     std::vector<std::string> policy_names = splitList(policy_name);
@@ -437,10 +437,10 @@ main(int argc, char **argv)
         fatal("workload/policy lists must not be empty");
     if (workload_names.size() > 1 || policy_names.size() > 1) {
         if (csv || trace_events > 0 || !epoch_trace.empty() ||
-            !event_trace.empty() || !snapshots.empty())
-            fatal("csv/trace/epoch_trace/event_trace/snapshots are "
-                  "single-run features; drop them or run one workload "
-                  "x policy cell");
+            !event_trace.empty())
+            fatal("csv/trace/epoch_trace/event_trace are single-run "
+                  "features; drop them or run one workload x policy "
+                  "cell");
         int status = runCliGrid(workload_names, policy_names, rc,
                                 solo_epochs, stats_json);
         exportProfile(profile_json);
@@ -456,13 +456,6 @@ main(int argc, char **argv)
     auto solo = soloIpcs(workload, rc, solo_epochs * rc.epochSize);
 
     SmtCpu cpu = makeCpu(workload, rc);
-
-    // Learning policies record their epoch-by-epoch state into the
-    // tracer; non-learning policies leave it empty and a generic
-    // trace is synthesized from the runner's per-epoch records below.
-    EpochTracer epoch_tracer;
-    if (!epoch_trace.empty())
-        policy->setEpochTracer(&epoch_tracer);
 
     // Cycle-level event trace: the run files under process 0, with
     // one named track per hardware thread plus the control track.
@@ -482,39 +475,19 @@ main(int argc, char **argv)
     if (!event_trace.empty() || inst_events > 0)
         policy->setEventTrace(&event_tracer, 0);
 
-    // Per-epoch stat snapshots: the observer samples the process-wide
-    // registry after every policy.epoch() hook, stamped with the
-    // machine's own cycle clock.
-    std::ofstream snapshot_out;
-    std::optional<StatSnapshotter> snapshotter;
-    if (!snapshots.empty()) {
-        snapshot_out.open(snapshots, std::ios::binary);
-        if (!snapshot_out)
-            fatal(msg("cannot write '", snapshots, "'"));
-        snapshotter.emplace(globalStats());
-        snapshotter->streamTo(&snapshot_out);
-    }
-    EpochObserver on_epoch;
-    if (snapshotter) {
-        on_epoch = [&](int e, const SmtCpu &c) {
-            snapshotter->sample(static_cast<std::uint64_t>(e), c.now());
-        };
-    }
-
-    RunResult res = runPolicyOn(std::move(cpu), *policy, rc.epochs,
-                                rc.epochSize, on_epoch);
-
-    if (snapshotter) {
-        snapshotter->streamTo(nullptr);
-        if (!snapshot_out)
-            fatal(msg("cannot write '", snapshots, "'"));
-        std::printf("wrote %zu stat snapshots to %s\n",
-                    snapshotter->rows().size(), snapshots.c_str());
-    }
+    RunResult res =
+        runPolicyOn(std::move(cpu), *policy, rc.epochs, rc.epochSize);
 
     PerfMetric metric = policyMetric(policy_name);
     if (!epoch_trace.empty()) {
-        if (epoch_tracer.empty()) {
+        // Learning policies keep their epoch-by-epoch state; for the
+        // others a generic trace is synthesized from the runner's
+        // per-epoch records.
+        std::vector<EpochTraceRecord> recs;
+        if (const auto *hill =
+                dynamic_cast<const HillClimbing *>(policy.get()))
+            recs = hill->epochHistory();
+        if (recs.empty()) {
             for (std::size_t e = 0; e < res.epochs.size(); ++e) {
                 const EpochRecord &er = res.epochs[e];
                 EpochTraceRecord r;
@@ -528,15 +501,15 @@ main(int argc, char **argv)
                 r.partitioned = er.partitioned;
                 r.trial = er.partition;
                 r.anchor = er.partition;
-                epoch_tracer.record(std::move(r));
+                recs.push_back(std::move(r));
             }
         }
         bool as_csv = epoch_trace.size() >= 4 &&
                       epoch_trace.compare(epoch_trace.size() - 4, 4,
                                           ".csv") == 0;
         writeTextFile(epoch_trace,
-                      as_csv ? epoch_tracer.toCsv()
-                             : epoch_tracer.toJson(metric).dump(2) +
+                      as_csv ? epochTraceToCsv(recs)
+                             : epochTraceToJson(recs, metric).dump(2) +
                                    "\n");
     }
 
