@@ -176,8 +176,9 @@ numberToString(double v)
 {
     if (!std::isfinite(v))
         return "null"; // JSON has no NaN/Inf; null is the lossless-ish out
-    if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-        std::fabs(v) < 1e15) {
+    // Range first: converting a double past INT64_MAX is undefined.
+    if (std::fabs(v) < 1e15 &&
+        v == static_cast<double>(static_cast<std::int64_t>(v))) {
         return std::to_string(static_cast<std::int64_t>(v));
     }
     char buf[32];

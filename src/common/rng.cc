@@ -1,5 +1,6 @@
 #include "common/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace smthill
@@ -18,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t v, int k)
-{
-    return (v << k) | (v >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,52 +30,6 @@ Rng::Rng(std::uint64_t seed)
         s1 = 1;
 }
 
-std::uint64_t
-Rng::next()
-{
-    std::uint64_t a = s0;
-    std::uint64_t b = s1;
-    std::uint64_t result = rotl(a + b, 17) + a;
-    b ^= a;
-    s0 = rotl(a, 49) ^ b ^ (b << 21);
-    s1 = rotl(b, 28);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    // Lemire-style rejection-free reduction is fine here; slight bias
-    // is irrelevant for workload synthesis.
-    return static_cast<std::uint64_t>(
-        (static_cast<__uint128_t>(next()) * bound) >> 64);
-}
-
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    if (hi <= lo)
-        return lo;
-    std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
 int
 Rng::nextGeometric(double p, int max_value)
 {
@@ -88,22 +37,19 @@ Rng::nextGeometric(double p, int max_value)
         return 1;
     if (p <= 0.0)
         return max_value;
-    return nextGeometricLog(std::log1p(-p), max_value);
+    return geometricFromDraw(next53(), std::log1p(-p), max_value);
 }
 
 int
-Rng::nextGeometricLog(double log1p_neg_p, int max_value)
+geometricFromDraw(std::uint64_t draw53, double log1p_neg_p, int max_value)
 {
-    if (log1p_neg_p == 0.0 || max_value <= 1)
-        return 1; // degenerate p >= 1: no draw, same as nextGeometric
-    double u = nextDouble();
-    // Inverse-CDF of geometric distribution on {1, 2, ...}.
-    int v = 1 + static_cast<int>(std::log1p(-u) / log1p_neg_p);
-    if (v < 1)
-        v = 1;
-    if (v > max_value)
-        v = max_value;
-    return v;
+    const double u = static_cast<double>(draw53) * 0x1.0p-53;
+    // Clamp in double before converting: for a tiny p the quotient
+    // can pass INT_MAX, where the conversion would be undefined. Any
+    // quotient >= max_value - 1 truncates to the cap anyway.
+    const double q = std::min(std::log1p(-u) / log1p_neg_p,
+                              static_cast<double>(max_value - 1));
+    return std::max(1, 1 + static_cast<int>(q));
 }
 
 } // namespace smthill

@@ -22,46 +22,22 @@ enum FuPool : int
     FuPoolCount
 };
 
-int
-fuPoolOf(OpClass op)
-{
-    switch (op) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-        return FuIntAdd;
-      case OpClass::IntMul:
-        return FuIntMul;
-      case OpClass::Load:
-      case OpClass::Store:
-        return FuMemPort;
-      case OpClass::FpAlu:
-        return FuFpAdd;
-      case OpClass::FpMul:
-        return FuFpMul;
-    }
-    return FuIntAdd;
-}
+/** The functional-unit pool of each OpClass, in enum order. */
+constexpr std::array<std::uint8_t, kNumOpClasses> kFuPool = {
+    FuIntAdd,  // IntAlu
+    FuIntMul,  // IntMul
+    FuFpAdd,   // FpAlu
+    FuFpMul,   // FpMul
+    FuMemPort, // Load
+    FuMemPort, // Store
+    FuIntAdd,  // Branch
+};
 
-/** @return true if the op allocates an integer rename register. */
-bool
-writesIntReg(OpClass op)
+/** @return the index of @p op in the per-OpClass tables. */
+std::size_t
+opIndex(OpClass op)
 {
-    return op == OpClass::IntAlu || op == OpClass::IntMul ||
-           op == OpClass::Load;
-}
-
-/** @return true if the op allocates a floating-point rename reg. */
-bool
-writesFpReg(OpClass op)
-{
-    return op == OpClass::FpAlu || op == OpClass::FpMul;
-}
-
-/** @return true if the op dispatches into the integer issue queue. */
-bool
-usesIntIq(OpClass op)
-{
-    return !isFpOp(op);
+    return static_cast<std::size_t>(op);
 }
 
 std::uint64_t
@@ -97,6 +73,9 @@ SmtCpu::SmtCpu(const SmtConfig &config, std::vector<StreamGenerator> programs)
     std::uint64_t ring_size = nextPow2(
         static_cast<std::uint64_t>(cfg.robSize) + cfg.ifqSize +
         cfg.fetchWidth + 8);
+    if (ring_size > (std::uint64_t{1} << (32 - kTidBits)))
+        fatal(msg("SmtCpu: an instruction ring of ", ring_size,
+                  " slots is too large to index"));
     ringMask = ring_size - 1;
 
     threads.reserve(programs.size());
@@ -110,7 +89,6 @@ SmtCpu::SmtCpu(const SmtConfig &config, std::vector<StreamGenerator> programs)
     // members) so it never allocates.
     const auto iq = static_cast<std::size_t>(cfg.intIqSize + cfg.fpIqSize);
     readyList.reserve(iq);
-    issueScratch.reserve(iq);
     const Cycle longest = std::max(
         {cfg.intAluLatency, cfg.intMulLatency, cfg.fpAluLatency,
          cfg.fpMulLatency, cfg.branchLatency, cfg.storeLatency,
@@ -119,6 +97,12 @@ SmtCpu::SmtCpu(const SmtConfig &config, std::vector<StreamGenerator> programs)
     heap.reserve(static_cast<std::size_t>(cfg.issueWidth) * longest);
     events = decltype(events)(std::greater<CompletionEvent>(),
                               std::move(heap));
+    opLatency[opIndex(OpClass::IntAlu)] = cfg.intAluLatency;
+    opLatency[opIndex(OpClass::IntMul)] = cfg.intMulLatency;
+    opLatency[opIndex(OpClass::FpAlu)] = cfg.fpAluLatency;
+    opLatency[opIndex(OpClass::FpMul)] = cfg.fpMulLatency;
+    opLatency[opIndex(OpClass::Store)] = cfg.storeLatency;
+    opLatency[opIndex(OpClass::Branch)] = cfg.branchLatency;
     predictors.reserve(cfg.numThreads);
     for (int i = 0; i < cfg.numThreads; ++i)
         predictors.emplace_back(cfg.metaEntries, cfg.gshareEntries,
@@ -300,7 +284,9 @@ SmtCpu::nextActiveCycle() const
         if (t.commitSeq < t.dispatchSeq &&
             t.ring[t.commitSeq & ringMask].state == SlotCompleted)
             return curCycle; // commit
-        if (t.dispatchSeq < t.fetchSeq && !dispatchBlocked(tid))
+        if (t.dispatchSeq < t.fetchSeq &&
+            !dispatchBlocked(
+                tid, dispatchHolds(t.ring[t.dispatchSeq & ringMask].si.op)))
             return curCycle; // dispatch
         // A thread waiting out an IL1 miss or a redirect changes the
         // fetch walk the moment its gate opens.
@@ -393,36 +379,20 @@ SmtCpu::doCommit()
 void
 SmtCpu::releaseResources(ThreadId tid, Slot &slot)
 {
-    if (slot.holdsIntIq) {
-        --occ.intIq[tid];
-        --occT.intIq;
-        slot.holdsIntIq = false;
-    }
-    if (slot.holdsFpIq) {
-        --occ.fpIq[tid];
-        --occT.fpIq;
-        slot.holdsFpIq = false;
-    }
-    if (slot.holdsIntReg) {
-        --occ.intRegs[tid];
-        --occT.intRegs;
-        slot.holdsIntReg = false;
-    }
-    if (slot.holdsFpReg) {
-        --occ.fpRegs[tid];
-        --occT.fpRegs;
-        slot.holdsFpReg = false;
-    }
-    if (slot.holdsLsq) {
-        --occ.lsq[tid];
-        --occT.lsq;
-        slot.holdsLsq = false;
-    }
-    if (slot.holdsRob) {
-        --occ.rob[tid];
-        --occT.rob;
-        slot.holdsRob = false;
-    }
+    const SlotHolds h = slot.holds;
+    occ.intIq[tid] -= h.intIq;
+    occT.intIq -= h.intIq;
+    occ.fpIq[tid] -= h.fpIq;
+    occT.fpIq -= h.fpIq;
+    occ.intRegs[tid] -= h.intReg;
+    occT.intRegs -= h.intReg;
+    occ.fpRegs[tid] -= h.fpReg;
+    occT.fpRegs -= h.fpReg;
+    occ.lsq[tid] -= h.lsq;
+    occT.lsq -= h.lsq;
+    occ.rob[tid] -= h.rob;
+    occT.rob -= h.rob;
+    slot.holds = SlotHolds{};
 }
 
 // --------------------------------------------------------------------
@@ -437,10 +407,13 @@ SmtCpu::doCompletions()
         CompletionEvent ev = events.top();
         events.pop();
         popped = true;
-        Slot &s = threads[ev.tid].ring[ev.slot];
+        const auto tid = static_cast<ThreadId>(
+            ev.slotTid & ((1u << kTidBits) - 1));
+        const std::uint32_t slot = ev.slotTid >> kTidBits;
+        const Slot &s = threads[tid].ring[slot];
         if (s.genId != ev.genId || s.state != SlotIssued)
             continue; // squashed incarnation
-        complete(ev.tid, ev.slot);
+        complete(tid, slot);
     }
     return popped;
 }
@@ -467,28 +440,24 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
             // dependent can issue back-to-back with its producer.
             readyList.push_back(
                 ReadyEntry{curCycle, d.fetchCycle, tid, di, d.genId});
-            readySorted = false;
         }
     }
     s.wakeHead = kNoLink;
 
     if (s.si.isLoad()) {
-        // Retire the outstanding-miss record, if any.
-        bool missed = false;
-        bool to_memory = false;
-        auto &misses = t.misses;
-        for (std::size_t i = 0; i < misses.size(); ++i) {
-            if (misses[i].seq == s.seq) {
-                missed = true;
-                to_memory = misses[i].toMemory;
-                misses.erase(misses.begin() + static_cast<long>(i));
-                break;
-            }
+        // Retire the outstanding-miss record; a DL1 hit has none.
+        if (s.missedDl1) {
+            auto &misses = t.misses;
+            auto it = std::find_if(
+                misses.begin(), misses.end(),
+                [&s](const OutstandingMiss &m) { return m.seq == s.seq; });
+            if (it != misses.end())
+                misses.erase(it);
         }
         if (loadObs->fn) {
             loadObs->fn(loadObs->ctx,
-                        LoadEvent{tid, s.seq, s.si.pc, true, missed,
-                                  to_memory});
+                        LoadEvent{tid, s.seq, s.si.pc, true, s.missedDl1,
+                                  s.toMemory});
         }
     }
 
@@ -575,101 +544,73 @@ SmtCpu::doIssue()
     if (readyList.empty())
         return false;
 
-    // Oldest-first issue across all threads. (age, tid, slot) is a
-    // strict total order, so re-sorting an already-sorted list cannot
-    // change it — skip the sort unless a wakeup appended entries.
-    if (!readySorted) {
-        std::sort(readyList.begin(), readyList.end(),
-                  [](const ReadyEntry &a, const ReadyEntry &b) {
-                      if (a.age != b.age)
-                          return a.age < b.age;
-                      if (a.tid != b.tid)
-                          return a.tid < b.tid;
-                      return a.slot < b.slot;
-                  });
-        readySorted = true;
+    // Oldest-first issue across all threads, by the strict total
+    // order (age, tid, slot). The survivors of the last issue are
+    // still sorted, so only the entries woken since need a place.
+    const auto before = [](const ReadyEntry &a, const ReadyEntry &b) {
+        if (a.age != b.age)
+            return a.age < b.age;
+        if (a.tid != b.tid)
+            return a.tid < b.tid;
+        return a.slot < b.slot;
+    };
+    for (std::size_t i = readySortedCount; i < readyList.size(); ++i) {
+        const ReadyEntry e = readyList[i];
+        std::size_t j = i;
+        for (; j > 0 && before(e, readyList[j - 1]); --j)
+            readyList[j] = readyList[j - 1];
+        readyList[j] = e;
     }
 
     int fu[FuPoolCount] = {cfg.intAddUnits, cfg.intMulUnits, cfg.memPorts,
                            cfg.fpAddUnits, cfg.fpMulUnits};
     int budget = cfg.issueWidth;
 
-    std::vector<ReadyEntry> &remaining = issueScratch;
-    remaining.clear(); // reserved to readyList's bound: never grows
-
+    // Compact the entries that stay in place, keeping their order.
+    std::size_t kept = 0;
     for (const ReadyEntry &e : readyList) {
         Slot &s = threads[e.tid].ring[e.slot];
         if (s.genId != e.genId || s.state != SlotDispatched)
             continue; // squashed or already handled
-        if (e.readyAt > curCycle || budget == 0) {
-            remaining.push_back(e);
+        const OpClass op = s.si.op;
+        int &free_units = fu[kFuPool[opIndex(op)]];
+        if (e.readyAt > curCycle || budget == 0 || free_units == 0) {
+            readyList[kept++] = e;
             continue;
         }
-        int pool = fuPoolOf(s.si.op);
-        if (fu[pool] == 0) {
-            remaining.push_back(e);
-            continue;
-        }
-        --fu[pool];
+        --free_units;
         --budget;
 
         // Leave the issue queue.
         ThreadId tid = e.tid;
-        if (s.holdsIntIq) {
-            --occ.intIq[tid];
-            --occT.intIq;
-            s.holdsIntIq = false;
-        }
-        if (s.holdsFpIq) {
-            --occ.fpIq[tid];
-            --occT.fpIq;
-            s.holdsFpIq = false;
-        }
+        occ.intIq[tid] -= s.holds.intIq;
+        occT.intIq -= s.holds.intIq;
+        occ.fpIq[tid] -= s.holds.fpIq;
+        occT.fpIq -= s.holds.fpIq;
+        s.holds.intIq = false;
+        s.holds.fpIq = false;
 
-        Cycle lat = 1;
-        switch (s.si.op) {
-          case OpClass::IntAlu:
-            lat = cfg.intAluLatency;
-            break;
-          case OpClass::Branch:
-            lat = cfg.branchLatency;
-            break;
-          case OpClass::IntMul:
-            lat = cfg.intMulLatency;
-            break;
-          case OpClass::FpAlu:
-            lat = cfg.fpAluLatency;
-            break;
-          case OpClass::FpMul:
-            lat = cfg.fpMulLatency;
-            break;
-          case OpClass::Store:
-            lat = cfg.storeLatency;
-            break;
-          case OpClass::Load: {
-            MemAccessResult res =
-                mem.dataAccess(tid, s.si.effAddr, false);
+        Cycle lat = opLatency[opIndex(op)];
+        if (op == OpClass::Load) {
+            MemAccessResult res = mem.dataAccess(tid, s.si.effAddr, false);
             lat = res.latency;
             ++statCounters.loads[tid];
-            if (res.level != MemLevel::L1) {
+            s.missedDl1 = res.level != MemLevel::L1;
+            s.toMemory = res.level == MemLevel::Memory;
+            if (s.missedDl1) {
                 threads[tid].misses.push_back(OutstandingMiss{
-                    s.seq, curCycle, curCycle + lat,
-                    res.level == MemLevel::Memory});
+                    s.seq, curCycle, curCycle + lat, s.toMemory});
             }
-            break;
-          }
         }
 
         s.state = SlotIssued;
-        evt->instruction(curCycle, tid, InstStage::Issue, s.seq, s.si.pc,
-                         s.si.op);
+        evt->instruction(curCycle, tid, InstStage::Issue, s.seq, s.si.pc, op);
         s.completeCycle = curCycle + std::max<Cycle>(1, lat);
-        events.push(CompletionEvent{s.completeCycle, tid, e.slot, s.genId});
+        events.push(CompletionEvent{s.completeCycle,
+                                    (e.slot << kTidBits) | tid, s.genId});
     }
-    readyList.swap(remaining);
-    // Keep the scratch (old readyList storage) empty so machine
-    // checkpoints don't copy stale entries; capacity is retained.
-    issueScratch.clear();
+    readyList.resize(kept);
+    readySortedCount = kept;
     return budget != cfg.issueWidth;
 }
 
@@ -703,89 +644,76 @@ SmtCpu::doDispatch()
     return budget != cfg.issueWidth;
 }
 
-bool
-SmtCpu::dispatchBlocked(ThreadId tid) const
+const SmtCpu::SlotHolds &
+SmtCpu::dispatchHolds(OpClass op)
 {
-    const ThreadState &t = threads[tid];
-    const OpClass op = t.ring[t.dispatchSeq & ringMask].si.op;
+    // Every op takes a ROB entry and an issue-queue entry; FP ops use
+    // the FP queue and registers, loads and stores the LSQ, and
+    // everything but stores and branches writes a register.
+    static constexpr std::array<SlotHolds, kNumOpClasses> kHolds = {{
+        {.intIq = true, .intReg = true, .rob = true},             // IntAlu
+        {.intIq = true, .intReg = true, .rob = true},             // IntMul
+        {.fpIq = true, .fpReg = true, .rob = true},               // FpAlu
+        {.fpIq = true, .fpReg = true, .rob = true},               // FpMul
+        {.intIq = true, .intReg = true, .lsq = true, .rob = true}, // Load
+        {.intIq = true, .lsq = true, .rob = true},                // Store
+        {.intIq = true, .rob = true},                             // Branch
+    }};
+    return kHolds[opIndex(op)];
+}
 
-    // Shared-capacity checks, against the running totals.
-    if (occT.rob >= cfg.robSize)
-        return true;
-    bool int_iq = usesIntIq(op);
-    if (int_iq && occT.intIq >= cfg.intIqSize)
-        return true;
-    if (!int_iq && occT.fpIq >= cfg.fpIqSize)
-        return true;
-    bool int_reg = writesIntReg(op);
-    if (int_reg && occT.intRegs >= cfg.intRegs)
-        return true;
-    if (writesFpReg(op) && occT.fpRegs >= cfg.fpRegs)
-        return true;
-    if (isMemOp(op) && occT.lsq >= cfg.lsqSize)
-        return true;
+bool
+SmtCpu::dispatchBlocked(ThreadId tid, const SlotHolds &need) const
+{
+    // Shared-capacity checks, against the running totals. Each term
+    // is 0/1, so the whole test is one branch.
+    bool full = (occT.rob >= cfg.robSize) |
+                (need.intIq & (occT.intIq >= cfg.intIqSize)) |
+                (need.fpIq & (occT.fpIq >= cfg.fpIqSize)) |
+                (need.intReg & (occT.intRegs >= cfg.intRegs)) |
+                (need.fpReg & (occT.fpRegs >= cfg.fpRegs)) |
+                (need.lsq & (occT.lsq >= cfg.lsqSize));
 
     // Partition-limit checks (Section 3.2: a thread may not consume
     // beyond its allotment in any partitioned resource).
     if (partitionOn) {
-        if (occ.rob[tid] >= limits.rob[tid])
-            return true;
-        if (int_iq && occ.intIq[tid] >= limits.intIq[tid])
-            return true;
-        if (int_reg && occ.intRegs[tid] >= limits.intRegs[tid])
-            return true;
+        full |= (occ.rob[tid] >= limits.rob[tid]) |
+                (need.intIq & (occ.intIq[tid] >= limits.intIq[tid])) |
+                (need.intReg & (occ.intRegs[tid] >= limits.intRegs[tid]));
     }
-    return false;
+    return full;
 }
 
 bool
 SmtCpu::dispatchOne(ThreadId tid)
 {
-    if (dispatchBlocked(tid))
-        return false;
-
     ThreadState &t = threads[tid];
     InstSeq seq = t.dispatchSeq;
     Slot &s = slotOf(t, seq);
     const OpClass op = s.si.op;
-    bool int_iq = usesIntIq(op);
-    bool int_reg = writesIntReg(op);
-    bool fp_reg = writesFpReg(op);
+    const SlotHolds &h = dispatchHolds(op);
+    if (dispatchBlocked(tid, h))
+        return false;
 
-    // Allocate.
-    occ.ifq[tid] -= 1;
+    // Allocate: leave the IFQ, take what the op holds.
+    --occ.ifq[tid];
     --occT.ifq;
-    s.holdsRob = true;
-    ++occ.rob[tid];
-    ++occT.rob;
-    if (int_iq) {
-        s.holdsIntIq = true;
-        ++occ.intIq[tid];
-        ++occT.intIq;
-    } else {
-        s.holdsFpIq = true;
-        ++occ.fpIq[tid];
-        ++occT.fpIq;
-    }
-    if (int_reg) {
-        s.holdsIntReg = true;
-        ++occ.intRegs[tid];
-        ++occT.intRegs;
-    }
-    if (fp_reg) {
-        s.holdsFpReg = true;
-        ++occ.fpRegs[tid];
-        ++occT.fpRegs;
-    }
-    if (isMemOp(op)) {
-        s.holdsLsq = true;
-        ++occ.lsq[tid];
-        ++occT.lsq;
-    }
+    s.holds = h;
+    occ.intIq[tid] += h.intIq;
+    occT.intIq += h.intIq;
+    occ.fpIq[tid] += h.fpIq;
+    occT.fpIq += h.fpIq;
+    occ.intRegs[tid] += h.intReg;
+    occT.intRegs += h.intReg;
+    occ.fpRegs[tid] += h.fpReg;
+    occT.fpRegs += h.fpReg;
+    occ.lsq[tid] += h.lsq;
+    occT.lsq += h.lsq;
+    occ.rob[tid] += h.rob;
+    occT.rob += h.rob;
 
     s.state = SlotDispatched;
-    evt->instruction(curCycle, tid, InstStage::Dispatch, s.seq, s.si.pc,
-                     s.si.op);
+    evt->instruction(curCycle, tid, InstStage::Dispatch, s.seq, s.si.pc, op);
     linkDependences(tid, seq, s);
     ++t.dispatchSeq;
     if (loadObs->fn && op == OpClass::Load) {
@@ -823,7 +751,6 @@ SmtCpu::linkDependences(ThreadId tid, InstSeq seq, Slot &slot)
         readyList.push_back(
             ReadyEntry{curCycle + 1, slot.fetchCycle, tid, my_idx,
                        slot.genId});
-        readySorted = false;
     }
 }
 

@@ -344,6 +344,21 @@ class SmtCpu
      */
     static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
 
+    /**
+     * The shared structures an instruction holds, one 0/1 flag each:
+     * the counters move by the flags themselves, so allocation and
+     * release take no branch per structure.
+     */
+    struct SlotHolds
+    {
+        bool intIq = false;
+        bool fpIq = false;
+        bool intReg = false;
+        bool fpReg = false;
+        bool lsq = false;
+        bool rob = false;
+    };
+
     /** Dynamic state of one in-flight (or replay-buffered) inst. */
     struct Slot
     {
@@ -359,12 +374,9 @@ class SmtCpu
         std::uint8_t pendingSrcs = 0;
         std::uint8_t state = 0;       ///< SlotState
         bool mispredicted = false;
-        bool holdsIntIq = false;
-        bool holdsFpIq = false;
-        bool holdsIntReg = false;
-        bool holdsFpReg = false;
-        bool holdsLsq = false;
-        bool holdsRob = false;
+        bool missedDl1 = false; ///< issued load missed the DL1
+        bool toMemory = false;  ///< ... and the L2 as well
+        SlotHolds holds;
     };
     // Ring copies (checkpoints, restoreFrom) are flat copies, and no
     // slot ever owns heap storage for the cycle loop to grow.
@@ -410,14 +422,22 @@ class SmtCpu
         std::uint32_t genId;
     };
 
+    /** Bits of CompletionEvent::slotTid that hold the thread id. */
+    static constexpr int kTidBits = 3;
+    static_assert(kMaxThreads <= 1 << kTidBits);
+
+    /**
+     * One pending completion, 16 bytes. The heap orders by `at` alone,
+     * so same-cycle events pop in the order its layout gives.
+     */
     struct CompletionEvent
     {
         Cycle at;
-        ThreadId tid;
-        std::uint32_t slot;
+        std::uint32_t slotTid; ///< slot << kTidBits | tid
         std::uint32_t genId;
         bool operator>(const CompletionEvent &o) const { return at > o.at; }
     };
+    static_assert(sizeof(CompletionEvent) == 16);
 
     Slot &slotOf(ThreadState &t, InstSeq seq)
     {
@@ -457,12 +477,15 @@ class SmtCpu
     void ensureGenerated(ThreadState &t, InstSeq seq);
 
     /**
-     * @return true if the next instruction of @p tid cannot dispatch
-     * now: a shared structure is full or the thread is at a partition
-     * limit. dispatchOne() and nextActiveCycle() both decide through
-     * this one predicate.
+     * @return true if the next instruction of @p tid, which would take
+     * @p need, cannot dispatch now: a shared structure is full or the
+     * thread is at a partition limit. dispatchOne() and
+     * nextActiveCycle() both decide through this one predicate.
      */
-    bool dispatchBlocked(ThreadId tid) const;
+    bool dispatchBlocked(ThreadId tid, const SlotHolds &need) const;
+
+    /** @return the structures dispatch allocates to an @p op. */
+    static const SlotHolds &dispatchHolds(OpClass op);
 
     /** Try to dispatch the next instruction of @p tid; @return ok. */
     bool dispatchOne(ThreadId tid);
@@ -521,14 +544,15 @@ class SmtCpu
      */
     ReservedVector<ReadyEntry> readyList;
     /**
-     * True when readyList is in issue order. Issue filters the sorted
-     * list (order-preserving), so only wakeups dirty it; sorting the
-     * same strict total order (age, tid, slot) again would reproduce
-     * the identical sequence, making the skip bit-exact.
+     * readyList[0, readySortedCount) is in issue order, the strict
+     * total order (age, tid, slot); wakeups append after it. Issue
+     * insertion-sorts the appended entries into place and compacts
+     * the survivors in order, so the list it walks is exactly the
+     * fully sorted one.
      */
-    bool readySorted = true;
-    /** Scratch for doIssue's retained entries; cleared after use. */
-    ReservedVector<ReadyEntry> issueScratch;
+    std::size_t readySortedCount = 0;
+    /** Execution latency per OpClass (loads: from the memory model). */
+    std::array<Cycle, kNumOpClasses> opLatency{};
     /**
      * Pending completions, stale (squashed) ones included. Each was
      * issued within the longest latency, so issue width times that

@@ -12,7 +12,7 @@ namespace
 /** Cold region starts far above hot and warm so regions never alias. */
 constexpr Addr kColdRegionBase = 0x4000'0000;
 constexpr Addr kColdRegionSpan = 0x2000'0000;
-constexpr int kMaxDepDist = 512;
+constexpr int kMaxDepDist = DepDistTable::kMaxDist;
 
 /**
  * The period (in qualifying accesses) between deterministic misses
@@ -29,6 +29,41 @@ missPeriod(double p)
 }
 
 } // namespace
+
+DepDistTable::DepDistTable(int mean_dep_dist)
+{
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    thresh.fill(kDraws);
+    thresh.back() = ~std::uint64_t{0};
+    const double prob = 1.0 / std::max(1, mean_dep_dist);
+    isDegenerate = prob >= 1.0;
+    if (isDegenerate)
+        return;
+    const double log1p_neg_p = std::log1p(-prob);
+    // Bisect for the least draw past each value. The formula never
+    // decreases in the draw, so neither do the thresholds, and each
+    // search starts at the previous one.
+    std::uint64_t lo = 0;
+    for (int v = 1; v < kMaxDist; ++v) {
+        std::uint64_t hi = kDraws;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (geometricFromDraw(mid, log1p_neg_p, kMaxDist) > v)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        if (lo == kDraws)
+            break; // no 53-bit draw reaches v + 1
+        thresh[v] = lo;
+    }
+    int v = 1;
+    for (std::size_t b = 0; b < bucketStart.size(); ++b) {
+        while ((static_cast<std::uint64_t>(b) << kBucketShift) >= thresh[v])
+            ++v;
+        bucketStart[b] = static_cast<std::uint16_t>(v);
+    }
+}
 
 StreamGenerator::SharedTables::SharedTables(ProgramProfile p)
     : prof(std::move(p))
@@ -48,12 +83,9 @@ StreamGenerator::SharedTables::SharedTables(ProgramProfile p)
                            m.load + m.store);
     }
 
-    depLogDenom.reserve(nphases);
-    for (const PhaseSpec &ph : prof.phases) {
-        double prob = 1.0 / std::max(1, ph.meanDepDist);
-        // 0.0 marks the degenerate p >= 1 distribution (always 1).
-        depLogDenom.push_back(prob >= 1.0 ? 0.0 : std::log1p(-prob));
-    }
+    depDist.reserve(nphases);
+    for (const PhaseSpec &ph : prof.phases)
+        depDist.emplace_back(ph.meanDepDist);
 
     coldPeriod.reserve(nphases * nblocks);
     warmPeriod.reserve(nphases * nblocks);
@@ -150,12 +182,11 @@ StreamGenerator::assignDeps(SynthInst &inst, bool force_independent)
         inst.srcDist[1] = 0;
         return;
     }
-    const double dep_log_denom = shared->depLogDenom[phaseIdx];
+    const DepDistTable &dep_dist = shared->depDist[phaseIdx];
     auto draw = [&]() -> std::int32_t {
         if (rng.chance(ph.serialFrac))
             return 1;
-        int d = rng.nextGeometricLog(dep_log_denom, kMaxDepDist);
-        return static_cast<std::int32_t>(d);
+        return dep_dist.draw(rng);
     };
     std::int32_t d0 = draw();
     inst.srcDist[0] = std::min<std::int32_t>(

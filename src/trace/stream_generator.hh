@@ -9,8 +9,8 @@
  * OFF-LINE exhaustive learning and RAND-HILL.
  *
  * The profile and everything derived from it (block PCs, op-mix
- * normalizers, per-phase dependence-distance log-denominators, the
- * per-phase x per-block miss periods) are immutable after
+ * normalizers, per-phase dependence-distance tables, the per-phase x
+ * per-block miss periods) are immutable after
  * construction, so they live behind a shared_ptr: checkpointing a
  * machine bumps a refcount instead of copying kilobytes of constant
  * tables, and trial machines on pool workers read them concurrently
@@ -20,6 +20,7 @@
 #ifndef SMTHILL_TRACE_STREAM_GENERATOR_HH
 #define SMTHILL_TRACE_STREAM_GENERATOR_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,6 +32,61 @@
 
 namespace smthill
 {
+
+/**
+ * One phase's dependence-distance draw as an inverse-CDF table. The
+ * distance is the truncated geometric Rng::nextGeometric(1 / mean,
+ * kMaxDist) would return, and the table consumes the Rng exactly as
+ * that call does (one next() per draw, none when mean <= 1), so it is
+ * bit-identical to it. Instead of a log1p per draw, a draw starts at
+ * the distance of its 1/256 bucket and steps up past each threshold
+ * it reaches. The thresholds, where geometricFromDraw() steps up, are
+ * found once by bisection.
+ */
+class DepDistTable
+{
+  public:
+    /** Longest dependence distance the generator emits. */
+    static constexpr int kMaxDist = 512;
+
+    /** Build the table for a phase's meanDepDist. */
+    explicit DepDistTable(int mean_dep_dist);
+
+    /** @return true for mean <= 1: every draw is 1 and takes no Rng. */
+    bool degenerate() const { return isDegenerate; }
+
+    /**
+     * @return the least 53-bit draw whose distance exceeds @p v, for
+     * 1 <= v < kMaxDist; 2^53 when no draw does.
+     */
+    std::uint64_t threshold(int v) const { return thresh[v]; }
+
+    /** @return the distance of the 53-bit draw @p draw53. */
+    int
+    valueOf(std::uint64_t draw53) const
+    {
+        int v = bucketStart[draw53 >> kBucketShift];
+        while (draw53 >= thresh[v])
+            ++v;
+        return v;
+    }
+
+    /** Draw one distance from @p rng. */
+    int
+    draw(Rng &rng) const
+    {
+        return isDegenerate ? 1 : valueOf(rng.next53());
+    }
+
+  private:
+    static constexpr int kBucketShift = 45; ///< 256 buckets of 53 bits
+
+    /** thresh[v] as threshold(v); thresh[kMaxDist] stops every scan. */
+    std::array<std::uint64_t, kMaxDist + 1> thresh{};
+    /** Distance of the first draw of each bucket. */
+    std::array<std::uint16_t, 256> bucketStart{};
+    bool isDegenerate = false;
+};
 
 /** Generates the dynamic instruction stream of one thread. */
 class StreamGenerator
@@ -70,8 +126,8 @@ class StreamGenerator
         ProgramProfile prof;
         std::vector<Addr> blockPcs;    ///< precomputed block start PCs
         std::vector<double> mixTotal;  ///< per-block op-mix sum
-        /** per-phase log1p(-1/meanDepDist); 0.0 = degenerate p>=1. */
-        std::vector<double> depLogDenom;
+        /** per-phase dependence-distance draw. */
+        std::vector<DepDistTable> depDist;
         /** per-phase x per-block cold-miss period; 0 = never cold. */
         std::vector<std::uint32_t> coldPeriod;
         /** per-phase x per-block warm-miss period; 0 = never warm. */

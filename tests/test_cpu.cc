@@ -281,6 +281,19 @@ TEST(SmtCpu, ConfigValidationRejectsMismatch)
         { SmtCpu cpu(cfg, std::move(gens)); }, "expected 2 programs");
 }
 
+TEST(SmtCpu, ConfigValidationRejectsRingTooLargeToIndex)
+{
+    // A completion event packs the ring slot and the thread id into
+    // one 32-bit word; the check fires before any ring is allocated.
+    SmtConfig cfg;
+    cfg.numThreads = 1;
+    cfg.robSize = 1 << 29;
+    std::vector<StreamGenerator> gens;
+    gens.emplace_back(toyProfile(), 0);
+    EXPECT_DEATH(
+        { SmtCpu cpu(cfg, std::move(gens)); }, "too large to index");
+}
+
 TEST(SmtCpu, SingleThreadIpcReasonable)
 {
     // A clean ILP toy program on the Table 1 machine should sustain

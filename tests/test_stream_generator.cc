@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 
 #include "trace/spec_profiles.hh"
 #include "trace/stream_generator.hh"
@@ -235,6 +240,133 @@ TEST(StreamGenerator, BurstsProduceIndependentColdLoads)
     }
     EXPECT_GT(independent_cold, 500)
         << "swim should exhibit clustered, independent misses";
+}
+
+/** 64-bit FNV-1a over @p v's low @p bytes bytes, little-endian. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v, int bytes = 8)
+{
+    for (int i = 0; i < bytes; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/** Digest of every field of the first @p n instructions of a stream. */
+std::uint64_t
+streamDigest(const std::string &bench, std::uint64_t stream_seed, int n)
+{
+    StreamGenerator g(specProfile(bench), stream_seed);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < n; ++i) {
+        const SynthInst inst = g.next();
+        fnvMix(h, inst.pc);
+        fnvMix(h, inst.effAddr);
+        fnvMix(h, inst.target);
+        fnvMix(h, inst.blockId, 4);
+        fnvMix(h, static_cast<std::uint32_t>(inst.srcDist[0]), 4);
+        fnvMix(h, static_cast<std::uint32_t>(inst.srcDist[1]), 4);
+        fnvMix(h, static_cast<std::uint8_t>(inst.op), 1);
+        fnvMix(h, inst.taken ? 1 : 0, 1);
+    }
+    return h;
+}
+
+TEST(StreamGenerator, DepTableMatchesFormula)
+{
+    std::set<int> means = {1, 2, 100'000'000};
+    for (const std::string &bench : specBenchmarkNames())
+        for (const PhaseSpec &ph : specProfile(bench).phases)
+            means.insert(ph.meanDepDist);
+    constexpr int kMax = DepDistTable::kMaxDist;
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    for (int mean : means) {
+        SCOPED_TRACE(mean);
+        const DepDistTable table(mean);
+        Rng rng(static_cast<std::uint64_t>(mean));
+        if (mean <= 1) {
+            // Degenerate: always 1, and no draw is consumed.
+            ASSERT_TRUE(table.degenerate());
+            const Rng before = rng;
+            EXPECT_EQ(table.draw(rng), 1);
+            EXPECT_EQ(rng, before);
+            continue;
+        }
+        ASSERT_FALSE(table.degenerate());
+        const double log1p_neg_p = std::log1p(-1.0 / mean);
+        auto formula = [&](std::uint64_t x) {
+            return geometricFromDraw(x, log1p_neg_p, kMax);
+        };
+        // Around every step of the inverse CDF, T - 1 and T included.
+        // Near the top a single step can pass several values at once.
+        for (int v = 1; v < kMax; ++v) {
+            const std::uint64_t t = table.threshold(v);
+            if (t == kDraws)
+                continue;
+            EXPECT_LE(formula(t - 1), v) << "threshold " << v;
+            EXPECT_GT(formula(t), v) << "threshold " << v;
+            const std::uint64_t lo = t < 64 ? 0 : t - 64;
+            const std::uint64_t hi = std::min(kDraws - 1, t + 64);
+            for (std::uint64_t x = lo; x <= hi; ++x)
+                ASSERT_EQ(table.valueOf(x), formula(x)) << "draw " << x;
+        }
+        for (std::uint64_t x : {std::uint64_t{0}, kDraws - 1})
+            EXPECT_EQ(table.valueOf(x), formula(x)) << "draw " << x;
+        // Random draws, each consuming exactly what nextGeometric does.
+        for (int i = 0; i < 1'000'000; ++i) {
+            Rng oracle = rng;
+            const int drawn = table.draw(rng);
+            ASSERT_EQ(drawn, oracle.nextGeometric(1.0 / mean, kMax));
+            ASSERT_EQ(rng, oracle);
+        }
+    }
+    // A quotient past INT_MAX clamps to the cap instead of overflowing.
+    EXPECT_EQ(geometricFromDraw(kDraws - 1, std::log1p(-1e-9), kMax), kMax);
+}
+
+TEST(StreamGenerator, StreamsMatchParentDigest)
+{
+    // Pinned from the generator as it was before the dependence
+    // distance became a table lookup (every draw then went through
+    // log1p). Any change to what the generator emits, or to how much
+    // randomness it consumes, changes these digests.
+    struct Pinned
+    {
+        const char *bench;
+        std::uint64_t seed0; ///< stream seed 0
+        std::uint64_t seed5; ///< stream seed 5
+    };
+    const Pinned pinned[] = {
+        {"bzip2", 0x0f46a5e9d57eafccULL, 0x3586c96060b537f4ULL},
+        {"perlbmk", 0xd68d957aee0b69a2ULL, 0x429637c87740dd18ULL},
+        {"eon", 0x6f4e5afc7db21267ULL, 0x4fb63f1a94b2e00fULL},
+        {"vortex", 0xfc6a9028d1d947a9ULL, 0xaf0a60441a9091f1ULL},
+        {"gzip", 0xcfee2ccac36eb2ffULL, 0xb006231f4b770483ULL},
+        {"parser", 0xc09f94ff23bc6e63ULL, 0xa7690551de261197ULL},
+        {"gap", 0x1a43940df9609a81ULL, 0x677410d093911ea6ULL},
+        {"crafty", 0x233bb254c24a2b54ULL, 0xe08bc3542f7b2b03ULL},
+        {"gcc", 0x0a2158a2b07593f3ULL, 0xa1524d82c96d7131ULL},
+        {"apsi", 0x6e21359c5ac25a1aULL, 0x17590b62d9494b19ULL},
+        {"fma3d", 0x96b9a70e7331f961ULL, 0xef935284ace1109aULL},
+        {"wupwise", 0xb79beb9e16de4639ULL, 0x358c9d508e96954dULL},
+        {"mesa", 0x483d3841440544a3ULL, 0x196d423838ed6cd9ULL},
+        {"equake", 0xc3052ba082c0d38cULL, 0xbffb343786883d6bULL},
+        {"vpr", 0x42fe9d95aa85ab91ULL, 0xf97cbbb97a8d058eULL},
+        {"mcf", 0x856c914b7f5fe8efULL, 0xa1f317275e592755ULL},
+        {"twolf", 0xad7b296d32143e90ULL, 0x40d780c76bf79f1dULL},
+        {"art", 0xb1ab6267a648a1c5ULL, 0x4f772cf60fd22e23ULL},
+        {"lucas", 0xf094a02c977d30f0ULL, 0x334e9467ff751976ULL},
+        {"ammp", 0xa2c57e91ea331df1ULL, 0xfa8c1bbedec13a60ULL},
+        {"swim", 0xa091f839e914ca86ULL, 0x5432aaed0e1c241fULL},
+        {"applu", 0x48a260bc68950c5bULL, 0x8ff1d5ea39e5e1c4ULL},
+    };
+    ASSERT_EQ(std::size(pinned), specBenchmarkNames().size());
+    for (const Pinned &p : pinned) {
+        const std::uint64_t d0 = streamDigest(p.bench, 0, 200000);
+        const std::uint64_t d5 = streamDigest(p.bench, 5, 200000);
+        EXPECT_EQ(d0, p.seed0) << p.bench << " seed 0: 0x" << std::hex << d0;
+        EXPECT_EQ(d5, p.seed5) << p.bench << " seed 5: 0x" << std::hex << d5;
+    }
 }
 
 } // namespace

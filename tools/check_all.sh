@@ -12,8 +12,8 @@
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + the ASAN_SUITES
 #            regex below (observability/export, open-system churn,
-#            learner, quiet-skip, wakeup-list and zero-allocation
-#            suites, FuzzSmoke, TsanFixture)
+#            learner, quiet-skip, wakeup-list, zero-allocation and
+#            stream-generator suites, FuzzSmoke, TsanFixture)
 #   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites and
 #            TsanFixtureRacy, which passes only on TSan's race report
 #
@@ -32,7 +32,7 @@ OVERALL=0
 
 # The one list of suites run under ASan+UBSan (ROADMAP.md and the
 # verify skill point here rather than repeat it).
-ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc'
+ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator'
 
 record()
 {
