@@ -45,6 +45,12 @@ namespace
 
 constexpr int kNumPolicies = 6;
 
+/**
+ * @return the @p pi-th raced policy. Each learner's feedback metric
+ * is spelled out: HILL and PHASE-HILL learn on WIPC, BANDIT and RL on
+ * raw IPC, so the race mixes objectives as well as solo-sampling
+ * costs.
+ */
 std::unique_ptr<ResourcePolicy>
 makePolicy(int pi, Cycle epoch_size, std::uint64_t seed)
 {
@@ -56,22 +62,26 @@ makePolicy(int pi, Cycle epoch_size, std::uint64_t seed)
       case 2: {
         HillConfig hc;
         hc.epochSize = epoch_size;
+        hc.metric = PerfMetric::WeightedIpc;
         return std::make_unique<HillClimbing>(hc);
       }
       case 3: {
         HillConfig hc;
         hc.epochSize = epoch_size;
+        hc.metric = PerfMetric::WeightedIpc;
         return std::make_unique<PhaseHillClimbing>(hc);
       }
       case 4: {
         BanditConfig bc;
         bc.epochSize = epoch_size;
+        bc.metric = PerfMetric::AvgIpc;
         bc.seed = seed;
         return std::make_unique<BanditAllocator>(bc);
       }
       default: {
         RlConfig rc;
         rc.epochSize = epoch_size;
+        rc.metric = PerfMetric::AvgIpc;
         rc.seed = seed;
         return std::make_unique<RlAllocator>(rc);
       }

@@ -38,7 +38,7 @@ HillClimbing::attach(SmtCpu &cpu)
     // partition for every thread (Figure 8, footnote).
     anchorPartition = Partition::equal(nt, cpu.config().intRegs);
     roundPerf.fill(0.0);
-    singleIpcEst.fill(0.0);
+    singleIpcEst = cfg.singleIpc;
     lastCommitted = cpu.stats().committed;
     lastEpochStart = cpu.now();
     roundStart = cpu.now();
@@ -62,17 +62,25 @@ HillClimbing::attach(SmtCpu &cpu)
     openSystemMode = na < nt;
     for (int i = 0; i < nt; ++i)
         cpu.setFetchLocked(static_cast<ThreadId>(i), false);
-
-    if (openSystemMode) {
-        // Attached over a partially occupied (or empty) machine: the
-        // anchor covers only the active set, and solo bootstrapping is
-        // driven per-context through needsSolo as jobs arrive rather
-        // than by the closed-system chain below.
+    // Attached over a partially occupied (or empty) machine: the
+    // anchor covers only the active set.
+    if (openSystemMode)
         anchorPartition =
             redistributeDetached(anchorPartition, activeMask, cfg.minShare);
+    startLearning(cpu);
+}
+
+void
+HillClimbing::startLearning(SmtCpu &cpu)
+{
+    int nt = cpu.numThreads();
+    if (openSystemMode) {
+        // Solo bootstrapping is driven per-context through needsSolo
+        // as jobs arrive rather than by the closed-system chain below.
         if (cfg.sampleSingleIpc && needsSingleIpc())
             for (int i = 0; i < nt; ++i)
                 needsSolo[i] = activeMask[i];
+        int na = numActive(nt);
         int pending = na > 1 ? nextNeedsSolo() : -1;
         if (pending >= 0)
             beginSample(cpu, pending);
@@ -157,9 +165,9 @@ HillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
     residentFrom[tid] = cpu.now();
     lastCommitted[tid] = cpu.stats().committed[tid];
     // A reused context must not learn on the previous occupant's
-    // stand-alone IPC: zero the estimate and queue a solo
-    // re-bootstrap sample for the new job.
-    singleIpcEst[tid] = 0.0;
+    // stand-alone IPC: restart from the supplied estimate (zero when
+    // none) and queue a solo re-bootstrap sample for the new job.
+    singleIpcEst[tid] = cfg.singleIpc[tid];
     roundPerf[tid] = 0.0;
     needsSolo[tid] = cfg.sampleSingleIpc && needsSingleIpc();
     // When the last job departed, redistributeDetached freed every
@@ -177,6 +185,7 @@ HillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
     roundPos = 0;
     roundDirty = true;
     roundStart = cpu.now();
+    onChurn(cpu, tid, true);
 
     if (samplingThread >= 0 && samplingThread != static_cast<int>(tid)) {
         // A solo sample is in flight: the newcomer waits disabled
@@ -187,13 +196,7 @@ HillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
     } else {
         cpu.clearPartition();
     }
-    if (EventTrace *evt = eventTrace()) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                     EventId::HillChurnAttach, std::move(args));
-    }
+    traceChurn(cpu, tid, true);
 }
 
 void
@@ -212,6 +215,7 @@ HillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
     roundPos = 0;
     roundDirty = true;
     roundStart = cpu.now();
+    onChurn(cpu, tid, false);
 
     if (samplingThread == static_cast<int>(tid)) {
         // The thread running solo departed mid-sample: abandon it.
@@ -238,12 +242,19 @@ HillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
         else
             cpu.clearPartition();
     }
+    traceChurn(cpu, tid, false);
+}
+
+void
+HillClimbing::traceChurn(const SmtCpu &cpu, ThreadId tid, bool attached)
+{
     if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", static_cast<int>(tid));
+        churnArgs(args);
         args.set("anchor", shareJson(anchorPartition));
         evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                     EventId::HillChurnDetach, std::move(args));
+                     churnEvent(attached), std::move(args));
     }
 }
 

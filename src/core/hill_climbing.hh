@@ -52,15 +52,34 @@ struct HillConfig
 
     /** Disable solo sampling (only sane for the AvgIpc metric). */
     bool sampleSingleIpc = true;
+
+    /**
+     * Supplied stand-alone IPCs, seeded into the estimates at attach
+     * and whenever a job attaches to a context; zero entries fall
+     * back to evalMetric's solo = 1.0 until a solo sample lands.
+     * HILL's own samples overwrite them; BANDIT and RL never sample,
+     * so for them these are the only estimates.
+     */
+    std::array<double, kMaxThreads> singleIpc{};
 };
 
-/** The HILL resource-distribution policy. */
+/**
+ * The HILL resource-distribution policy, and the skeleton every
+ * epoch learner (PHASE-HILL, BANDIT, RL) builds on: attach's state
+ * reset, the churn bookkeeping (residency, active mask, supplied
+ * estimates, drained-anchor re-seed, admit/redistribute,
+ * re-feasibility), epoch measurement and boundary charging live
+ * here once. A subclass supplies its decision rule through epoch()
+ * and the startLearning() / onChurn() hooks.
+ */
 class HillClimbing : public ResourcePolicy
 {
   public:
     explicit HillClimbing(HillConfig config = HillConfig{});
 
     std::string name() const override;
+
+    /** Reset the shared learner state, then startLearning(). */
     void attach(SmtCpu &cpu) override;
 
     /**
@@ -75,8 +94,8 @@ class HillClimbing : public ResourcePolicy
     }
 
     void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
+    void threadAttached(SmtCpu &cpu, ThreadId tid) final;
+    void threadDetached(SmtCpu &cpu, ThreadId tid) final;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     const HillConfig &config() const { return cfg; }
@@ -125,6 +144,34 @@ class HillClimbing : public ResourcePolicy
     }
 
   protected:
+    /**
+     * Install the first epoch's partition once attach() has reset
+     * the shared state (and, over a partially occupied machine,
+     * fitted the anchor to the active set). HILL starts its solo
+     * bootstrap or its first trial; other learners reset their own
+     * state here.
+     */
+    virtual void startLearning(SmtCpu &cpu);
+
+    /**
+     * Learner-specific reaction to a job that @p attached to (or
+     * departed from) context @p tid. Runs after the shared churn
+     * bookkeeping has updated the active set and the anchor, before
+     * the anchor is installed and the churn event is emitted.
+     */
+    virtual void onChurn(SmtCpu &, ThreadId, bool /*attached*/) {}
+
+    /** @return the id of the churn event for an attach or a detach. */
+    virtual InstantEvent churnEvent(bool attached) const
+    {
+        if (attached)
+            return EventId::HillChurnAttach;
+        return EventId::HillChurnDetach;
+    }
+
+    /** Add learner args to a churn event, between thread and anchor. */
+    virtual void churnArgs(Json &) const {}
+
     /**
      * Hook for extensions (Section 5 phase-based learning), invoked
      * after the normal hill step has chosen the next anchor; the
@@ -216,6 +263,10 @@ class HillClimbing : public ResourcePolicy
     int roundPos = 0;        ///< active-set index of installed trial
     bool roundDirty = false; ///< churn invalidated the running epoch
     bool openSystemMode = false; ///< any churn (or partial attach) seen
+
+  private:
+    /** Emit the churnEvent() instant for @p tid with churnArgs(). */
+    void traceChurn(const SmtCpu &cpu, ThreadId tid, bool attached);
 };
 
 } // namespace smthill

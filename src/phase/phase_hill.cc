@@ -51,20 +51,6 @@ PhaseHillClimbing::resetPhaseState(int num_threads)
     currentPhase = -1;
 }
 
-void
-PhaseHillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
-{
-    HillClimbing::threadAttached(cpu, tid);
-    resetPhaseState(cpu.numThreads());
-}
-
-void
-PhaseHillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
-{
-    HillClimbing::threadDetached(cpu, tid);
-    resetPhaseState(cpu.numThreads());
-}
-
 bool
 PhaseHillClimbing::phaseStable(int phase) const
 {

@@ -32,8 +32,6 @@ class PhaseHillClimbing : public HillClimbing
     std::string name() const override;
     void attach(SmtCpu &cpu) override;
     void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     /** @return distinct phases observed so far. */
@@ -73,6 +71,12 @@ class PhaseHillClimbing : public HillClimbing
 
   protected:
     Partition overrideAnchor(SmtCpu &cpu, Partition next) override;
+
+    /** Churn changes the job mix: resetPhaseState(). */
+    void onChurn(SmtCpu &cpu, ThreadId, bool) override
+    {
+        resetPhaseState(cpu.numThreads());
+    }
 
   private:
     static void branchTrampoline(void *ctx, const CommittedBranch &cb);

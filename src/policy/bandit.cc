@@ -35,29 +35,15 @@ banditRebuilds()
     return c;
 }
 
-HillConfig
-hillBase(const BanditConfig &b)
-{
-    HillConfig h;
-    h.epochSize = b.epochSize;
-    h.delta = std::max(1, b.stride);
-    h.metric = b.metric;
-    h.softwareCost = b.softwareCost;
-    h.minShare = b.minShare;
-    // The bandit never solo-samples: the base's sampling machinery
-    // stays inert and weighted rewards normalize by config.singleIpc
-    // (or run unnormalized where the caller left it zero).
-    h.sampleSingleIpc = false;
-    return h;
-}
-
 } // namespace
 
 BanditAllocator::BanditAllocator(BanditConfig config)
-    : HillClimbing(hillBase(config)), bcfg(config), rng(config.seed)
+    : HillClimbing(config), bcfg(config), rng(config.seed)
 {
-    if (bcfg.stride < 1)
-        fatal("BanditAllocator: stride must be >= 1");
+    // The bandit never solo-samples: the base's sampling machinery
+    // stays inert and weighted rewards normalize by cfg.singleIpc
+    // (or run unnormalized where the caller left it zero).
+    cfg.sampleSingleIpc = false;
     if (bcfg.gamma <= 0.0 || bcfg.gamma > 1.0)
         fatal("BanditAllocator: gamma must be in (0, 1]");
 }
@@ -80,8 +66,7 @@ BanditAllocator::rebuildArms(const SmtCpu &cpu)
         // (Section 3.2), mapped onto whichever contexts hold jobs.
         int lo = activeAt(0);
         int hi = activeAt(1);
-        for (const Partition &p2 : enumeratePartitions2(total,
-                                                        bcfg.stride)) {
+        for (const Partition &p2 : enumeratePartitions2(total, cfg.delta)) {
             Partition p;
             p.numThreads = nt;
             p.share[lo] = p2.share[0];
@@ -91,16 +76,16 @@ BanditAllocator::rebuildArms(const SmtCpu &cpu)
     } else if (na > 2) {
         // Higher thread counts: the full lattice is cubic or worse,
         // so the arms are an equal split plus trialPartition spokes
-        // at 1x/2x/4x stride around it — bounded at 1 + 3 * na.
+        // at 1x/2x/4x delta around it — bounded at 1 + 3 * na.
         Partition equalBase = redistributeDetached(
-            Partition::equal(nt, total), activeMask, bcfg.minShare);
+            Partition::equal(nt, total), activeMask, cfg.minShare);
         armSet.push_back(equalBase);
         for (int k = 0; k < na; ++k) {
             int tid = activeAt(k);
             for (int m : {1, 2, 4}) {
                 Partition arm = trialPartition(equalBase, tid,
-                                               bcfg.stride * m,
-                                               bcfg.minShare);
+                                               cfg.delta * m,
+                                               cfg.minShare);
                 if (std::find(armSet.begin(), armSet.end(), arm) ==
                     armSet.end())
                     armSet.push_back(arm);
@@ -216,41 +201,11 @@ BanditAllocator::pullArm(SmtCpu &cpu, int previous_arm, double reward)
 }
 
 void
-BanditAllocator::attach(SmtCpu &cpu)
+BanditAllocator::startLearning(SmtCpu &cpu)
 {
-    int nt = cpu.numThreads();
-    anchorPartition = Partition::equal(nt, cpu.config().intRegs);
-    roundPerf.fill(0.0);
-    singleIpcEst = bcfg.singleIpc;
-    lastCommitted = cpu.stats().committed;
-    lastEpochStart = cpu.now();
-    roundStart = cpu.now();
-    lastElapsed = 0;
-    algEpoch = 0;
-    epochsSinceSample = 0;
-    sampleRotation = 0;
-    samplingThread = -1;
-    bootstrapPending = 0;
-    history.clear();
-    roundPos = 0;
-    roundDirty = false;
-    needsSolo.fill(false);
-    residentAccum.fill(0);
-    residentFrom.fill(cpu.now());
-    int na = 0;
-    for (int i = 0; i < nt; ++i) {
-        activeMask[i] = cpu.threadEnabled(static_cast<ThreadId>(i));
-        na += activeMask[i] ? 1 : 0;
-    }
-    openSystemMode = na < nt;
-    for (int i = 0; i < nt; ++i)
-        cpu.setFetchLocked(static_cast<ThreadId>(i), false);
-    if (openSystemMode)
-        anchorPartition = redistributeDetached(anchorPartition,
-                                               activeMask, cfg.minShare);
     rng = Rng(bcfg.seed);
     rebuildArms(cpu);
-    if (na >= 2 && !armSet.empty())
+    if (numActive(cpu.numThreads()) >= 2 && !armSet.empty())
         pullArm(cpu, -1, 0.0);
     else
         cpu.clearPartition();
@@ -290,66 +245,6 @@ BanditAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     traceEpoch(cpu, epoch_id, sample, ran, ran_partitioned, reward, -1,
                -1, moved);
     chargeBoundary(cpu);
-}
-
-void
-BanditAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
-{
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    activeMask[tid] = true;
-    residentAccum[tid] = 0;
-    residentFrom[tid] = cpu.now();
-    lastCommitted[tid] = cpu.stats().committed[tid];
-    singleIpcEst[tid] = bcfg.singleIpc[tid];
-    // Drained-anchor re-seed: after an all-departure the anchor holds
-    // no shares, and admitAttached conserves the total it is given.
-    if (anchorPartition.total() == 0)
-        anchorPartition.share[tid] = cpu.config().intRegs;
-    anchorPartition =
-        admitAttached(anchorPartition, activeMask, tid, cfg.minShare);
-    roundDirty = true;
-    rebuildArms(cpu);
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTrace()) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("arms", static_cast<std::uint64_t>(armSet.size()));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                     EventId::BanditChurnAttach, std::move(args));
-    }
-}
-
-void
-BanditAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
-{
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    if (activeMask[tid]) {
-        Cycle from = std::max(residentFrom[tid], lastEpochStart);
-        residentAccum[tid] += cpu.now() > from ? cpu.now() - from : 0;
-    }
-    activeMask[tid] = false;
-    anchorPartition =
-        redistributeDetached(anchorPartition, activeMask, cfg.minShare);
-    roundDirty = true;
-    rebuildArms(cpu);
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTrace()) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("arms", static_cast<std::uint64_t>(armSet.size()));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                     EventId::BanditChurnDetach, std::move(args));
-    }
 }
 
 std::unique_ptr<ResourcePolicy>

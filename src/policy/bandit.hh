@@ -7,17 +7,20 @@
  * policies are provided — UCB1 (deterministic optimism) and EXP3
  * (adversarial, samples arms from a weight distribution seeded from
  * common/rng) — behind the same ResourcePolicy surface as the
- * hill-climber, sharing its epoch measurement, software-cost
- * charging, and open-system residency accounting via the HillClimbing
- * base. The lattice, not the gradient, does the exploring: with two
- * active threads the arms are exactly enumeratePartitions2(total,
- * stride); with more, an equal-split arm plus trialPartition spokes
- * around it.
+ * hill-climber. BanditAllocator is a HillClimbing: attach's state
+ * reset, the churn bookkeeping, epoch measurement, software-cost
+ * charging and the open-system residency accounting are the base's;
+ * the bandit adds its index rule in epoch() and rebuilds the arm
+ * lattice in the startLearning() / onChurn() hooks. The lattice, not
+ * the gradient, does the exploring: with two active threads the arms
+ * are exactly enumeratePartitions2(total, delta); with more, an
+ * equal-split arm plus trialPartition spokes around it.
  *
- * Unlike HILL, the bandit never runs solo-sampling epochs: weighted
- * rewards (WIPC/HWIPC) normalize by config.singleIpc when the caller
- * supplies solo estimates (harness soloIpcs), and otherwise fall back
- * to the evalMetric single-IPC <= 0 convention (solo = 1.0, i.e.
+ * Unlike HILL, the bandit never runs solo-sampling epochs (its
+ * constructor pins sampleSingleIpc off): weighted rewards (WIPC/HWIPC)
+ * normalize by HillConfig::singleIpc when the caller supplies solo
+ * estimates (harness soloIpcs), and otherwise fall back to the
+ * evalMetric single-IPC <= 0 convention (solo = 1.0, i.e.
  * unnormalized) — rewards stay comparable across arms either way,
  * which is all a bandit needs.
  */
@@ -25,7 +28,6 @@
 #ifndef SMTHILL_POLICY_BANDIT_HH
 #define SMTHILL_POLICY_BANDIT_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,25 +44,26 @@ enum class BanditAlgo
     Exp3  ///< stochastic: exponential weights, seeded draws
 };
 
-/** Tunables of the bandit allocator. */
-struct BanditConfig
+/**
+ * Tunables of the bandit allocator. The shared fields are
+ * HillConfig's; delta is the lattice quantization step.
+ */
+struct BanditConfig : HillConfig
 {
-    Cycle epochSize = 64 * 1024; ///< cycles per epoch
-    int stride = 16;             ///< lattice quantization step
-    PerfMetric metric = PerfMetric::AvgIpc;
-    Cycle softwareCost = 200;    ///< machine stall per boundary
-    int minShare = 4;            ///< floor on any thread's share
+    /** The bandit's defaults: a 16-register lattice, raw-IPC reward. */
+    BanditConfig()
+    {
+        delta = 16;
+        metric = PerfMetric::AvgIpc;
+    }
+
+    /** Take every shared field from @p shared. */
+    explicit BanditConfig(const HillConfig &shared) : HillConfig(shared) {}
+
     BanditAlgo algo = BanditAlgo::Ucb1;
     double exploreCoeff = 1.0;   ///< UCB1 exploration coefficient c
     double gamma = 0.1;          ///< EXP3 exploration rate
     std::uint64_t seed = 1;      ///< EXP3 arm-draw stream
-
-    /**
-     * Solo IPC estimates normalizing the weighted reward metrics
-     * (zero entries fall back to evalMetric's solo = 1.0). The bandit
-     * never solo-samples, so these come from the caller.
-     */
-    std::array<double, kMaxThreads> singleIpc{};
 };
 
 /** The BANDIT resource-distribution policy (UCB1 or EXP3). */
@@ -72,13 +75,8 @@ class BanditAllocator : public HillClimbing
     BanditAllocator &operator=(const BanditAllocator &) = delete;
 
     std::string name() const override;
-    void attach(SmtCpu &cpu) override;
     void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
     std::unique_ptr<ResourcePolicy> clone() const override;
-
-    const BanditConfig &banditConfig() const { return bcfg; }
 
     /** @return the current arm lattice (rebuilt on churn). */
     const std::vector<Partition> &arms() const { return armSet; }
@@ -97,6 +95,29 @@ class BanditAllocator : public HillClimbing
 
     /** @return total pulls since the last lattice (re)build. */
     std::uint64_t pulls() const { return totalPlays; }
+
+  protected:
+    /** Re-seed the EXP3 stream, build the lattice, pull the first arm. */
+    void startLearning(SmtCpu &cpu) override;
+
+    /** A changed active set invalidates every arm: rebuild them. */
+    void onChurn(SmtCpu &cpu, ThreadId, bool) override
+    {
+        rebuildArms(cpu);
+    }
+
+    InstantEvent churnEvent(bool attached) const override
+    {
+        if (attached)
+            return EventId::BanditChurnAttach;
+        return EventId::BanditChurnDetach;
+    }
+
+    /** Churn events also carry the rebuilt lattice's size. */
+    void churnArgs(Json &args) const override
+    {
+        args.set("arms", static_cast<std::uint64_t>(armSet.size()));
+    }
 
   private:
     /**
@@ -117,7 +138,7 @@ class BanditAllocator : public HillClimbing
     /** Select, install, and audit the arm for the next epoch. */
     void pullArm(SmtCpu &cpu, int previous_arm, double reward);
 
-    BanditConfig bcfg;
+    BanditConfig bcfg; ///< own fields; the shared ones are read from cfg
     Rng rng;
     std::vector<Partition> armSet;
     std::vector<std::uint64_t> playCount;

@@ -1,7 +1,5 @@
 #include "policy/rl_alloc.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "common/stat_registry.hh"
 
@@ -33,26 +31,14 @@ rlMoves()
     return c;
 }
 
-HillConfig
-hillBase(const RlConfig &r)
-{
-    HillConfig h;
-    h.epochSize = r.epochSize;
-    h.delta = r.delta;
-    h.metric = r.metric;
-    h.softwareCost = r.softwareCost;
-    h.minShare = r.minShare;
-    // The RL learner never solo-samples: weighted metrics run
-    // unnormalized via the evalMetric fallback.
-    h.sampleSingleIpc = false;
-    return h;
-}
-
 } // namespace
 
 RlAllocator::RlAllocator(RlConfig config)
-    : HillClimbing(hillBase(config)), rcfg(config), rng(config.seed)
+    : HillClimbing(config), rcfg(config), rng(config.seed)
 {
+    // The RL learner never solo-samples: weighted metrics normalize by
+    // cfg.singleIpc, or run unnormalized via the evalMetric fallback.
+    cfg.sampleSingleIpc = false;
     if (rcfg.alpha <= 0.0 || rcfg.alpha > 1.0)
         fatal("RlAllocator: alpha must be in (0, 1]");
     if (rcfg.discount < 0.0 || rcfg.discount >= 1.0)
@@ -121,38 +107,8 @@ RlAllocator::selectAction(int state, int nt)
 }
 
 void
-RlAllocator::attach(SmtCpu &cpu)
+RlAllocator::startLearning(SmtCpu &cpu)
 {
-    int nt = cpu.numThreads();
-    anchorPartition = Partition::equal(nt, cpu.config().intRegs);
-    roundPerf.fill(0.0);
-    singleIpcEst = rcfg.singleIpc;
-    lastCommitted = cpu.stats().committed;
-    lastEpochStart = cpu.now();
-    roundStart = cpu.now();
-    lastElapsed = 0;
-    algEpoch = 0;
-    epochsSinceSample = 0;
-    sampleRotation = 0;
-    samplingThread = -1;
-    bootstrapPending = 0;
-    history.clear();
-    roundPos = 0;
-    roundDirty = false;
-    needsSolo.fill(false);
-    residentAccum.fill(0);
-    residentFrom.fill(cpu.now());
-    int na = 0;
-    for (int i = 0; i < nt; ++i) {
-        activeMask[i] = cpu.threadEnabled(static_cast<ThreadId>(i));
-        na += activeMask[i] ? 1 : 0;
-    }
-    openSystemMode = na < nt;
-    for (int i = 0; i < nt; ++i)
-        cpu.setFetchLocked(static_cast<ThreadId>(i), false);
-    if (openSystemMode)
-        anchorPartition = redistributeDetached(anchorPartition,
-                                               activeMask, cfg.minShare);
     rng = Rng(rcfg.seed);
     for (auto &row : qTable)
         row.fill(0.0);
@@ -162,7 +118,7 @@ RlAllocator::attach(SmtCpu &cpu)
     moveCount = 0;
     // The first epoch runs under the plain anchor; learning starts at
     // the first boundary once a reward exists to update from.
-    if (na >= 2)
+    if (numActive(cpu.numThreads()) >= 2)
         cpu.setPartition(anchorPartition);
     else
         cpu.clearPartition();
@@ -240,69 +196,17 @@ RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
 }
 
 void
-RlAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
+RlAllocator::onChurn(SmtCpu &, ThreadId tid, bool attached)
 {
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    activeMask[tid] = true;
-    residentAccum[tid] = 0;
-    residentFrom[tid] = cpu.now();
-    lastCommitted[tid] = cpu.stats().committed[tid];
-    singleIpcEst[tid] = rcfg.singleIpc[tid];
-    // Drained-anchor re-seed: after an all-departure the anchor holds
-    // no shares, and admitAttached conserves the total it is given.
-    if (anchorPartition.total() == 0)
-        anchorPartition.share[tid] = cpu.config().intRegs;
-    anchorPartition =
-        admitAttached(anchorPartition, activeMask, tid, cfg.minShare);
-    roundDirty = true;
     lastState = -1;
     lastAction = -1;
-    // A fresh job in a reused context invalidates what was learned
-    // about that context: zero its state row and the move-toward-it
-    // action column.
+    if (!attached)
+        return;
+    // A fresh job in a reused context: zero its state row and the
+    // move-toward-it action column.
     qTable[tid].fill(0.0);
     for (auto &row : qTable)
         row[tid] = 0.0;
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTrace()) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                     EventId::RlChurnAttach, std::move(args));
-    }
-}
-
-void
-RlAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
-{
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    if (activeMask[tid]) {
-        Cycle from = std::max(residentFrom[tid], lastEpochStart);
-        residentAccum[tid] += cpu.now() > from ? cpu.now() - from : 0;
-    }
-    activeMask[tid] = false;
-    anchorPartition =
-        redistributeDetached(anchorPartition, activeMask, cfg.minShare);
-    roundDirty = true;
-    lastState = -1;
-    lastAction = -1;
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTrace()) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTracePid(), kControlTid,
-                     EventId::RlChurnDetach, std::move(args));
-    }
 }
 
 std::unique_ptr<ResourcePolicy>

@@ -11,10 +11,13 @@
  * exploration draw taken from a seeded common/rng stream, so clones
  * replay bit-identically.
  *
- * Like the bandit, the RL learner shares HillClimbing's epoch
- * measurement, software-cost charging, and open-system residency
- * accounting, and never runs solo-sampling epochs: weighted rewards
- * normalize by config.singleIpc when the caller supplies solo
+ * Like the bandit, RlAllocator is a HillClimbing: attach's state
+ * reset, the churn bookkeeping, epoch measurement, software-cost
+ * charging and open-system residency accounting are the base's; the
+ * learner adds its Q update in epoch() and resets its table in the
+ * startLearning() / onChurn() hooks. It never runs solo-sampling
+ * epochs (its constructor pins sampleSingleIpc off): weighted rewards
+ * normalize by HillConfig::singleIpc when the caller supplies solo
  * estimates, else run unnormalized via the evalMetric fallback.
  */
 
@@ -30,25 +33,26 @@
 namespace smthill
 {
 
-/** Tunables of the Q-learning allocator. */
-struct RlConfig
+/**
+ * Tunables of the Q-learning allocator. The shared fields are
+ * HillConfig's; delta is the registers one anchor move shifts.
+ */
+struct RlConfig : HillConfig
 {
-    Cycle epochSize = 64 * 1024; ///< cycles per epoch
-    int delta = 8;               ///< registers shifted per move
-    PerfMetric metric = PerfMetric::AvgIpc;
-    Cycle softwareCost = 200;    ///< machine stall per boundary
-    int minShare = 4;            ///< floor on any thread's share
+    /** The RL learner's defaults: 8-register moves, raw-IPC reward. */
+    RlConfig()
+    {
+        delta = 8;
+        metric = PerfMetric::AvgIpc;
+    }
+
+    /** Take every shared field from @p shared. */
+    explicit RlConfig(const HillConfig &shared) : HillConfig(shared) {}
+
     double alpha = 0.2;          ///< learning rate
     double discount = 0.5;       ///< future-reward discount
     double epsilon = 0.1;        ///< exploration probability
     std::uint64_t seed = 1;      ///< exploration-draw stream
-
-    /**
-     * Solo IPC estimates normalizing the weighted reward metrics
-     * (zero entries fall back to evalMetric's solo = 1.0). The RL
-     * learner never solo-samples, so these come from the caller.
-     */
-    std::array<double, kMaxThreads> singleIpc{};
 };
 
 /** The RL resource-distribution policy (epsilon-greedy Q-learning). */
@@ -63,13 +67,8 @@ class RlAllocator : public HillClimbing
     RlAllocator &operator=(const RlAllocator &) = delete;
 
     std::string name() const override;
-    void attach(SmtCpu &cpu) override;
     void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
     std::unique_ptr<ResourcePolicy> clone() const override;
-
-    const RlConfig &rlConfig() const { return rcfg; }
 
     /** @return learned value of (@p state, @p action). */
     double qValue(int state, int action) const
@@ -83,6 +82,23 @@ class RlAllocator : public HillClimbing
     /** @return actions that actually moved the anchor. */
     std::uint64_t anchorMoves() const { return moveCount; }
 
+  protected:
+    /** Re-seed the exploration stream, zero the Q table. */
+    void startLearning(SmtCpu &cpu) override;
+
+    /**
+     * Churn breaks the transition in flight; a fresh job in a reused
+     * context also invalidates what was learned about that context.
+     */
+    void onChurn(SmtCpu &cpu, ThreadId tid, bool attached) override;
+
+    InstantEvent churnEvent(bool attached) const override
+    {
+        if (attached)
+            return EventId::RlChurnAttach;
+        return EventId::RlChurnDetach;
+    }
+
   private:
     /** @return the active context holding the largest anchor share. */
     int stateOf() const;
@@ -93,7 +109,7 @@ class RlAllocator : public HillClimbing
     /** @return epsilon-greedy action for @p state (consumes rng). */
     int selectAction(int state, int nt);
 
-    RlConfig rcfg;
+    RlConfig rcfg; ///< own fields; the shared ones are read from cfg
     Rng rng;
     /** Q[state][action]; action kStay is the last column. */
     std::array<std::array<double, kMaxThreads + 1>, kMaxThreads>

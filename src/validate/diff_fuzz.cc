@@ -113,24 +113,15 @@ makeLearner(const FuzzCase &c, int which)
         return std::make_unique<PhaseHillClimbing>(c.hill);
       case 2:
       case 3: {
-        BanditConfig b;
-        b.epochSize = c.hill.epochSize;
-        b.stride = std::max(c.hill.minShare,
-                            std::max(1, c.machine.intRegs / 8));
-        b.metric = c.hill.metric;
-        b.softwareCost = c.hill.softwareCost;
-        b.minShare = c.hill.minShare;
+        BanditConfig b(c.hill);
+        b.delta = std::max(c.hill.minShare,
+                           std::max(1, c.machine.intRegs / 8));
         b.algo = which % 5 == 2 ? BanditAlgo::Ucb1 : BanditAlgo::Exp3;
         b.seed = c.seed;
         return std::make_unique<BanditAllocator>(b);
       }
       default: {
-        RlConfig q;
-        q.epochSize = c.hill.epochSize;
-        q.delta = c.hill.delta;
-        q.metric = c.hill.metric;
-        q.softwareCost = c.hill.softwareCost;
-        q.minShare = c.hill.minShare;
+        RlConfig q(c.hill);
         q.seed = c.seed;
         return std::make_unique<RlAllocator>(q);
       }

@@ -58,8 +58,17 @@ OpenSystem::OpenSystem(const SmtConfig &machine,
     jobs.reserve(cfg.numJobs);
     for (int j = 0; j < cfg.numJobs; ++j) {
         double u = rng.nextDouble();
-        double gap = -std::log1p(-u) / cfg.arrivalRate;
-        t += std::max<Cycle>(1, static_cast<Cycle>(gap));
+        // Clamp in double before converting: for a tiny arrivalRate
+        // the gap can pass the Cycle range, where the conversion
+        // would be undefined. A schedule that would run past the last
+        // cycle (kNeverCycle is reserved) is a config error.
+        double gap =
+            std::min(-std::log1p(-u) / cfg.arrivalRate, 0x1.0p63);
+        Cycle step = std::max<Cycle>(1, static_cast<Cycle>(gap));
+        if (step >= kNeverCycle - t)
+            fatal(msg("OpenSystem: arrivalRate ", cfg.arrivalRate,
+                      " schedules job ", j, " past the last cycle"));
+        t += step;
 
         JobRecord job;
         job.jobId = j;

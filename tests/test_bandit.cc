@@ -36,30 +36,30 @@ makeMachine(const std::vector<const char *> &benches)
 TEST(Bandit, TwoThreadLatticeCoversQuantizedSpace)
 {
     BanditConfig bc;
-    bc.stride = 16;
+    bc.delta = 16;
     BanditAllocator bandit(bc);
     SmtCpu cpu = makeMachine({"art", "mcf"});
     bandit.attach(cpu);
 
     const int total = cpu.config().intRegs;
     ASSERT_EQ(bandit.arms().size(),
-              static_cast<std::size_t>(total / bc.stride - 1))
+              static_cast<std::size_t>(total / bc.delta - 1))
         << "2-thread arms must be exactly enumeratePartitions2";
     for (std::size_t k = 0; k < bandit.arms().size(); ++k) {
         const Partition &arm = bandit.arms()[k];
         EXPECT_EQ(arm.total(), total) << "arm " << k;
         EXPECT_EQ(arm.share[0],
-                  bc.stride * (static_cast<int>(k) + 1))
+                  bc.delta * (static_cast<int>(k) + 1))
             << "arm " << k << ": lattice must ascend by stride";
-        EXPECT_GE(arm.share[0], bc.stride);
-        EXPECT_GE(arm.share[1], bc.stride);
+        EXPECT_GE(arm.share[0], bc.delta);
+        EXPECT_GE(arm.share[1], bc.delta);
     }
 }
 
 TEST(Bandit, WideMachineArmsConserveTotalsAndFloors)
 {
     BanditConfig bc;
-    bc.stride = 8;
+    bc.delta = 8;
     bc.minShare = 4;
     BanditAllocator bandit(bc);
     SmtCpu cpu = makeMachine({"art", "mcf", "gcc", "bzip2"});
@@ -83,7 +83,7 @@ TEST(Bandit, Ucb1PlaysUnplayedArmsInIndexOrder)
 {
     BanditConfig bc;
     bc.epochSize = 2048;
-    bc.stride = 64; // few arms, so the sweep phase ends in-test
+    bc.delta = 64; // few arms, so the sweep phase ends in-test
     BanditAllocator bandit(bc);
     SmtCpu cpu = makeMachine({"art", "mcf"});
     bandit.attach(cpu);
@@ -121,7 +121,7 @@ TEST(Bandit, ChurnRebuildsLatticeAndReseedsDrainedAnchor)
 {
     BanditConfig bc;
     bc.epochSize = 2048;
-    bc.stride = 32;
+    bc.delta = 32;
     BanditAllocator bandit(bc);
     SmtCpu cpu = makeMachine({"art", "mcf", "gcc"});
     const int total = cpu.config().intRegs;
@@ -141,7 +141,7 @@ TEST(Bandit, ChurnRebuildsLatticeAndReseedsDrainedAnchor)
     cpu.resetContext(2, StreamGenerator(specProfile("gzip"), 8));
     bandit.threadAttached(cpu, 2);
     EXPECT_EQ(bandit.arms().size(),
-              static_cast<std::size_t>(total / bc.stride - 1));
+              static_cast<std::size_t>(total / bc.delta - 1));
     for (const Partition &arm : bandit.arms()) {
         EXPECT_EQ(arm.total(), total);
         EXPECT_EQ(arm.share[1], 0) << "inactive context got registers";
@@ -209,7 +209,7 @@ TEST(Bandit, ExportsEpochSwitchAndRebuildStats)
 
     BanditConfig bc;
     bc.epochSize = 2048;
-    bc.stride = 64;
+    bc.delta = 64;
     BanditAllocator bandit(bc);
     SmtCpu cpu = makeMachine({"art", "mcf"});
     bandit.attach(cpu);

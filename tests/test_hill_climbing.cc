@@ -340,147 +340,5 @@ TEST(HillClimbingChurn, SingleIpcRebootstrapsOnContextReuse)
         << "estimate was measured, not inherited";
 }
 
-/**
- * Regression: a thread that attached halfway through an epoch was
- * charged the full epoch as divisor, halving its measured IPC; under
- * WIPC/HWIPC that systematically penalized every arrival's first
- * epoch. The divisor must be the cycles the context actually held
- * the job.
- */
-TEST(HillClimbingChurn, MidEpochAttachChargesPartialResidency)
-{
-    // Expose the protected epoch measurement for the assertion below.
-    struct HillProbe : HillClimbing {
-        using HillClimbing::HillClimbing;
-        using HillClimbing::measureEpoch;
-    };
-
-    SmtCpu cpu = asymmetricCpu();
-    cpu.idleContext(1); // open system: context 1 starts empty
-
-    HillConfig hc = fastConfig();
-    HillProbe hill(hc);
-    hill.attach(cpu);
-
-    // Half an epoch with only thread 0 resident.
-    runOneEpoch(cpu, hill, hc.epochSize / 2);
-
-    // A job arrives on context 1 mid-epoch.
-    cpu.resetContext(1,
-                     StreamGenerator(profileWith(0.0, 6, "arrival"), 3));
-    hill.threadAttached(cpu, 1);
-    std::uint64_t committed_at_attach = cpu.stats().committed[1];
-    Cycle attach_cycle = cpu.now();
-
-    // Second half of the epoch with both threads resident.
-    runOneEpoch(cpu, hill, hc.epochSize / 2);
-
-    std::uint64_t delta = cpu.stats().committed[1] - committed_at_attach;
-    Cycle resident = cpu.now() - attach_cycle;
-    ASSERT_GT(delta, 0u);
-
-    IpcSample s = hill.measureEpoch(cpu);
-    EXPECT_DOUBLE_EQ(s.ipc[1], static_cast<double>(delta) /
-                                   static_cast<double>(resident))
-        << "divisor must be the job's residency, not the full epoch";
-}
-
-/**
- * A mid-epoch departure redistributes the freed shares immediately
- * and keeps the installed partition feasible for the survivors.
- */
-TEST(HillClimbingChurn, DetachRedistributesAndStaysFeasible)
-{
-    SmtConfig cfg;
-    cfg.numThreads = 4;
-    std::vector<StreamGenerator> gens;
-    for (int i = 0; i < 4; ++i)
-        gens.emplace_back(profileWith(0.01, 8, "t"), i);
-    SmtCpu cpu(cfg, std::move(gens));
-    cpu.run(50000);
-
-    HillConfig hc = fastConfig();
-    hc.minShare = 8;
-    HillClimbing hill(hc);
-    hill.attach(cpu);
-    for (int e = 0; e < 4; ++e) {
-        runOneEpoch(cpu, hill, hc.epochSize);
-        hill.epoch(cpu, e);
-    }
-
-    cpu.idleContext(2);
-    hill.threadDetached(cpu, 2);
-
-    const Partition &p = cpu.partition();
-    EXPECT_TRUE(cpu.partitioningEnabled());
-    EXPECT_EQ(p.total(), 256) << "freed shares redistributed";
-    EXPECT_EQ(hill.anchor().share[2], 0)
-        << "departed context holds no shares";
-    for (int i = 0; i < 4; ++i) {
-        if (i == 2)
-            continue;
-        EXPECT_GE(hill.anchor().share[i], 8)
-            << "survivor " << i << " below the feasible floor";
-    }
-
-    // Down to one survivor: partitioning must drop out entirely.
-    cpu.idleContext(1);
-    hill.threadDetached(cpu, 1);
-    cpu.idleContext(3);
-    hill.threadDetached(cpu, 3);
-    EXPECT_FALSE(cpu.partitioningEnabled());
-}
-
-/**
- * Regression (churn bug #2, found by the attach/detach property
- * sweep): when the last job departed, redistributeDetached freed
- * every share into the void and the anchor's total dropped to zero;
- * admitAttached conserves the total it is given, so the first
- * arrivals after a drain inherited — and installed — an all-zero
- * partition that starved every context until the horizon. The anchor
- * must be re-seeded with the full register file on refill.
- */
-TEST(HillClimbingChurn, DrainToEmptyThenRefillReseedsAnchor)
-{
-    SmtConfig cfg;
-    cfg.numThreads = 4;
-    std::vector<StreamGenerator> gens;
-    for (int i = 0; i < 4; ++i)
-        gens.emplace_back(profileWith(0.01, 8, "t"), i);
-    SmtCpu cpu(cfg, std::move(gens));
-    cpu.run(50000);
-
-    HillConfig hc = fastConfig();
-    hc.minShare = 8;
-    HillClimbing hill(hc);
-    hill.attach(cpu);
-    for (int e = 0; e < 2; ++e) {
-        runOneEpoch(cpu, hill, hc.epochSize);
-        hill.epoch(cpu, e);
-    }
-
-    // Every job departs: the machine drains completely.
-    for (int i = 0; i < 4; ++i) {
-        cpu.idleContext(i);
-        hill.threadDetached(cpu, i);
-    }
-    EXPECT_EQ(hill.anchor().total(), 0) << "drained anchor holds shares";
-    EXPECT_FALSE(cpu.partitioningEnabled());
-
-    // Two arrivals refill contexts 1 and 3.
-    cpu.resetContext(1, StreamGenerator(profileWith(0.0, 6, "j1"), 11));
-    hill.threadAttached(cpu, 1);
-    cpu.resetContext(3, StreamGenerator(profileWith(0.0, 6, "j3"), 13));
-    hill.threadAttached(cpu, 3);
-
-    EXPECT_EQ(hill.anchor().total(), 256)
-        << "refill after a drain lost the register file";
-    EXPECT_GE(hill.anchor().share[1], 8);
-    EXPECT_GE(hill.anchor().share[3], 8);
-    EXPECT_TRUE(cpu.partitioningEnabled());
-    EXPECT_EQ(cpu.partition().total(), 256)
-        << "an all-zero partition was installed";
-}
-
 } // namespace
 } // namespace smthill

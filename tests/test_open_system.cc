@@ -120,6 +120,19 @@ TEST(OpenSystemSchedule, DeterministicAndBounded)
     EXPECT_TRUE(any_diff);
 }
 
+/**
+ * Regression: the inter-arrival gap was converted to Cycle unclamped,
+ * which is undefined once it passes the Cycle range (arrivalRate
+ * below ~2e-18), and the running sum could wrap. A rate whose
+ * schedule leaves the range is now a config error naming the rate.
+ */
+TEST(OpenSystemSchedule, RateTooLowForCycleRangeIsFatal)
+{
+    OpenSystemConfig oc = fastConfig(64);
+    oc.arrivalRate = 1e-19;
+    EXPECT_DEATH(OpenSystem(smallMachine(2), oc), "arrivalRate");
+}
+
 TEST(OpenSystemRun, SameConfigRunsAreBitIdentical)
 {
     OpenSystemConfig oc = fastConfig(8);

@@ -32,7 +32,7 @@ OVERALL=0
 
 # The one list of suites run under ASan+UBSan (ROADMAP.md and the
 # verify skill point here rather than repeat it).
-ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator'
+ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|LearnerChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator'
 
 record()
 {

@@ -55,6 +55,7 @@
  * to "stats_json=x" (dashes only rewritten in the key, not values).
  */
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -89,8 +90,15 @@ using namespace smthill;
 namespace
 {
 
+/**
+ * @return the policy @p name, or null for an unknown name. BANDIT and
+ * RL never solo-sample, so they normalize their weighted rewards by
+ * @p solo, the stand-alone IPCs the run is reported against; HILL
+ * and PHASE-HILL sample their own.
+ */
 std::unique_ptr<ResourcePolicy>
-makePolicy(const std::string &name, Cycle epoch_size)
+makePolicy(const std::string &name, Cycle epoch_size,
+           const std::array<double, kMaxThreads> &solo = {})
 {
     HillConfig hc;
     hc.epochSize = epoch_size;
@@ -130,6 +138,7 @@ makePolicy(const std::string &name, Cycle epoch_size)
         BanditConfig bc;
         bc.epochSize = epoch_size;
         bc.metric = PerfMetric::WeightedIpc;
+        bc.singleIpc = solo;
         if (name == "bandit-exp3")
             bc.algo = BanditAlgo::Exp3;
         return std::make_unique<BanditAllocator>(bc);
@@ -138,6 +147,7 @@ makePolicy(const std::string &name, Cycle epoch_size)
         RlConfig rc;
         rc.epochSize = epoch_size;
         rc.metric = PerfMetric::WeightedIpc;
+        rc.singleIpc = solo;
         return std::make_unique<RlAllocator>(rc);
     }
     return nullptr;
@@ -275,8 +285,8 @@ runCliGrid(const std::vector<std::string> &workload_names,
     runGrid(cells, rc.jobs, [&](std::size_t i) {
         const Workload &w = *workloads[i / policy_names.size()];
         const std::string &pn = policy_names[i % policy_names.size()];
-        auto policy = makePolicy(pn, rc.epochSize);
         auto solo = soloIpcs(w, rc, solo_epochs * rc.epochSize);
+        auto policy = makePolicy(pn, rc.epochSize, solo);
         RunResult res = runPolicy(w, *policy, rc);
         results[i] = {res.metric(PerfMetric::WeightedIpc, solo),
                       res.metric(PerfMetric::AvgIpc, solo),
@@ -448,12 +458,12 @@ main(int argc, char **argv)
     }
 
     const Workload &workload = workloadByName(workload_name);
-    auto policy = makePolicy(policy_name, rc.epochSize);
-    if (!policy)
+    if (!makePolicy(policy_name, rc.epochSize))
         fatal(msg("unknown policy '", policy_name, "'; choose from: ",
                   kPolicyNames));
 
     auto solo = soloIpcs(workload, rc, solo_epochs * rc.epochSize);
+    auto policy = makePolicy(policy_name, rc.epochSize, solo);
 
     SmtCpu cpu = makeCpu(workload, rc);
 
