@@ -42,14 +42,14 @@ fig02Surface(const FigureConfig &cfg)
     gens.emplace_back(specProfile("fma3d"), 2);
     SmtCpu machine(smt, std::move(gens));
     machine.run(512 * 1024); // warm to a representative point
-    const SmtCpu checkpoint = machine; // smthill-lint: allow(cpu-copy-hot-path)
 
     std::printf("rows: mesa share; columns: vortex share; "
                 "cell: total IPC (fma3d gets the remainder)\n\n");
 
     // One arena machine serves the whole serial walk: restoreFrom is
-    // a bit-exact rewind to the checkpoint, so every cell starts from
-    // the same warm state without a full SmtCpu copy per cell.
+    // a bit-exact rewind to the warm machine, which nothing else
+    // runs, so every cell starts from the same warm state without a
+    // full SmtCpu copy per cell.
     MachineArena arena(1);
 
     double best = 0.0;
@@ -70,7 +70,7 @@ fig02Surface(const FigureConfig &cfg)
                 std::printf(" %6s", "-");
                 continue;
             }
-            SmtCpu &trial = arena.acquire(0, checkpoint);
+            SmtCpu &trial = arena.acquire(0, machine);
             Partition p;
             p.numThreads = 3;
             p.share = {m, v, f};

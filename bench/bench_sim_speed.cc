@@ -58,7 +58,7 @@ BM_OfflineEpoch_Parallel(benchmark::State &state)
     for (auto _ : state) {
         // One copy per measured epoch so every iteration sweeps the
         // same program point; the sweep inside uses the arena.
-        SmtCpu epoch_cpu = cpu; // smthill-lint: allow(cpu-copy-hot-path)
+        SmtCpu epoch_cpu = cpu.checkpoint();
         benchmark::DoNotOptimize(off.stepEpoch(epoch_cpu));
     }
     state.SetItemsProcessed(state.iterations());

@@ -36,7 +36,7 @@ freqName(int cls)
 double
 ipcAtShare(const SmtCpu &warm, int share, Cycle window)
 {
-    SmtCpu cpu = warm; // smthill-lint: allow(cpu-copy-hot-path)
+    SmtCpu cpu = warm.checkpoint();
     Partition p;
     p.numThreads = 1;
     p.share[0] = share;
@@ -94,7 +94,7 @@ tab02AppChar(const FigureConfig &cfg)
         // (b) Per-epoch requirement trajectory.
         int changes = 0;
         int prev = -1;
-        SmtCpu walker = cpu; // smthill-lint: allow(cpu-copy-hot-path)
+        SmtCpu walker = cpu.checkpoint();
         for (int e = 0; e < var_epochs; ++e) {
             int req = requirementAt(walker, epoch);
             if (prev >= 0 && std::abs(req - prev) >= 16)

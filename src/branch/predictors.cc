@@ -192,31 +192,4 @@ Btb::update(Addr pc, Addr target)
     v.lru = ++lruClock;
 }
 
-ReturnAddressStack::ReturnAddressStack(std::size_t entries)
-    : stack(entries, 0)
-{
-    if (entries == 0)
-        fatal("ReturnAddressStack: need at least one entry");
-}
-
-void
-ReturnAddressStack::push(Addr return_pc)
-{
-    top = (top + 1) % stack.size();
-    stack[top] = return_pc;
-    if (depth < stack.size())
-        ++depth;
-}
-
-Addr
-ReturnAddressStack::pop()
-{
-    if (depth == 0)
-        return 0;
-    Addr v = stack[top];
-    top = (top + stack.size() - 1) % stack.size();
-    --depth;
-    return v;
-}
-
 } // namespace smthill

@@ -4,12 +4,12 @@
  * emits, as constexpr tables, and the typed ids that EventTrace and
  * StatRegistry take in place of names. A name outside the catalog
  * has no id, so emitting or registering it fails to compile; so does
- * emitting an event through the call of another phase, or asking for
- * a counter as a gauge. Readers (smthill_trace_report,
- * printLastInstEvents) look names up here instead of keeping lists.
+ * emitting an event through the call of another phase. Readers
+ * (smthill_trace_report, printLastInstEvents) look names up here
+ * instead of keeping lists.
  *
- * Adding an event or a stat is one row in SMTHILL_EVENT_CATALOG,
- * SMTHILL_COUNTER_CATALOG or SMTHILL_GAUGE_CATALOG.
+ * Adding an event or a stat is one row in SMTHILL_EVENT_CATALOG or
+ * SMTHILL_COUNTER_CATALOG; counters are the only stat kind.
  */
 
 #ifndef SMTHILL_COMMON_CATALOG_HH
@@ -78,7 +78,6 @@ enum class EventParam : std::uint8_t
 
 /** Every counter: X(id, name). */
 #define SMTHILL_COUNTER_CATALOG(X)                                        \
-    X(ThreadPoolTasks, "smthill.thread_pool.tasks")                       \
     X(ThreadPoolForIndices, "smthill.thread_pool.for_indices")            \
     X(EventTraceRecorded, "smthill.event_trace.recorded")                 \
     X(EventTraceDropped, "smthill.event_trace.dropped")                   \
@@ -95,10 +94,6 @@ enum class EventParam : std::uint8_t
     X(RlExplores, "smthill.rl.explores")                                  \
     X(RlAnchorMoves, "smthill.rl.anchor_moves")
 
-/** Every gauge: X(id, name). */
-#define SMTHILL_GAUGE_CATALOG(X)                                          \
-    X(ThreadPoolQueueDepth, "smthill.thread_pool.queue_depth")
-
 #define SMTHILL_CATALOG_ID(id, ...) id,
 
 enum class EventId : std::uint8_t
@@ -109,11 +104,6 @@ enum class EventId : std::uint8_t
 enum class CounterId : std::uint8_t
 {
     SMTHILL_COUNTER_CATALOG(SMTHILL_CATALOG_ID)
-};
-
-enum class GaugeId : std::uint8_t
-{
-    SMTHILL_GAUGE_CATALOG(SMTHILL_CATALOG_ID)
 };
 
 #undef SMTHILL_CATALOG_ID
@@ -233,49 +223,21 @@ isInstStage(EventId id)
 
 static_assert(instStageEvent(InstStage::Squash) == EventId::InstSquash);
 
-enum class StatKind : std::uint8_t
-{
-    Counter,
-    Gauge,
-};
+#define SMTHILL_COUNTER_NAME(id, name) name,
 
-/** One stat row. */
-struct StatSpec
-{
-    std::string_view name;
-    StatKind kind;
-};
+/** Every stat's name, in CounterId order. */
+inline constexpr std::string_view kStatCatalog[] = {
+    SMTHILL_COUNTER_CATALOG(SMTHILL_COUNTER_NAME)};
 
-#define SMTHILL_COUNTER_SPEC(id, name) {name, StatKind::Counter},
-#define SMTHILL_GAUGE_SPEC(id, name) {name, StatKind::Gauge},
+#undef SMTHILL_COUNTER_NAME
 
-/** Every stat: the counters, then the gauges. */
-inline constexpr StatSpec kStatCatalog[] = {
-    SMTHILL_COUNTER_CATALOG(SMTHILL_COUNTER_SPEC)
-        SMTHILL_GAUGE_CATALOG(SMTHILL_GAUGE_SPEC)};
-
-#undef SMTHILL_COUNTER_SPEC
-#undef SMTHILL_GAUGE_SPEC
-
-#define SMTHILL_CATALOG_COUNT(...) +1
-
-inline constexpr std::size_t kCounterCount =
-    0 SMTHILL_COUNTER_CATALOG(SMTHILL_CATALOG_COUNT);
 inline constexpr std::size_t kStatCount = std::size(kStatCatalog);
-
-#undef SMTHILL_CATALOG_COUNT
 
 /** Position of a stat in kStatCatalog. */
 constexpr std::size_t
 statIndex(CounterId id)
 {
     return static_cast<std::size_t>(id);
-}
-
-constexpr std::size_t
-statIndex(GaugeId id)
-{
-    return kCounterCount + static_cast<std::size_t>(id);
 }
 
 namespace detail
@@ -304,10 +266,10 @@ constexpr bool
 statNamesWellFormedAndUnique()
 {
     for (std::size_t i = 0; i < kStatCount; ++i) {
-        if (!wellFormedStatName(kStatCatalog[i].name))
+        if (!wellFormedStatName(kStatCatalog[i]))
             return false;
         for (std::size_t j = 0; j < i; ++j)
-            if (kStatCatalog[i].name == kStatCatalog[j].name)
+            if (kStatCatalog[i] == kStatCatalog[j])
                 return false;
     }
     return true;

@@ -20,26 +20,13 @@ StatRegistry::counter(CounterId id)
     return counters[static_cast<std::size_t>(id)];
 }
 
-StatGauge &
-StatRegistry::gauge(GaugeId id)
-{
-    enroll(statIndex(id));
-    return gauges[static_cast<std::size_t>(id)];
-}
-
 Json
 StatRegistry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     Json out = Json::object();
-    for (std::size_t i : order) {
-        const StatSpec &spec = kStatCatalog[i];
-        if (spec.kind == StatKind::Counter)
-            out.set(std::string(spec.name), Json(counters[i].value()));
-        else
-            out.set(std::string(spec.name),
-                    Json(gauges[i - kCounterCount].value()));
-    }
+    for (std::size_t i : order)
+        out.set(std::string(kStatCatalog[i]), Json(counters[i].value()));
     return out;
 }
 
@@ -50,7 +37,7 @@ StatRegistry::names() const
     std::vector<std::string> out;
     out.reserve(order.size());
     for (std::size_t i : order)
-        out.emplace_back(kStatCatalog[i].name);
+        out.emplace_back(kStatCatalog[i]);
     return out;
 }
 
@@ -59,8 +46,6 @@ StatRegistry::resetValues()
 {
     for (StatCounter &c : counters)
         c.reset();
-    for (StatGauge &g : gauges)
-        g.reset();
 }
 
 StatRegistry &

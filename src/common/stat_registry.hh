@@ -1,10 +1,9 @@
 /**
  * @file
- * Named-statistic registry: counters and gauges that any subsystem
- * can register and update cheaply on a hot path, with a
- * machine-readable JSON export. Every stat is a row of the catalog
- * (common/catalog.hh), and asking for a counter as a gauge, or for a
- * name outside the catalog, fails to compile.
+ * Named-statistic registry: counters that any subsystem can register
+ * and update cheaply on a hot path, with a machine-readable JSON
+ * export. Every stat is a row of the catalog (common/catalog.hh), and
+ * asking for a name outside the catalog fails to compile.
  *
  * Design constraints, in order:
  *  - hot-path updates are a single relaxed atomic op — no locks, no
@@ -38,7 +37,7 @@
 namespace smthill
 {
 
-/** Monotonic event count (cache hits, tasks executed, evictions). */
+/** Monotonic event count (cache hits, indices run, evictions). */
 class StatCounter
 {
   public:
@@ -52,27 +51,6 @@ class StatCounter
 
   private:
     std::atomic<std::uint64_t> val{0};
-};
-
-/** Instantaneous level (queue depth, estimate state); set/add. */
-class StatGauge
-{
-  public:
-    void set(double v) { val.store(v, std::memory_order_relaxed); }
-    void add(double d)
-    {
-        // Relaxed CAS loop: gauges are low-frequency relative to
-        // counters and tolerate no lost updates.
-        double cur = val.load(std::memory_order_relaxed);
-        while (!val.compare_exchange_weak(cur, cur + d,
-                                          std::memory_order_relaxed)) {
-        }
-    }
-    double value() const { return val.load(std::memory_order_relaxed); }
-    void reset() { val.store(0.0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> val{0.0};
 };
 
 /**
@@ -90,18 +68,17 @@ class StatRegistry
 
     /** Find-or-create; the reference stays valid forever. */
     StatCounter &counter(CounterId id);
-    StatGauge &gauge(GaugeId id);
 
     /**
      * Export every registered stat as one JSON object keyed by name,
-     * in registration order: counters as integers, gauges as doubles.
+     * in registration order, each value an integer.
      */
     Json toJson() const;
 
     /** Registered names in registration order (tests, listings). */
     std::vector<std::string> names() const;
 
-    /** Reset every counter and gauge to zero. */
+    /** Reset every counter to zero. */
     void resetValues();
 
   private:
@@ -109,8 +86,7 @@ class StatRegistry
     void enroll(std::size_t index);
 
     mutable std::mutex mutex;
-    std::array<StatCounter, kCounterCount> counters;
-    std::array<StatGauge, kStatCount - kCounterCount> gauges;
+    std::array<StatCounter, kStatCount> counters;
     std::vector<std::size_t> order; ///< catalog indexes, registration order
 };
 

@@ -8,19 +8,26 @@ namespace smthill
 {
 
 MachineArena::MachineArena(int workers)
-    : machines(static_cast<std::size_t>(workers < 1 ? 1 : workers))
+    : lanes(static_cast<std::size_t>(workers < 1 ? 1 : workers))
 {
+}
+
+std::size_t
+MachineArena::index(int worker) const
+{
+    if (worker < 0 || worker >= workers())
+        fatal(msg("MachineArena: worker ", worker, " out of range [0, ",
+                  workers(), ")"));
+    return static_cast<std::size_t>(worker);
 }
 
 SmtCpu &
 MachineArena::acquire(int worker, const SmtCpu &checkpoint)
 {
-    if (worker < 0 || worker >= workers())
-        fatal(msg("MachineArena: worker ", worker, " out of range [0, ",
-                  workers(), ")"));
-    std::optional<SmtCpu> &m = machines[static_cast<std::size_t>(worker)];
+    Lane &l = lanes[index(worker)];
+    std::optional<SmtCpu> &m = l.slots[static_cast<std::size_t>(l.scratch)];
     if (!m) {
-        // First-touch warm-up: one clone per worker for the arena's
+        // First-touch warm-up: one clone per slot for the arena's
         // lifetime; every later trial reuses it via restoreFrom.
         m.emplace(checkpoint);
         return *m;
@@ -36,6 +43,34 @@ MachineArena::acquire(int worker, const SmtCpu &checkpoint)
     m = std::move(warm);
     m->restoreFrom(checkpoint);
     return *m;
+}
+
+void
+MachineArena::keep(int worker, double metric)
+{
+    Lane &l = lanes[index(worker)];
+    if (!(metric > l.bestMetric))
+        return;
+    l.bestMetric = metric;
+    l.scratch = 1 - l.scratch;
+}
+
+const SmtCpu &
+MachineArena::best(int worker) const
+{
+    const Lane &l = lanes[index(worker)];
+    const std::optional<SmtCpu> &m =
+        l.slots[static_cast<std::size_t>(1 - l.scratch)];
+    if (l.bestMetric == -std::numeric_limits<double>::infinity() || !m)
+        panic(msg("MachineArena: worker ", worker, " kept no trial"));
+    return *m;
+}
+
+void
+MachineArena::clearBests()
+{
+    for (Lane &l : lanes)
+        l.bestMetric = -std::numeric_limits<double>::infinity();
 }
 
 } // namespace smthill

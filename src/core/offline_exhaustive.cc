@@ -24,18 +24,6 @@ runTrialEpoch(SmtCpu &trial, const Partition &partition, Cycle epoch_size)
     return s;
 }
 
-IpcSample
-runFixedPartitionEpoch(const SmtCpu &checkpoint, const Partition &partition,
-                       Cycle epoch_size, SmtCpu *advanced)
-{
-    // One copy per committed epoch (not per trial).
-    SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
-    IpcSample s = runTrialEpoch(trial, partition, epoch_size);
-    if (advanced)
-        *advanced = std::move(trial);
-    return s;
-}
-
 double
 OfflineResult::meanMetric() const
 {
@@ -60,54 +48,66 @@ OfflineEpoch
 OfflineExhaustive::stepEpoch(SmtCpu &cpu) const
 {
     SMTHILL_PROF_SCOPE("offline.step_epoch");
+    int winner = 0;
+    OfflineEpoch rec = sweep(cpu, winner);
+    // Commit: the machine takes the best trial's end state. Only this
+    // epoch is charged to execution time.
+    cpu.restoreFrom(arena->best(winner));
+    return rec;
+}
+
+OfflineEpoch
+OfflineExhaustive::mapEpoch(const SmtCpu &cpu) const
+{
+    int winner = 0;
+    return sweep(cpu, winner);
+}
+
+OfflineEpoch
+OfflineExhaustive::sweep(const SmtCpu &cpu, int &winner) const
+{
     if (cpu.numThreads() != 2)
         fatal("OfflineExhaustive: exhaustive search supports exactly "
               "2 hardware contexts (use RandHill for more)");
 
-    // One checkpoint capture per epoch; trials restore from it via
-    // the arena below.
-    const SmtCpu checkpoint = cpu; // smthill-lint: allow(cpu-copy-hot-path)
-    const int total = cpu.config().intRegs;
-
-    // Every trial is an independent function of the checkpoint, so
-    // the sweep fans out across the pool. Results land in per-trial
-    // slots and are reduced below in enumeration order, making the
-    // chosen partition (first strict maximum, i.e. lowest share[0]
-    // among exact ties) bit-identical to the serial jobs=1 path.
+    // Every trial is an independent function of cpu, which nothing
+    // writes during the sweep, so the sweep fans out across the pool
+    // and each trial restores the worker's arena machine from cpu.
+    // Results land in per-trial slots and are reduced below in
+    // enumeration order, making the chosen partition (first strict
+    // maximum, i.e. lowest share[0] among exact ties) bit-identical
+    // to the serial jobs=1 path. Each worker keeps its own strict
+    // improvements in increasing index order, so the worker that ran
+    // the winner holds exactly that trial's machine.
     const std::vector<Partition> trials =
-        enumeratePartitions2(total, cfg.stride);
+        enumeratePartitions2(cpu.config().intRegs, cfg.stride);
     std::vector<IpcSample> samples(trials.size());
     std::vector<double> metrics(trials.size());
+    std::vector<int> ranOn(trials.size());
+    arena->clearBests();
     pool->parallelForWorker(trials.size(), [&](std::size_t i, int worker) {
-        // Restore the worker's warm machine instead of copy-
-        // constructing a fresh SmtCpu per trial.
-        SmtCpu &trial = arena->acquire(worker, checkpoint);
+        SmtCpu &trial = arena->acquire(worker, cpu);
         samples[i] = runTrialEpoch(trial, trials[i], cfg.epochSize);
         metrics[i] = evalMetric(cfg.metric, samples[i], cfg.singleIpc);
+        arena->keep(worker, metrics[i]);
+        ranOn[i] = worker;
     });
 
     OfflineEpoch rec;
-    double best_metric = -1.0;
-    Partition best;
-    IpcSample best_ipc;
-
+    rec.metricValue = -1.0;
+    winner = -1;
     for (std::size_t i = 0; i < trials.size(); ++i) {
         if (cfg.keepCurves) {
             rec.curveShares.push_back(trials[i].share[0]);
             rec.curve.push_back(metrics[i]);
         }
-        if (metrics[i] > best_metric) {
-            best_metric = metrics[i];
-            best = trials[i];
-            best_ipc = samples[i];
+        if (metrics[i] > rec.metricValue) {
+            rec.metricValue = metrics[i];
+            rec.best = trials[i];
+            rec.ipc = samples[i];
+            winner = ranOn[i];
         }
     }
-
-    // Commit: advance the real machine through the best trial. Only
-    // this epoch is charged to execution time.
-    rec.ipc = runFixedPartitionEpoch(checkpoint, best, cfg.epochSize, &cpu);
-    rec.best = best;
-    rec.metricValue = best_metric;
     return rec;
 }
 

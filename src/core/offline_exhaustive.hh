@@ -1,11 +1,10 @@
 /**
  * @file
  * OFF-LINE exhaustive learning (Section 3.1): the ideal learner used
- * for the limit study. At each epoch boundary the whole machine is
- * checkpointed; every enumerated partitioning of the integer rename
- * registers is tried for one epoch from the checkpoint; the best
- * trial's partitioning is then used to advance the machine, and only
- * that epoch is charged to execution time.
+ * for the limit study. At each epoch boundary every enumerated
+ * partitioning of the integer rename registers is tried for one epoch
+ * from the machine's state; the machine then takes the best trial's
+ * end state, and only that epoch is charged to execution time.
  *
  * Restricted to 2 hardware contexts, like the paper (the exhaustive
  * trial count is exponential in the thread count).
@@ -28,26 +27,11 @@ namespace smthill
 {
 
 /**
- * Run one epoch from a copy of @p checkpoint under a fixed
- * @p partition, with no per-cycle policy actions. The copy runs
- * unobserved.
- * @param[out] advanced if non-null, receives the machine state at
- *             the end of the epoch (for committing to this trial)
- *             and keeps its own observer links
- * @return per-thread IPCs over the epoch
- */
-IpcSample runFixedPartitionEpoch(const SmtCpu &checkpoint,
-                                 const Partition &partition,
-                                 Cycle epoch_size,
-                                 SmtCpu *advanced = nullptr);
-
-/**
  * Measure one epoch on an already-restored trial machine (typically a
  * MachineArena machine just restored to the checkpoint): install the
- * partition, run @p epoch_size cycles, and return per-thread IPCs.
- * The machine is left in its end-of-epoch state; callers restore it
- * again before the next trial. Bit-identical to the value-copy path
- * of runFixedPartitionEpoch.
+ * partition, run @p epoch_size cycles with no per-cycle policy
+ * actions, and return per-thread IPCs. The machine is left in its
+ * end-of-epoch state, which is what committing to the trial takes.
  */
 IpcSample runTrialEpoch(SmtCpu &trial, const Partition &partition,
                         Cycle epoch_size);
@@ -96,10 +80,17 @@ class OfflineExhaustive
     explicit OfflineExhaustive(OfflineConfig config = OfflineConfig{});
 
     /**
-     * Checkpoint @p cpu, exhaustively evaluate one epoch, then
-     * advance @p cpu through that epoch under the best partitioning.
+     * Exhaustively evaluate one epoch from @p cpu, then advance
+     * @p cpu to the best trial's end state (restoreFrom; @p cpu keeps
+     * its own observer links).
      */
     OfflineEpoch stepEpoch(SmtCpu &cpu) const;
+
+    /**
+     * Exhaustively evaluate one epoch from @p cpu without advancing
+     * it: the same record stepEpoch returns, with nothing committed.
+     */
+    OfflineEpoch mapEpoch(const SmtCpu &cpu) const;
 
     /** Run @p num_epochs epochs, advancing @p cpu along the way. */
     OfflineResult run(SmtCpu &cpu, int num_epochs) const;
@@ -107,14 +98,22 @@ class OfflineExhaustive
     const OfflineConfig &config() const { return cfg; }
 
   private:
+    /**
+     * The trial sweep behind stepEpoch and mapEpoch.
+     * @param[out] winner the worker whose arena best() is the best
+     *             trial's machine
+     */
+    OfflineEpoch sweep(const SmtCpu &cpu, int &winner) const;
+
     OfflineConfig cfg;
     /** Trial-sweep pool, shared by copies of the learner. */
     std::shared_ptr<ThreadPool> pool;
     /**
-     * Warm per-worker trial machines, shared by copies of the learner
-     * like the pool. A learner (including its copies) must not run
-     * stepEpoch concurrently from multiple threads — the arena's
-     * per-worker exclusivity holds within one sweep at a time.
+     * Warm per-worker trial machines, two per worker (scratch and
+     * best), shared by copies of the learner like the pool. A learner
+     * (including its copies) must not run stepEpoch concurrently from
+     * multiple threads — the pool runs one fan-out at a time, and the
+     * arena's per-worker exclusivity holds within one sweep.
      */
     std::shared_ptr<MachineArena> arena;
 };

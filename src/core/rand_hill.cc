@@ -51,9 +51,12 @@ RandHill::randomPartition(int threads, int total)
 OfflineEpoch
 RandHill::stepEpoch(SmtCpu &cpu)
 {
-    // One checkpoint capture per epoch; trials restore from it via
-    // the arena below.
-    const SmtCpu checkpoint = cpu; // smthill-lint: allow(cpu-copy-hot-path)
+    // Trials restore from cpu itself, which nothing writes until the
+    // commit below. The arena keeps each worker's best trial across
+    // rounds; a worker runs its trials in increasing iteration
+    // order, so the worker that ran the first strict maximum still
+    // holds that trial's machine at the commit.
+    arena->clearBests();
     const int nt = cpu.numThreads();
     const int total = cpu.config().intRegs;
 
@@ -61,12 +64,13 @@ RandHill::stepEpoch(SmtCpu &cpu)
     std::array<double, kMaxThreads> round_perf{};
     double pass_best = -1.0;
 
-    double global_best_metric = -1.0;
-    Partition global_best = anchor;
-    IpcSample global_best_ipc;
+    OfflineEpoch rec;
+    rec.best = anchor;
+    rec.metricValue = -1.0;
+    int winner = -1;
 
     // The climb proceeds round by round: each round's nt trials all
-    // derive from the same anchor and checkpoint (no RNG involved),
+    // derive from the same anchor and machine (no RNG involved),
     // so they fan out across the pool; the reduction, the anchor
     // move, and any restart draw then happen serially in iteration
     // order, which keeps every result — including the restart RNG
@@ -78,24 +82,28 @@ RandHill::stepEpoch(SmtCpu &cpu)
         std::array<Partition, kMaxThreads> trials;
         std::array<IpcSample, kMaxThreads> samples;
         std::array<double, kMaxThreads> metrics{};
+        std::array<int, kMaxThreads> ranOn{};
         for (int k = 0; k < len; ++k)
             trials[k] =
                 trialPartition(anchor, k, cfg.delta, cfg.minShare);
         pool->parallelForWorker(
             static_cast<std::size_t>(len), [&](std::size_t k, int worker) {
-                SmtCpu &trial = arena->acquire(worker, checkpoint);
+                SmtCpu &trial = arena->acquire(worker, cpu);
                 samples[k] =
                     runTrialEpoch(trial, trials[k], cfg.epochSize);
                 metrics[k] =
                     evalMetric(cfg.metric, samples[k], cfg.singleIpc);
+                arena->keep(worker, metrics[k]);
+                ranOn[k] = worker;
             });
 
         for (int k = 0; k < len; ++k) {
             round_perf[k] = metrics[k];
-            if (metrics[k] > global_best_metric) {
-                global_best_metric = metrics[k];
-                global_best = trials[k];
-                global_best_ipc = samples[k];
+            if (metrics[k] > rec.metricValue) {
+                rec.metricValue = metrics[k];
+                rec.best = trials[k];
+                rec.ipc = samples[k];
+                winner = ranOn[k];
             }
         }
 
@@ -118,11 +126,8 @@ RandHill::stepEpoch(SmtCpu &cpu)
         }
     }
 
-    OfflineEpoch rec;
-    rec.ipc = runFixedPartitionEpoch(checkpoint, global_best,
-                                     cfg.epochSize, &cpu);
-    rec.best = global_best;
-    rec.metricValue = global_best_metric;
+    // Commit: the machine takes the best trial's end state.
+    cpu.restoreFrom(arena->best(winner));
     return rec;
 }
 

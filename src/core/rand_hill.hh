@@ -48,8 +48,8 @@ class RandHill
 
     /**
      * Search the current epoch's partition space by multi-start hill
-     * climbing, then advance @p cpu through the epoch under the best
-     * partitioning found.
+     * climbing, then advance @p cpu to the end state of the best
+     * trial found.
      */
     OfflineEpoch stepEpoch(SmtCpu &cpu);
 
@@ -66,7 +66,7 @@ class RandHill
     Rng rng;
     /** Round-trial pool, shared by copies of the learner. */
     std::shared_ptr<ThreadPool> pool;
-    /** Warm per-worker trial machines (see OfflineExhaustive). */
+    /** Warm per-worker scratch and best machines (see OfflineExhaustive). */
     std::shared_ptr<MachineArena> arena;
 };
 

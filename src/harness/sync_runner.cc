@@ -42,15 +42,13 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
     }
 
     for (int e = 0; e < epochs; ++e) {
-        // One checkpoint capture per epoch, not per trial.
-        const SmtCpu checkpoint = cpu; // smthill-lint: allow(cpu-copy-hot-path)
-
-        // Each policy runs one epoch from the shared checkpoint with
-        // a fresh clone (its steady state re-forms within cycles).
-        // A handful of copies per epoch, each needing its own
-        // event-trace wiring, so the arena buys nothing here.
+        // Each policy runs one epoch from a checkpoint of cpu, which
+        // only stepEpoch below advances, with a fresh clone (its
+        // steady state re-forms within cycles). A handful of copies
+        // per epoch, each needing its own event-trace wiring, so the
+        // arena buys nothing here.
         for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-            SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
+            SmtCpu trial = cpu.checkpoint();
             auto policy = policies[pi]->clone();
             // Copies start with no links (Attachment), so each
             // throwaway pair is wired to file under its own process.
@@ -96,16 +94,14 @@ traceHillVsOffline(SmtCpu cpu, HillClimbing &hill,
     out.reserve(epochs);
 
     // The machine arrived by value, so it has no links; mirror the
-    // hill policy's event trace (if any) onto it. Probe copies start
-    // unobserved, so the exhaustive per-epoch mapping never feeds the
-    // stream or the learner's observers.
+    // hill policy's event trace (if any) onto it. Trial machines
+    // start unobserved, so the exhaustive per-epoch mapping never
+    // feeds the stream or the learner's observers.
     cpu.setEventTrace(hill.eventTrace(), hill.eventTracePid());
     hill.attach(cpu);
     for (int e = 0; e < epochs; ++e) {
-        // Exhaustively map the epoch from the checkpoint, without
-        // letting it advance the real machine (one copy per epoch).
-        SmtCpu probe = cpu; // smthill-lint: allow(cpu-copy-hot-path)
-        OfflineEpoch best = offline.stepEpoch(probe);
+        // Exhaustively map the epoch without advancing the machine.
+        OfflineEpoch best = offline.mapEpoch(cpu);
 
         HillTraceEpoch rec;
         rec.offlineShare0 = best.best.share[0];

@@ -65,9 +65,9 @@ struct HillTraceEpoch
 
 /**
  * Figure 12: run hill-climbing normally; at every epoch boundary,
- * exhaustively evaluate the epoch from the checkpoint (without
- * advancing along it) to obtain the performance hill and the best
- * partitioning, then let hill-climbing take its real step.
+ * exhaustively evaluate the epoch (OfflineExhaustive::mapEpoch,
+ * which advances nothing) to obtain the performance hill and the
+ * best partitioning, then let hill-climbing take its real step.
  * Two-thread machines only.
  */
 std::vector<HillTraceEpoch> traceHillVsOffline(

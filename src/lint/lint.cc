@@ -369,13 +369,6 @@ FileScanner::checkErrorHandlingIdent(std::size_t i)
                "'" + t.text +
                    "' outside common/log.cc; report user errors via "
                    "fatal() and bugs via panic()");
-        return;
-    }
-
-    if (t.text == "throw" && isLibraryPath(parts)) {
-        report("error-handling", t.line,
-               "'throw' in library code; use fatal()/panic() from "
-               "common/log.hh so failures are uniform and loggable");
     }
 }
 
@@ -677,49 +670,6 @@ lintPaths(const std::vector<std::string> &paths, std::string &error)
     }
     sortFindings(findings);
     return findings;
-}
-
-namespace
-{
-
-constexpr char kLintSchema[] = "smthill.lint.v1";
-
-constexpr JsonField<Finding> kFindingFields[] = {
-    jsonField<&Finding::rule>("rule"),
-    jsonField<&Finding::file>("file"),
-    jsonField<&Finding::line>("line"),
-    jsonField<&Finding::message>("message"),
-};
-
-/** The `smthill.lint.v1` document. */
-struct FindingsDoc
-{
-    std::vector<Finding> findings;
-};
-
-constexpr JsonField<FindingsDoc> kDocFields[] = {
-    jsonSchema<FindingsDoc, kLintSchema>(),
-    jsonRecords<&FindingsDoc::findings, kFindingFields>("findings"),
-};
-
-} // namespace
-
-Json
-findingsToJson(const std::vector<Finding> &findings)
-{
-    return writeFields(kDocFields, FindingsDoc{findings});
-}
-
-bool
-findingsFromJson(const Json &doc, std::vector<Finding> &out,
-                 std::string &error)
-{
-    out.clear();
-    FindingsDoc d;
-    if (!readFields(kDocFields, doc, d, error))
-        return false;
-    out = std::move(d.findings);
-    return true;
 }
 
 } // namespace lint

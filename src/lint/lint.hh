@@ -25,8 +25,10 @@
  *  - no-unordered-container: no `std::unordered_{map,set}` anywhere
  *                            (iteration order feeds exported results)
  *  - error-handling:         no naked `new`/`delete`; no
- *                            `exit`/`abort` outside `common/log.cc`;
- *                            no `throw` in library code (`src/`)
+ *                            `exit`/`abort` outside `common/log.cc`
+ *                            (the library builds with
+ *                            `-fno-exceptions`, so a `throw` there
+ *                            does not compile)
  *  - cpu-copy-hot-path:      no `SmtCpu x = y;` copy-construction in
  *                            `src/` or `bench/` outside the
  *                            checkpoint API (`core/machine_arena.*`);
@@ -50,8 +52,6 @@
 
 #include <string>
 #include <vector>
-
-#include "common/json.hh"
 
 namespace smthill
 {
@@ -93,17 +93,6 @@ std::vector<Finding> lintFile(const std::string &path,
  */
 std::vector<Finding> lintPaths(const std::vector<std::string> &paths,
                                std::string &error);
-
-/** Serialize findings as a `smthill.lint.v1` JSON document. */
-Json findingsToJson(const std::vector<Finding> &findings);
-
-/**
- * Parse a `smthill.lint.v1` document back into findings.
- * @return false with @p error naming the first missing or
- * wrong-typed key
- */
-bool findingsFromJson(const Json &doc, std::vector<Finding> &out,
-                      std::string &error);
 
 } // namespace lint
 } // namespace smthill

@@ -605,8 +605,7 @@ SmtCpu::doIssue()
 
         s.state = SlotIssued;
         evt->instruction(curCycle, tid, InstStage::Issue, s.seq, s.si.pc, op);
-        s.completeCycle = curCycle + std::max<Cycle>(1, lat);
-        events.push(CompletionEvent{s.completeCycle,
+        events.push(CompletionEvent{curCycle + std::max<Cycle>(1, lat),
                                     (e.slot << kTidBits) | tid, s.genId});
     }
     readyList.resize(kept);

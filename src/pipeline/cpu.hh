@@ -127,6 +127,15 @@ class SmtCpu
     SmtCpu(const SmtConfig &config, std::vector<StreamGenerator> programs);
 
     /**
+     * @return a whole-machine copy of this machine's simulated state
+     * that starts with no observer links (Attachment rule): the named
+     * way to take a checkpoint that outlives this machine's next
+     * cycle. Trial sweeps restore warm machines instead
+     * (restoreFrom, core/machine_arena.hh).
+     */
+    SmtCpu checkpoint() const { return *this; }
+
+    /**
      * Restore this machine to @p checkpoint's exact simulated state,
      * reusing this machine's existing allocations (instruction rings,
      * cache arrays) instead of making fresh ones — the cheap path
@@ -365,7 +374,6 @@ class SmtCpu
         SynthInst si;
         InstSeq seq = 0;
         Cycle fetchCycle = 0;
-        Cycle completeCycle = 0;
         HybridPredictor::Lookup bp;
         std::uint32_t wakeHead = kNoLink; ///< newest consumer link
         /** Next-older link on source k's producer list. */

@@ -448,8 +448,8 @@ stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
 
     // Two deliberate value-semantics clones per fuzz case; the
     // divergence check depends on them being full copies.
-    SmtCpu a = warm; // smthill-lint: allow(cpu-copy-hot-path)
-    SmtCpu b = warm; // smthill-lint: allow(cpu-copy-hot-path)
+    SmtCpu a = warm.checkpoint();
+    SmtCpu b = warm.checkpoint();
     for (int e = 0; e < 2; ++e) {
         OfflineEpoch ea = serial.stepEpoch(a);
         OfflineEpoch eb = parallel.stepEpoch(b);

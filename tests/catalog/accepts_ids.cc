@@ -16,7 +16,7 @@ void
 emitById(EventTrace &trace)
 {
     trace.instant(0, 0, kControlTid, EventId::HillAnchorMove);
-    globalStats().counter(CounterId::ThreadPoolTasks).inc();
+    globalStats().counter(CounterId::ThreadPoolForIndices).inc();
 }
 
 } // namespace smthill

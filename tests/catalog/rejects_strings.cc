@@ -16,7 +16,7 @@ void
 emitByName(EventTrace &trace)
 {
     trace.instant(0, 0, kControlTid, "hill", "anchor.move");
-    globalStats().counter("smthill.thread_pool.tasks").inc();
+    globalStats().counter("smthill.thread_pool.for_indices").inc();
 }
 
 } // namespace smthill

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the schema field tables (JsonField in common/json.hh) and
- * the five readers built on them: smthill.report.v1,
- * smthill.epoch-trace.v1, smthill.profile.v1, smthill.events.v1 and
- * smthill.lint.v1. For each schema: a field-wise round trip, a
+ * the four readers built on them: smthill.report.v1,
+ * smthill.epoch-trace.v1, smthill.profile.v1 and smthill.events.v1.
+ * For each schema: a field-wise round trip, a
  * document missing one required key, and a document with one
  * wrong-typed key. Both bad documents must make the reader return
  * false with the key named in the error; none may end the process.
@@ -19,7 +19,6 @@
 #include "common/profile.hh"
 #include "core/epoch_trace.hh"
 #include "harness/report.hh"
-#include "lint/lint.hh"
 
 namespace smthill
 {
@@ -345,47 +344,6 @@ TEST(JsonFields, EventsWrongType)
     EXPECT_FALSE(EventTrace::fromPerfettoJson(
         withMember(doc, "otherData", &other), events, error));
     expectNamesKey(error, "clock");
-}
-
-// --- smthill.lint.v1 ------------------------------------------------
-
-std::vector<lint::Finding>
-sampleFindings()
-{
-    return {{"no-wall-clock", "src/a.cc", 12, "clock \"x\" is banned"},
-            {"layering", "src/b/c.cc", 3, "upward edge"}};
-}
-
-TEST(JsonFields, LintRoundTrip)
-{
-    std::vector<lint::Finding> back;
-    std::string error;
-    ASSERT_TRUE(lint::findingsFromJson(
-        reparse(lint::findingsToJson(sampleFindings())), back, error))
-        << error;
-    EXPECT_EQ(back, sampleFindings());
-}
-
-TEST(JsonFields, LintMissingKey)
-{
-    const Json doc = lint::findingsToJson(sampleFindings());
-    std::vector<lint::Finding> out;
-    std::string error;
-    EXPECT_FALSE(lint::findingsFromJson(
-        withItemMember(doc, "findings", "line", nullptr), out, error));
-    expectNamesKey(error, "line");
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(JsonFields, LintWrongType)
-{
-    const Json doc = lint::findingsToJson(sampleFindings());
-    std::vector<lint::Finding> out;
-    std::string error;
-    const Json text("x");
-    EXPECT_FALSE(lint::findingsFromJson(
-        withItemMember(doc, "findings", "line", &text), out, error));
-    expectNamesKey(error, "line");
 }
 
 // --- the helper itself ----------------------------------------------

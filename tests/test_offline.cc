@@ -83,8 +83,8 @@ TEST(Offline, BestTrialIsMaxOfCurve)
 
 TEST(Offline, ChosenEpochMatchesBestTrialPerformance)
 {
-    // The committed epoch re-runs the best partitioning from the same
-    // checkpoint, so the committed IPCs must equal the best trial's.
+    // The machine takes the best trial's own end state, so the
+    // committed IPCs are the best trial's.
     SmtCpu cpu = testCpu();
     OfflineConfig oc = fastConfig();
     oc.keepCurves = true;
@@ -97,13 +97,13 @@ TEST(Offline, ChosenEpochMatchesBestTrialPerformance)
 TEST(Offline, NeverWorseThanEqualPartitionTrial)
 {
     SmtCpu cpu = testCpu();
-    const SmtCpu checkpoint = cpu;
+    SmtCpu equal = cpu.checkpoint();
     OfflineConfig oc = fastConfig();
     OfflineExhaustive off(oc);
     OfflineEpoch rec = off.stepEpoch(cpu);
 
-    IpcSample equal_run = runFixedPartitionEpoch(
-        checkpoint, Partition::equal(2, 256), oc.epochSize);
+    IpcSample equal_run =
+        runTrialEpoch(equal, Partition::equal(2, 256), oc.epochSize);
     double equal_metric = evalMetric(oc.metric, equal_run, oc.singleIpc);
     EXPECT_GE(rec.metricValue, equal_metric - 1e-12);
 }
@@ -152,20 +152,43 @@ TEST(Offline, RequiresTwoThreads)
 
 TEST(Offline, FixedPartitionEpochDoesNotMutateCheckpoint)
 {
+    // A trial epoch on a checkpoint() leaves the source untouched.
     SmtCpu cpu = testCpu();
     auto committed = cpu.stats().committedTotal();
     Cycle now = cpu.now();
-    runFixedPartitionEpoch(cpu, Partition::equal(2, 256), 4096);
+    SmtCpu trial = cpu.checkpoint();
+    runTrialEpoch(trial, Partition::equal(2, 256), 4096);
+    EXPECT_EQ(trial.now(), now + 4096);
     EXPECT_EQ(cpu.stats().committedTotal(), committed);
     EXPECT_EQ(cpu.now(), now);
+}
+
+TEST(Offline, MapEpochDoesNotAdvanceMachine)
+{
+    // mapEpoch returns stepEpoch's record and commits nothing.
+    SmtCpu cpu = testCpu();
+    auto committed = cpu.stats().committedTotal();
+    Cycle now = cpu.now();
+    OfflineConfig oc = fastConfig();
+    oc.keepCurves = true;
+    OfflineExhaustive off(oc);
+    OfflineEpoch mapped = off.mapEpoch(cpu);
+    EXPECT_EQ(cpu.stats().committedTotal(), committed);
+    EXPECT_EQ(cpu.now(), now);
+
+    OfflineEpoch stepped = off.stepEpoch(cpu);
+    EXPECT_EQ(mapped.best, stepped.best);
+    EXPECT_EQ(mapped.metricValue, stepped.metricValue);
+    EXPECT_EQ(mapped.curve, stepped.curve);
+    EXPECT_EQ(cpu.now(), now + oc.epochSize);
 }
 
 TEST(Offline, AdvancedOutputContinuesFromTrial)
 {
     SmtCpu cpu = testCpu();
-    SmtCpu advanced = cpu; // placeholder value
-    IpcSample s = runFixedPartitionEpoch(cpu, Partition::equal(2, 256),
-                                         4096, &advanced);
+    SmtCpu advanced = cpu.checkpoint();
+    IpcSample s =
+        runTrialEpoch(advanced, Partition::equal(2, 256), 4096);
     EXPECT_EQ(advanced.now(), cpu.now() + 4096);
     double ipc_from_stats =
         static_cast<double>(advanced.stats().committedTotal() -

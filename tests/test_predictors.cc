@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the branch predictors, BTB, and RAS.
+ * Unit tests for the branch predictors and the BTB.
  */
 
 #include <gtest/gtest.h>
@@ -173,36 +173,6 @@ TEST(Btb, LookupRefreshesLru)
     btb.update(0x020, 0x21);                // evicts 0x008 now
     EXPECT_TRUE(btb.lookup(0x000, target));
     EXPECT_FALSE(btb.lookup(0x008, target));
-}
-
-TEST(Ras, PushPopOrder)
-{
-    ReturnAddressStack ras(8);
-    EXPECT_TRUE(ras.empty());
-    ras.push(0x10);
-    ras.push(0x20);
-    ras.push(0x30);
-    EXPECT_EQ(ras.size(), 3u);
-    EXPECT_EQ(ras.pop(), 0x30u);
-    EXPECT_EQ(ras.pop(), 0x20u);
-    EXPECT_EQ(ras.pop(), 0x10u);
-    EXPECT_TRUE(ras.empty());
-}
-
-TEST(Ras, PopEmptyReturnsZero)
-{
-    ReturnAddressStack ras(4);
-    EXPECT_EQ(ras.pop(), 0u);
-}
-
-TEST(Ras, OverflowWrapsKeepingNewest)
-{
-    ReturnAddressStack ras(2);
-    ras.push(1);
-    ras.push(2);
-    ras.push(3); // overwrites the oldest
-    EXPECT_EQ(ras.pop(), 3u);
-    EXPECT_EQ(ras.pop(), 2u);
 }
 
 TEST(Predictors, CopyPreservesLearnedState)

@@ -75,13 +75,13 @@ TEST(RandHill, WorksOnFourThreads)
 TEST(RandHill, BestBeatsEqualTrial)
 {
     SmtCpu cpu = fourThreadCpu();
-    const SmtCpu checkpoint = cpu;
+    SmtCpu equal = cpu.checkpoint();
     RandHillConfig rc = fastConfig();
     RandHill rh(rc);
     OfflineEpoch rec = rh.stepEpoch(cpu);
 
-    IpcSample equal_run = runFixedPartitionEpoch(
-        checkpoint, Partition::equal(4, 256), rc.epochSize);
+    IpcSample equal_run =
+        runTrialEpoch(equal, Partition::equal(4, 256), rc.epochSize);
     double equal_metric = evalMetric(rc.metric, equal_run, rc.singleIpc);
     // The search includes near-equal trials in its first round, so it
     // can never end below them.

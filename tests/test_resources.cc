@@ -157,7 +157,6 @@ TEST(SmtConfig, DefaultsMatchTable1)
     EXPECT_EQ(cfg.metaEntries, 8192u);
     EXPECT_EQ(cfg.btbEntries, 2048u);
     EXPECT_EQ(cfg.btbWays, 4u);
-    EXPECT_EQ(cfg.rasEntries, 64u);
     cfg.validate(); // must not abort
 }
 

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -21,10 +23,8 @@ namespace smthill
 namespace
 {
 
-// Asking for a stat of the wrong kind, or by a string, does not
-// compile: the registry takes only catalog ids of the matching kind.
-static_assert(!std::is_convertible_v<CounterId, GaugeId>);
-static_assert(!std::is_convertible_v<GaugeId, CounterId>);
+// Asking for a stat by a string does not compile: the registry takes
+// only catalog ids.
 static_assert(!std::is_convertible_v<const char *, CounterId>);
 
 TEST(StatRegistry, CounterFindOrCreate)
@@ -38,38 +38,30 @@ TEST(StatRegistry, CounterFindOrCreate)
     EXPECT_EQ(a.value(), 5u);
 }
 
-TEST(StatRegistry, GaugeSetAndAdd)
-{
-    StatRegistry reg;
-    StatGauge &g = reg.gauge(GaugeId::ThreadPoolQueueDepth);
-    g.set(3.0);
-    g.add(-1.5);
-    EXPECT_DOUBLE_EQ(g.value(), 1.5);
-}
-
 TEST(StatRegistry, NamesInRegistrationOrder)
 {
     StatRegistry reg;
     reg.counter(CounterId::RlEpochs);
-    reg.gauge(GaugeId::ThreadPoolQueueDepth);
+    reg.counter(CounterId::ThreadPoolForIndices);
     reg.counter(CounterId::BanditEpochs);
     reg.counter(CounterId::RlEpochs); // lookup, not a new registration
     std::vector<std::string> names = reg.names();
     ASSERT_EQ(names.size(), 3u);
     EXPECT_EQ(names[0], "smthill.rl.epochs");
-    EXPECT_EQ(names[1], "smthill.thread_pool.queue_depth");
+    EXPECT_EQ(names[1], "smthill.thread_pool.for_indices");
     EXPECT_EQ(names[2], "smthill.bandit.epochs");
 }
 
 TEST(StatRegistry, ToJsonExportsEveryKind)
 {
     StatRegistry reg;
+    // Counters are the only kind: each exports as an integer.
     reg.counter(CounterId::WarmMachineHits).add(7);
-    reg.gauge(GaugeId::ThreadPoolQueueDepth).set(2.25);
+    reg.counter(CounterId::ThreadPoolForIndices).add(31);
 
     Json j = reg.toJson();
     EXPECT_EQ(j.dump(), "{\"smthill.warm_cache.machine.hits\":7,"
-                        "\"smthill.thread_pool.queue_depth\":2.25}");
+                        "\"smthill.thread_pool.for_indices\":31}");
 
     // The export round-trips through the parser.
     Json back;
@@ -83,11 +75,10 @@ TEST(StatRegistry, ResetValuesKeepsRegistrations)
     StatRegistry reg;
     StatCounter &c = reg.counter(CounterId::RlExplores);
     c.add(5);
-    reg.gauge(GaugeId::ThreadPoolQueueDepth).set(1.0);
+    reg.counter(CounterId::BanditSwitches).add(2);
     reg.resetValues();
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(reg.gauge(GaugeId::ThreadPoolQueueDepth).value(),
-                     0.0);
+    EXPECT_EQ(reg.counter(CounterId::BanditSwitches).value(), 0u);
     EXPECT_EQ(reg.names().size(), 2u);
 }
 
@@ -101,14 +92,14 @@ TEST(StatRegistry, ConcurrentCountsAreExact)
         threads.emplace_back([&reg] {
             // Registration races with other workers on purpose; every
             // thread must land on the same counter object.
-            StatCounter &c = reg.counter(CounterId::ThreadPoolTasks);
+            StatCounter &c = reg.counter(CounterId::RlExplores);
             for (int i = 0; i < kPerThread; ++i)
                 c.inc();
         });
     }
     for (auto &t : threads)
         t.join();
-    EXPECT_EQ(reg.counter(CounterId::ThreadPoolTasks).value(),
+    EXPECT_EQ(reg.counter(CounterId::RlExplores).value(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
@@ -119,16 +110,21 @@ TEST(StatRegistry, GlobalRegistryIsSingleton)
 
 TEST(StatRegistry, ThreadPoolRegistersItsStats)
 {
-    // The pool wires itself into globalStats(); tasks executed there
+    // The pool wires itself into globalStats(); the indices it ran
     // are visible in the export.
-    std::uint64_t before =
-        globalStats().counter(CounterId::ThreadPoolTasks).value();
     ThreadPool pool(2);
+    const std::vector<std::string> names = globalStats().names();
+    EXPECT_NE(std::find(names.begin(), names.end(),
+                        "smthill.thread_pool.for_indices"),
+              names.end());
+    std::uint64_t before =
+        globalStats().counter(CounterId::ThreadPoolForIndices).value();
     std::atomic<int> ran{0};
     pool.parallelFor(16, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran.load(), 16);
-    EXPECT_GE(globalStats().counter(CounterId::ThreadPoolTasks).value(),
-              before);
+    EXPECT_GE(
+        globalStats().counter(CounterId::ThreadPoolForIndices).value(),
+        before + 16);
 }
 
 } // namespace

@@ -1,15 +1,15 @@
 /**
  * @file
- * Unit tests for the fixed-size worker thread pool: full index
- * coverage with ordered results, jobs=1 inline degeneracy,
- * deterministic exception propagation, and future-based submission.
+ * Unit tests for the fixed-size fork-join pool: full index coverage
+ * with ordered results, jobs=1 inline degeneracy, join before
+ * return, and each worker's increasing index order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <set>
-#include <stdexcept>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -80,72 +80,48 @@ TEST(ThreadPool, EmptyRangeIsANoOp)
     pool.parallelFor(0, [&](std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, PropagatesLowestIndexException)
+TEST(ThreadPool, AllTasksFinishBeforeReturn)
 {
-    ThreadPool pool(4);
-    // Multiple throwing indices: the surviving exception must be the
-    // lowest index, independent of scheduling.
-    for (int attempt = 0; attempt < 10; ++attempt) {
-        try {
-            pool.parallelFor(64, [&](std::size_t i) {
-                if (i % 7 == 3) // throws at 3, 10, 17, ...
-                    throw std::runtime_error("boom at " +
-                                             std::to_string(i));
-            });
-            FAIL() << "expected an exception";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "boom at 3");
-        }
-    }
-}
-
-TEST(ThreadPool, ExceptionPropagatesWithJobsOne)
-{
-    ThreadPool pool(1);
-    EXPECT_THROW(pool.parallelFor(
-                     5,
-                     [&](std::size_t i) {
-                         if (i == 2)
-                             throw std::logic_error("serial");
-                     }),
-                 std::logic_error);
-}
-
-TEST(ThreadPool, AllTasksFinishBeforeThrowingReturn)
-{
+    // The caller drains quickly while the pool threads dawdle on each
+    // index; parallelFor must not return while any of them is still
+    // touching caller-owned state.
     ThreadPool pool(4);
     constexpr std::size_t n = 200;
     std::atomic<int> completed{0};
-    try {
-        pool.parallelFor(n, [&](std::size_t i) {
-            if (i == 0)
-                throw std::runtime_error("early");
+    for (int round = 0; round < 5; ++round) {
+        completed = 0;
+        pool.parallelForWorker(n, [&](std::size_t, int worker) {
+            if (worker != 0)
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
             completed++;
         });
-        FAIL();
-    } catch (const std::runtime_error &) {
-        // parallelFor must not return/throw while tasks are still
-        // touching caller-owned state.
-        EXPECT_EQ(completed.load(), static_cast<int>(n) - 1);
+        EXPECT_EQ(completed.load(), static_cast<int>(n));
     }
 }
 
-TEST(ThreadPool, SubmitReturnsFutureResults)
+TEST(ThreadPool, WorkersDrawIncreasingIndices)
 {
+    // Per-worker bests (MachineArena::keep) rely on this: a worker
+    // id is in [0, jobs), never runs two indices at once, and draws
+    // its indices in increasing order.
     ThreadPool pool(3);
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 20; ++i)
-        futs.push_back(pool.submit([i] { return i * 3; }));
-    for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * 3);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
+    constexpr std::size_t n = 500;
+    std::vector<int> ranOn(n, -1);
+    std::vector<std::vector<std::size_t>> drawn(3);
+    pool.parallelForWorker(n, [&](std::size_t i, int worker) {
+        ASSERT_GE(worker, 0);
+        ASSERT_LT(worker, 3);
+        ranOn[i] = worker;
+        drawn[static_cast<std::size_t>(worker)].push_back(i);
+    });
+    std::size_t total = 0;
+    for (const auto &d : drawn) {
+        EXPECT_TRUE(std::is_sorted(d.begin(), d.end()));
+        total += d.size();
+    }
+    EXPECT_EQ(total, n);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NE(ranOn[i], -1) << "index " << i;
 }
 
 TEST(ThreadPool, DefaultJobsIsPositive)
@@ -153,20 +129,18 @@ TEST(ThreadPool, DefaultJobsIsPositive)
     EXPECT_GE(ThreadPool::defaultJobs(), 1);
 }
 
-TEST(ThreadPool, ExportsIndexAndQueueDepthStats)
+TEST(ThreadPool, ExportsIndexStats)
 {
+    // for_indices counts every index a fan-out ran, serial paths
+    // included; it is the pool's only stat.
     ThreadPool pool(4);
     std::uint64_t before =
         globalStats().counter(CounterId::ThreadPoolForIndices).value();
     pool.parallelFor(64, [](std::size_t) {});
+    pool.parallelFor(1, [](std::size_t) {});
     EXPECT_GE(
         globalStats().counter(CounterId::ThreadPoolForIndices).value(),
-        before + 64);
-    // queue_depth is a live gauge; once parallelFor returns, every
-    // enqueued task has been drained.
-    EXPECT_EQ(
-        globalStats().gauge(GaugeId::ThreadPoolQueueDepth).value(),
-        0.0);
+        before + 65);
 }
 
 TEST(ThreadPool, ReusableAcrossManyParallelFors)

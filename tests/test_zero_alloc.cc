@@ -8,13 +8,15 @@
  *
  * Scope: per-cycle work. runOneEpoch drives the policy's cycle()
  * hook and SmtCpu::step / skipQuietTo; a trial is
- * MachineArena::acquire (SmtCpu::restoreFrom) plus runTrialEpoch.
- * Per-epoch work — the policy's epoch() learner step and a sweep's
- * thread-pool fan-out — runs once per epoch, may allocate, and sits
- * outside the counted window.
+ * MachineArena::acquire (SmtCpu::restoreFrom) plus runTrialEpoch and
+ * MachineArena::keep; a warm ThreadPool fan-out allocates nothing
+ * either. Per-epoch work — the policy's epoch() learner step and a
+ * sweep's result vectors — runs once per epoch, may allocate, and
+ * sits outside the counted window.
  */
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -27,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hh"
 #include "core/hill_climbing.hh"
 #include "core/machine_arena.hh"
 #include "core/offline_exhaustive.hh"
@@ -233,19 +236,42 @@ TEST_P(ZeroAllocTrial, RestoredTrialsAllocateNothing)
     MachineArena arena(kWorkers);
     const std::vector<Partition> trials =
         enumeratePartitions2(checkpoint.config().intRegs, 16);
-    ASSERT_GT(trials.size(), 2u * kWorkers);
+    ASSERT_GT(trials.size(), 4u * kWorkers);
     for (std::size_t i = 0; i < trials.size(); ++i) {
         const int worker = static_cast<int>(i % kWorkers);
         const std::uint64_t before = allocations.load();
         SmtCpu &trial = arena.acquire(worker, checkpoint);
         runTrialEpoch(trial, trials[i], cfg.epochSize);
+        // A rising score keeps every trial, so each worker alternates
+        // between its scratch and best slots.
+        arena.keep(worker, static_cast<double>(i));
         const std::uint64_t n = allocations.load() - before;
-        // Each worker's first trial clones the checkpoint.
-        if (i >= kWorkers) {
+        // Each worker's first two trials clone the checkpoint, one
+        // per slot.
+        if (i >= 2 * kWorkers) {
             EXPECT_EQ(n, 0u) << mix << ", trial " << i << " on worker "
                              << worker << " (" << trials[i].str() << ")";
         }
     }
+}
+
+TEST(ZeroAllocPool, WarmFanOutAllocatesNothing)
+{
+    // The sweep's fan-out: the caller publishes a reference to the
+    // body, and the workers drain it in place, so nothing is
+    // allocated per fan-out or per worker.
+    ThreadPool pool(3);
+    std::array<std::size_t, 31> out{};
+    const auto body = [&out](std::size_t i, int worker) {
+        out[i] = i * 4 + static_cast<std::size_t>(worker);
+    };
+    pool.parallelForWorker(out.size(), body); // start-up, uncounted
+    const std::uint64_t before = allocations.load();
+    for (int round = 0; round < 20; ++round)
+        pool.parallelForWorker(out.size(), body);
+    EXPECT_EQ(allocations.load() - before, 0u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i] / 4, i);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,8 +12,9 @@
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + the ASAN_SUITES
 #            regex below (observability/export, open-system churn,
-#            learner, quiet-skip, wakeup-list, zero-allocation and
-#            stream-generator suites, FuzzSmoke, TsanFixture)
+#            learner, quiet-skip, wakeup-list, zero-allocation,
+#            stream-generator, trial-commit and thread-pool suites,
+#            FuzzSmoke, TsanFixture)
 #   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites and
 #            TsanFixtureRacy, which passes only on TSan's race report
 #
@@ -32,7 +33,7 @@ OVERALL=0
 
 # The one list of suites run under ASan+UBSan (ROADMAP.md and the
 # verify skill point here rather than repeat it).
-ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|LearnerChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator'
+ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|LearnerChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator|TrialCommit|ThreadPool'
 
 record()
 {
@@ -80,7 +81,7 @@ echo "== tsan: thread-sanitized parallel suites =="
 stage_build "$SRC_DIR/build-tsan" -DSMTHILL_SANITIZE=thread &&
     (cd "$SRC_DIR/build-tsan" &&
      ctest --output-on-failure -j "$JOBS" \
-           -R 'ThreadPool|ParallelDeterminism|TsanFixture|FuzzSmoke')
+           -R 'ThreadPool|ParallelDeterminism|TrialCommit|TsanFixture|FuzzSmoke')
 record tsan $?
 
 echo

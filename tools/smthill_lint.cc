@@ -5,18 +5,16 @@
  * directory trees.
  *
  * Usage:
- *   smthill_lint [json=FILE] [quiet=1] [list_rules=1] <paths...>
+ *   smthill_lint [quiet=1] [list_rules=1] <paths...>
  *
- * GNU spellings are accepted ("--json=out.json"). Findings print as
- * `file:line: [rule] message`; `json=FILE` additionally writes a
- * `smthill.lint.v1` document. Exit status is 0 only when every path
+ * GNU spellings are accepted ("--list-rules"). Findings print as
+ * `file:line: [rule] message`. Exit status is 0 only when every path
  * lints clean — the `Lint` ctest entry runs the whole tree, and a
  * finding is suppressed only by an explicit
  * `// smthill-lint: allow(<rule>)` at the offending line.
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -47,7 +45,7 @@ void
 usage()
 {
     std::printf(
-        "usage: smthill_lint [json=FILE] [quiet=1] [list_rules=1] "
+        "usage: smthill_lint [quiet=1] [list_rules=1] "
         "<paths...>\n"
         "  lints .hh/.h/.cc/.cpp files under each path; exits "
         "nonzero on any\n  unsuppressed finding "
@@ -59,7 +57,6 @@ usage()
 int
 main(int argc, char **argv)
 {
-    std::string jsonPath;
     bool quiet = false;
     std::vector<std::string> paths;
 
@@ -73,10 +70,6 @@ main(int argc, char **argv)
             for (const std::string &rule : lint::ruleNames())
                 std::printf("%s\n", rule.c_str());
             return 0;
-        }
-        if (arg.rfind("json=", 0) == 0) {
-            jsonPath = arg.substr(5);
-            continue;
         }
         if (arg == "quiet" || arg == "quiet=1") {
             quiet = true;
@@ -102,16 +95,6 @@ main(int argc, char **argv)
             std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line,
                         f.rule.c_str(), f.message.c_str());
         }
-    }
-
-    if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "smthill_lint: cannot write %s\n",
-                         jsonPath.c_str());
-            return 2;
-        }
-        out << lint::findingsToJson(findings).dump(2) << "\n";
     }
 
     if (findings.empty()) {
