@@ -284,24 +284,4 @@ envScale(const char *name, std::uint64_t def)
     return envKnob(name).value_or(def);
 }
 
-RunConfig
-benchRunConfig(int default_epochs)
-{
-    RunConfig rc;
-    rc.epochs = static_cast<int>(
-        envScale("SMTHILL_EPOCHS", static_cast<std::uint64_t>(
-                                       default_epochs)));
-    rc.epochSize = envScale("SMTHILL_EPOCH_SIZE", rc.epochSize);
-    // Zero epochs or cycles would average over nothing (nan metrics).
-    if (rc.epochs == 0)
-        fatal("SMTHILL_EPOCHS=0: sizes must be at least 1");
-    if (rc.epochSize == 0)
-        fatal("SMTHILL_EPOCH_SIZE=0: sizes must be at least 1");
-    rc.seedSalt = envScale("SMTHILL_SEED", 0);
-    rc.warmupCycles = envScale("SMTHILL_WARMUP", rc.warmupCycles);
-    rc.jobs = static_cast<int>(
-        envScale("SMTHILL_JOBS", static_cast<std::uint64_t>(rc.jobs)));
-    return rc;
-}
-
 } // namespace smthill

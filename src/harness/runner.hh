@@ -161,12 +161,6 @@ std::optional<std::uint64_t> envKnob(const char *name);
 /** envKnob(@p name), or @p def when the knob has no usable value. */
 std::uint64_t envScale(const char *name, std::uint64_t def);
 
-/**
- * Example-program RunConfig honoring SMTHILL_EPOCHS/EPOCH_SIZE/SEED;
- * fatal when SMTHILL_EPOCHS or SMTHILL_EPOCH_SIZE is 0.
- */
-RunConfig benchRunConfig(int default_epochs);
-
 } // namespace smthill
 
 #endif // SMTHILL_HARNESS_RUNNER_HH

@@ -4,12 +4,9 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
-
-#include "common/log.hh"
-#include "lint/lexer.hh"
+#include <tuple>
 
 namespace smthill
 {
@@ -19,23 +16,148 @@ namespace lint
 namespace
 {
 
+/** Token classes the rules distinguish. */
+enum class TokKind
+{
+    Identifier, ///< identifiers and keywords
+    Literal,    ///< number, string or character literal; no text
+    Punct,      ///< one punctuation character per token
+    Directive   ///< full preprocessor line, continuations joined
+};
+
+/** One lexed token with its 1-based source line. */
+struct Token
+{
+    TokKind kind = TokKind::Punct;
+    std::string text;
+    int line = 0;
+};
+
+bool
+isIdentChar(char c)
+{
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/**
+ * Split one file's bytes into the tokens the rules need, stripping
+ * comments, so no rule mistakes a keyword in a comment or a literal
+ * for code. Not a compiler front end.
+ */
+std::vector<Token>
+lexFile(const std::string &content)
+{
+    std::vector<Token> out;
+    const std::size_t n = content.size();
+    std::size_t i = 0;
+    int line = 1;
+    bool atLineStart = true;
+
+    // Consume up to (not including) @p end, counting newlines.
+    auto skipTo = [&](std::size_t end) {
+        for (; i < end && i < n; ++i) {
+            if (content[i] == '\n') {
+                ++line;
+                atLineStart = true;
+            }
+        }
+    };
+
+    while (i < n) {
+        const char c = content[i];
+        const char next = i + 1 < n ? content[i + 1] : '\0';
+        if (std::isspace(static_cast<unsigned char>(c))) {
+            skipTo(i + 1);
+            continue;
+        }
+
+        // Preprocessor directive: the logical line, backslash
+        // continuations joined, as one token.
+        if (c == '#' && atLineStart) {
+            const int startLine = line;
+            std::string text;
+            while (i < n && content[i] != '\n') {
+                if (content[i] == '\\' && i + 1 < n &&
+                    content[i + 1] == '\n') {
+                    text.push_back(' ');
+                    skipTo(i + 2);
+                } else {
+                    text.push_back(content[i++]);
+                }
+            }
+            out.push_back({TokKind::Directive, text, startLine});
+            continue;
+        }
+        atLineStart = false;
+
+        if (c == '/' && next == '/') { // line comment
+            const std::size_t end = content.find('\n', i);
+            i = end == std::string::npos ? n : end;
+            continue;
+        }
+        if (c == '/' && next == '*') { // block comment
+            const std::size_t end = content.find("*/", i + 2);
+            skipTo(end == std::string::npos ? n : end + 2);
+            continue;
+        }
+
+        const int startLine = line;
+        if (c == 'R' && next == '"') {
+            // Raw string literal: R"delim( ... )delim".
+            const std::size_t open = content.find('(', i + 2);
+            const std::string closer =
+                open == std::string::npos
+                    ? std::string()
+                    : ")" + content.substr(i + 2, open - i - 2) + "\"";
+            const std::size_t end = content.find(closer, open);
+            skipTo(end == std::string::npos ? n : end + closer.size());
+            out.push_back({TokKind::Literal, "", startLine});
+            continue;
+        }
+        if (c == '"' || c == '\'') {
+            // String or character literal with backslash escapes.
+            std::size_t end = i + 1;
+            while (end < n && content[end] != c)
+                end += content[end] == '\\' ? 2 : 1;
+            skipTo(end + 1);
+            out.push_back({TokKind::Literal, "", startLine});
+            continue;
+        }
+        if (isIdentChar(c)) {
+            // A leading digit makes a number, whose `.` and `'` digit
+            // separators belong to it.
+            const bool number = std::isdigit(static_cast<unsigned char>(c));
+            const std::size_t start = i;
+            while (i < n &&
+                   (isIdentChar(content[i]) ||
+                    (number && (content[i] == '.' || content[i] == '\''))))
+                ++i;
+            out.push_back({number ? TokKind::Literal : TokKind::Identifier,
+                           number ? "" : content.substr(start, i - start),
+                           line});
+            continue;
+        }
+        out.push_back({TokKind::Punct, std::string(1, c), line});
+        ++i;
+    }
+    return out;
+}
+
 /** Split a path into components, normalizing separators. */
 std::vector<std::string>
 pathComponents(const std::string &path)
 {
     std::vector<std::string> parts;
     std::string cur;
-    for (char c : path) {
-        if (c == '/' || c == '\\') {
-            if (!cur.empty() && cur != ".")
-                parts.push_back(cur);
-            cur.clear();
-        } else {
+    for (char c : path + "/") {
+        if (c != '/' && c != '\\') {
             cur.push_back(c);
+            continue;
         }
+        if (!cur.empty() && cur != ".")
+            parts.push_back(cur);
+        cur.clear();
     }
-    if (!cur.empty() && cur != ".")
-        parts.push_back(cur);
     return parts;
 }
 
@@ -47,120 +169,25 @@ endsWith(const std::string &s, const std::string &suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/** @return the module dir under `src/`, or "" if not library code. */
-std::string
-srcModule(const std::vector<std::string> &parts)
-{
-    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-        if (parts[i] == "src")
-            return parts[i + 1];
-    }
-    return "";
-}
-
-/** @return true if @p path has a `src` component (library code). */
-bool
-isLibraryPath(const std::vector<std::string> &parts)
-{
-    return std::find(parts.begin(), parts.end(), "src") != parts.end();
-}
-
-/** @return true if @p path has a `bench` component (hot loops). */
-bool
-isBenchPath(const std::vector<std::string> &parts)
-{
-    return std::find(parts.begin(), parts.end(), "bench") !=
-           parts.end();
-}
-
-/**
- * Module layering ranks: an include from module A to module B is
- * legal iff rank(B) <= rank(A). Equal ranks name sibling modules
- * that may include each other laterally — the rank-40 group
- * (policy/workload/core) is cyclic by design: core's learners
- * implement the policy interface, policy's bandit/RL learners reuse
- * core's partition lattice, and workload's open system drives any
- * policy. The rule only rejects strictly upward edges.
- */
-int
-moduleRank(const std::string &module)
-{
-    static const std::map<std::string, int> ranks = {
-        {"common", 0},  {"trace", 10},    {"branch", 10},
-        {"memory", 10}, {"pipeline", 20}, {"policy", 40},
-        {"workload", 40}, {"core", 40},   {"phase", 50},
-        {"harness", 60}, {"validate", 70}, {"lint", 80},
-    };
-    auto it = ranks.find(module);
-    return it == ranks.end() ? -1 : it->second;
-}
-
-/** Files exempt from the determinism rules (the RNG itself). */
-bool
-isRngSource(const std::string &path)
-{
-    return endsWith(path, "common/rng.hh") ||
-           endsWith(path, "common/rng.cc");
-}
-
-/** Parse `#include` target from a directive; sets @p angled. */
-bool
-parseInclude(const std::string &directive, std::string &target,
-             bool &angled)
-{
-    std::size_t i = 0;
-    auto skipSpace = [&] {
-        while (i < directive.size() &&
-               std::isspace(static_cast<unsigned char>(directive[i])))
-            ++i;
-    };
-    skipSpace();
-    if (i >= directive.size() || directive[i] != '#')
-        return false;
-    ++i;
-    skipSpace();
-    if (directive.compare(i, 7, "include") != 0)
-        return false;
-    i += 7;
-    skipSpace();
-    if (i >= directive.size())
-        return false;
-    char open = directive[i];
-    char close = open == '<' ? '>' : open == '"' ? '"' : '\0';
-    if (close == '\0')
-        return false;
-    std::size_t end = directive.find(close, i + 1);
-    if (end == std::string::npos)
-        return false;
-    target = directive.substr(i + 1, end - i - 1);
-    angled = open == '<';
-    return true;
-}
-
-/** Directive keyword (`ifndef`, `define`, `pragma`, ...) + operand. */
+/** Directive keyword (`ifndef`, `define`, `include`, ...) + operand. */
 void
 parseDirective(const std::string &directive, std::string &keyword,
                std::string &operand)
 {
-    keyword.clear();
-    operand.clear();
-    std::istringstream is(directive);
-    char hash = '\0';
-    is >> hash >> keyword >> operand;
-    // `#ifndef X` and `# ifndef X` both lex with the hash first.
-    if (keyword == "#" || keyword.empty())
-        is >> keyword >> operand;
-    else if (!keyword.empty() && keyword[0] == '#')
-        keyword.erase(keyword.begin());
+    std::istringstream is(directive.substr(directive.find('#') + 1));
+    is >> keyword >> operand;
 }
 
-/** Canonical include-guard macro for a header path. */
+/**
+ * Canonical include-guard macro for a header path: SMTHILL_ plus the
+ * path below `src/` (or from `bench/`, `tools/`, `tests/` on),
+ * upper-cased, with every other character an underscore.
+ */
 std::string
-canonicalGuard(const std::string &path)
+canonicalGuard(const std::vector<std::string> &parts)
 {
-    std::vector<std::string> parts = pathComponents(path);
-    static const std::set<std::string> keepRoots = {
-        "bench", "tools", "tests", "examples"};
+    static const std::set<std::string> keepRoots = {"bench", "tools",
+                                                    "tests"};
     std::size_t begin = parts.empty() ? 0 : parts.size() - 1;
     for (std::size_t i = 0; i < parts.size(); ++i) {
         if (parts[i] == "src" && i + 1 < parts.size()) {
@@ -176,49 +203,38 @@ canonicalGuard(const std::string &path)
     for (std::size_t i = begin; i < parts.size(); ++i) {
         guard.push_back('_');
         for (char c : parts[i]) {
-            guard.push_back(
-                std::isalnum(static_cast<unsigned char>(c))
-                    ? static_cast<char>(
-                          std::toupper(static_cast<unsigned char>(c)))
-                    : '_');
+            const auto u = static_cast<unsigned char>(c);
+            guard.push_back(std::isalnum(u)
+                                ? static_cast<char>(std::toupper(u))
+                                : '_');
         }
     }
     return guard;
 }
-
-/**
- * Which `// smthill-lint: allow(<rule>)` markers of one file earned
- * their keep: every (marker line, rule) pair that suppressed a
- * finding. A marker absent here once the rules ran is stale.
- */
-struct SuppressionAudit
-{
-    std::set<std::pair<int, std::string>> used;
-
-    void
-    recordUse(int allow_line, const std::string &rule)
-    {
-        used.insert({allow_line, rule});
-    }
-};
 
 class FileScanner
 {
   public:
     FileScanner(const std::string &file_path, const std::string &content)
         : path(file_path), parts(pathComponents(file_path)),
-          lex(lexFile(content))
+          tokens(lexFile(content))
     {
     }
 
     std::vector<Finding>
     run()
     {
-        scanTokens();
-        scanDirectives();
-        if (endsWith(path, ".hh") || endsWith(path, ".h"))
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+            if (tokens[i].kind == TokKind::Directive) {
+                checkInclude(tokens[i]);
+            } else if (tokens[i].kind == TokKind::Identifier) {
+                checkDeterminismIdent(i);
+                checkErrorHandlingIdent(i);
+                checkCpuCopyIdent(i);
+            }
+        }
+        if (endsWith(path, ".hh"))
             checkIncludeGuard();
-        checkStaleAllows(); // last: every other rule recorded its uses
         return findings;
     }
 
@@ -226,57 +242,53 @@ class FileScanner
     void
     report(const std::string &rule, int line, const std::string &message)
     {
-        int allowLine = lex.allowLineFor(rule, line);
-        if (allowLine != 0) {
-            audit.recordUse(allowLine, rule);
-            return;
-        }
         findings.push_back({rule, path, line, message});
     }
 
     bool
-    isIdent(std::size_t i, const char *text) const
+    hasPart(const char *dir) const
     {
-        return i < lex.tokens.size() &&
-               lex.tokens[i].kind == TokKind::Identifier &&
-               lex.tokens[i].text == text;
+        return std::find(parts.begin(), parts.end(), dir) != parts.end();
+    }
+
+    /** The RNG itself is exempt from the determinism rules. */
+    bool
+    isRngSource() const
+    {
+        return endsWith(path, "common/rng.hh") ||
+               endsWith(path, "common/rng.cc");
+    }
+
+    bool
+    isKind(std::size_t i, TokKind kind) const
+    {
+        return i < tokens.size() && tokens[i].kind == kind;
     }
 
     bool
     isPunct(std::size_t i, char c) const
     {
-        return i < lex.tokens.size() &&
-               lex.tokens[i].kind == TokKind::Punct &&
-               lex.tokens[i].text.size() == 1 && lex.tokens[i].text[0] == c;
+        return isKind(i, TokKind::Punct) && tokens[i].text[0] == c;
     }
 
-    bool
-    isCall(std::size_t i) const
-    {
-        return isPunct(i + 1, '(');
-    }
-
-    void scanTokens();
-    void scanDirectives();
+    void checkInclude(const Token &t);
     void checkIncludeGuard();
     void checkDeterminismIdent(std::size_t i);
     void checkErrorHandlingIdent(std::size_t i);
     void checkCpuCopyIdent(std::size_t i);
-    void checkStaleAllows();
 
     const std::string path;
     const std::vector<std::string> parts;
-    const LexedFile lex;
-    SuppressionAudit audit;
+    const std::vector<Token> tokens;
     std::vector<Finding> findings;
 };
 
 void
 FileScanner::checkDeterminismIdent(std::size_t i)
 {
-    if (isRngSource(path))
+    if (isRngSource())
         return;
-    const Token &t = lex.tokens[i];
+    const Token &t = tokens[i];
 
     // Wall-clock sources: chrono clock types are banned outright;
     // libc entry points only when called (so a member named `time`
@@ -287,23 +299,21 @@ FileScanner::checkDeterminismIdent(std::size_t i)
     };
     static const std::set<std::string> clockCalls = {"time", "clock"};
     if (clockTypes.count(t.text) ||
-        (clockCalls.count(t.text) && isCall(i))) {
-        // Sanctioned carve-out (the exit-in-log.cc shape): the host
-        // profiler is the one component allowed to read a monotonic
-        // clock. Its data never flows into sim state — the contract
-        // is pinned by the profiler-off bit-identity tests.
-        if (endsWith(path, "common/profile.cc"))
-            return;
-        report("no-wall-clock", t.line,
-               "wall-clock source '" + t.text +
-                   "' breaks replay determinism; derive timing from "
-                   "simulated cycles");
+        (clockCalls.count(t.text) && isPunct(i + 1, '('))) {
+        // The host profiler is the one component allowed to read a
+        // monotonic clock. Its data never flows into sim state; the
+        // profiler-off bit-identity tests pin that.
+        if (!endsWith(path, "common/profile.cc")) {
+            report("no-wall-clock", t.line,
+                   "wall-clock source '" + t.text +
+                       "' breaks replay determinism; derive timing "
+                       "from simulated cycles");
+        }
         return;
     }
 
-    // Non-deterministic or out-of-band randomness: every stochastic
-    // draw must flow through common/rng.hh so checkpoint clones
-    // replay bit-identically.
+    // Every stochastic draw must flow through common/rng.hh so
+    // checkpoint clones replay bit-identically.
     static const std::set<std::string> randomTypes = {
         "random_device",     "mt19937",
         "mt19937_64",        "minstd_rand",
@@ -320,7 +330,7 @@ FileScanner::checkDeterminismIdent(std::size_t i)
         "random",
     };
     if (randomTypes.count(t.text) ||
-        (randomCalls.count(t.text) && isCall(i))) {
+        (randomCalls.count(t.text) && isPunct(i + 1, '('))) {
         report("no-libc-random", t.line,
                "'" + t.text +
                    "' bypasses common/rng.hh; draw from a seeded Rng "
@@ -343,27 +353,26 @@ FileScanner::checkDeterminismIdent(std::size_t i)
 void
 FileScanner::checkErrorHandlingIdent(std::size_t i)
 {
-    const Token &t = lex.tokens[i];
-    bool prevIsEq = i > 0 && isPunct(i - 1, '=');
-    bool prevIsOperator = i > 0 && isIdent(i - 1, "operator");
+    const Token &t = tokens[i];
+    const bool afterOperator =
+        i > 0 && isKind(i - 1, TokKind::Identifier) &&
+        tokens[i - 1].text == "operator";
 
-    if (t.text == "new" && !prevIsOperator) {
+    if (t.text == "new" && !afterOperator) {
         report("error-handling", t.line,
                "naked 'new'; own allocations via std::make_unique, "
                "containers, or value members");
-        return;
-    }
-    if (t.text == "delete" && !prevIsEq && !prevIsOperator) {
+    } else if (t.text == "delete" && !afterOperator &&
+               !(i > 0 && isPunct(i - 1, '='))) {
         report("error-handling", t.line,
                "naked 'delete'; lifetimes belong to owners "
                "(unique_ptr, containers), not manual frees");
-        return;
     }
 
     static const std::set<std::string> exits = {
         "exit", "_exit", "_Exit", "quick_exit", "abort", "terminate",
     };
-    if (exits.count(t.text) && isCall(i) &&
+    if (exits.count(t.text) && isPunct(i + 1, '(') &&
         !endsWith(path, "common/log.cc")) {
         report("error-handling", t.line,
                "'" + t.text +
@@ -376,37 +385,26 @@ void
 FileScanner::checkCpuCopyIdent(std::size_t i)
 {
     // A whole-machine SmtCpu copy costs tens of microseconds of
-    // allocation; the trial sweeps were rewritten to restore warm
-    // per-worker machines instead (core/machine_arena.hh). The rule
-    // guards library and bench code — the paths that run per trial
-    // or per iteration — so the copy cannot silently creep back in.
+    // allocation; trial sweeps restore warm per-worker machines
+    // instead (core/machine_arena.hh). The rule guards library and
+    // bench code, the paths that run per trial or per iteration.
     // Tests exercise checkpoint value semantics on purpose and are
     // exempt, as is the checkpoint API itself.
-    if (!isLibraryPath(parts) && !isBenchPath(parts))
+    if (tokens[i].text != "SmtCpu" || !(hasPart("src") || hasPart("bench")))
         return;
     if (endsWith(path, "core/machine_arena.cc") ||
         endsWith(path, "core/machine_arena.hh"))
         return;
-    if (!isIdent(i, "SmtCpu"))
-        return;
-    if (i + 1 >= lex.tokens.size() ||
-        lex.tokens[i + 1].kind != TokKind::Identifier)
-        return; // reference/pointer bindings and casts are fine
-
-    // Copy-init from an lvalue: `SmtCpu x = y;`. An initializer that
-    // keeps going (`machineFor(...)`, `y.clone()`) is a function
-    // result — materialized in place, no copy.
-    bool copyInit = isPunct(i + 2, '=') && i + 3 < lex.tokens.size() &&
-                    lex.tokens[i + 3].kind == TokKind::Identifier &&
-                    isPunct(i + 4, ';');
-    // Direct-init copy: `SmtCpu x(y);`. Multi-token argument lists
-    // are real constructor calls and do not match.
-    bool directInit = isPunct(i + 2, '(') &&
-                      i + 3 < lex.tokens.size() &&
-                      lex.tokens[i + 3].kind == TokKind::Identifier &&
-                      isPunct(i + 4, ')') && isPunct(i + 5, ';');
-    if (copyInit || directInit) {
-        report("cpu-copy-hot-path", lex.tokens[i].line,
+    // `SmtCpu x = y;` copy-initializes from an lvalue; `SmtCpu x(y);`
+    // direct-initializes. A longer initializer (a call, a multi-token
+    // argument list) is a constructor call or a function result.
+    const bool named = isKind(i + 1, TokKind::Identifier);
+    const bool source = isKind(i + 3, TokKind::Identifier);
+    const bool copyInit = isPunct(i + 2, '=') && isPunct(i + 4, ';');
+    const bool directInit =
+        isPunct(i + 2, '(') && isPunct(i + 4, ')') && isPunct(i + 5, ';');
+    if (named && source && (copyInit || directInit)) {
+        report("cpu-copy-hot-path", tokens[i].line,
                "whole-machine SmtCpu copy; hot paths restore a warm "
                "machine (MachineArena::acquire + SmtCpu::restoreFrom, "
                "core/machine_arena.hh) instead of copy-constructing "
@@ -415,138 +413,51 @@ FileScanner::checkCpuCopyIdent(std::size_t i)
 }
 
 void
-FileScanner::scanTokens()
+FileScanner::checkInclude(const Token &t)
 {
-    for (std::size_t i = 0; i < lex.tokens.size(); ++i) {
-        if (lex.tokens[i].kind != TokKind::Identifier)
-            continue;
-        checkDeterminismIdent(i);
-        checkErrorHandlingIdent(i);
-        checkCpuCopyIdent(i);
-    }
-}
-
-void
-FileScanner::scanDirectives()
-{
-    const std::string module = srcModule(parts);
-    const int myRank = moduleRank(module);
-
-    for (const Token &t : lex.tokens) {
-        if (t.kind != TokKind::Directive)
-            continue;
-        std::string target;
-        bool angled = false;
-        if (!parseInclude(t.text, target, angled))
-            continue;
-
-        if (angled && !isRngSource(path)) {
-            if (target == "random") {
-                report("no-libc-random", t.line,
-                       "<random> include; every stochastic draw goes "
-                       "through common/rng.hh");
-            } else if (target == "unordered_map" ||
-                       target == "unordered_set") {
-                report("no-unordered-container", t.line,
-                       "<" + target +
-                           "> include; iteration order varies, use "
-                           "ordered containers");
-            } else if ((target == "ctime" || target == "time.h" ||
-                        target == "sys/time.h") &&
-                       !endsWith(path, "common/profile.cc")) {
-                report("no-wall-clock", t.line,
-                       "<" + target +
-                           "> include; derive timing from simulated "
-                           "cycles, not wall clock");
-            }
-        }
-
-        // Layering applies to quoted project includes from src/.
-        if (!angled && myRank >= 0) {
-            std::vector<std::string> tparts = pathComponents(target);
-            if (tparts.size() < 2)
-                continue;
-            int depRank = moduleRank(tparts[0]);
-            if (depRank > myRank) {
-                report("layering", t.line,
-                       "src/" + module + " must not include " +
-                           tparts[0] + "/ (upward layering edge; see "
-                           "module ranks in lint/lint.cc)");
-            }
-        }
+    std::string keyword, operand;
+    parseDirective(t.text, keyword, operand);
+    if (keyword != "include" || operand.size() < 3 ||
+        operand.front() != '<' || isRngSource())
+        return;
+    const std::string target = operand.substr(1, operand.size() - 2);
+    if (target == "random") {
+        report("no-libc-random", t.line,
+               "<random> include; every stochastic draw goes through "
+               "common/rng.hh");
+    } else if (target == "unordered_map" || target == "unordered_set") {
+        report("no-unordered-container", t.line,
+               operand + " include; iteration order varies, use "
+                         "ordered containers");
+    } else if ((target == "ctime" || target == "time.h" ||
+                target == "sys/time.h") &&
+               !endsWith(path, "common/profile.cc")) {
+        report("no-wall-clock", t.line,
+               operand + " include; derive timing from simulated "
+                         "cycles, not wall clock");
     }
 }
 
 void
 FileScanner::checkIncludeGuard()
 {
-    const std::string want = canonicalGuard(path);
-    const Token *first = nullptr;
-    const Token *second = nullptr;
-    for (const Token &t : lex.tokens) {
-        if (t.kind != TokKind::Directive)
-            continue;
-        if (!first) {
-            first = &t;
-        } else {
-            second = &t;
-            break;
-        }
+    // The first two directives must be `#ifndef G` and `#define G`.
+    const std::string want = canonicalGuard(parts);
+    std::vector<const Token *> directives;
+    for (const Token &t : tokens) {
+        if (t.kind == TokKind::Directive && directives.size() < 2)
+            directives.push_back(&t);
     }
-    if (!first) {
-        report("include-guard", 1,
-               "header has no include guard; expected #ifndef " + want);
-        return;
-    }
-    std::string keyword, operand;
-    parseDirective(first->text, keyword, operand);
-    if (keyword == "pragma" && operand == "once") {
-        report("include-guard", first->line,
-               "#pragma once; house style is the canonical #ifndef " +
-                   want + " guard");
-        return;
-    }
-    if (keyword != "ifndef" || operand != want) {
-        report("include-guard", first->line,
-               "first directive must be #ifndef " + want + " (found #" +
-                   keyword + " " + operand + ")");
-        return;
-    }
-    if (second) {
-        parseDirective(second->text, keyword, operand);
-        if (keyword != "define" || operand != want) {
-            report("include-guard", second->line,
-                   "#ifndef " + want + " must be followed by #define " +
-                       want);
-        }
-    } else {
-        report("include-guard", first->line,
-               "#ifndef " + want + " is missing its #define");
-    }
-}
-
-void
-FileScanner::checkStaleAllows()
-{
-    // A marker that suppresses nothing hides the next regression on
-    // its line; one naming no rule never suppressed anything. Both
-    // are reported straight to the findings: an allow() cannot
-    // excuse itself.
-    const std::vector<std::string> rules = ruleNames();
-    for (const auto &[line, names] : lex.allows) {
-        for (const std::string &rule : names) {
-            bool known = std::find(rules.begin(), rules.end(), rule) !=
-                         rules.end();
-            if (known && audit.used.count({line, rule}))
-                continue;
-            findings.push_back(
-                {"stale-suppression", path, line,
-                 "allow(" + rule + ") " +
-                     (known ? "suppresses no finding on this or the "
-                              "next line; delete the stale marker"
-                            : "names no smthill_lint rule (list_rules=1 "
-                              "prints them)")});
-        }
+    std::string keyword, guard, defKeyword, defGuard;
+    if (!directives.empty())
+        parseDirective(directives[0]->text, keyword, guard);
+    if (directives.size() == 2)
+        parseDirective(directives[1]->text, defKeyword, defGuard);
+    if (keyword != "ifndef" || guard != want || defKeyword != "define" ||
+        defGuard != want) {
+        report("include-guard", directives.empty() ? 1 : directives[0]->line,
+               "header must open with the canonical guard #ifndef " +
+                   want + " / #define " + want);
     }
 }
 
@@ -561,25 +472,16 @@ sortFindings(std::vector<Finding> &findings)
               });
 }
 
-/** Lintable source extensions. */
-bool
-lintableFile(const std::string &name)
-{
-    return endsWith(name, ".hh") || endsWith(name, ".h") ||
-           endsWith(name, ".cc") || endsWith(name, ".cpp");
-}
-
 /** Directories never walked: build output, VCS, fixture trees. */
 bool
 skipDirectory(const std::string &name)
 {
     return name.empty() || name[0] == '.' ||
-           name.rfind("build", 0) == 0 || name == "fixtures" ||
-           name == "header_tus" || name == "CMakeFiles";
+           name.rfind("build", 0) == 0 || name == "fixtures";
 }
 
 /**
- * Collect every lintable file under @p paths in deterministic
+ * Collect every `.hh`/`.cc` file under @p paths in deterministic
  * (sorted, deduplicated) order, skipping build outputs,
  * dot-directories and fixture trees. @return false with @p error set
  * on unreadable paths.
@@ -589,38 +491,28 @@ collectSourceFiles(const std::vector<std::string> &paths,
                    std::vector<std::string> &files, std::string &error)
 {
     namespace fs = std::filesystem;
-    error.clear();
-    files.clear();
-
     for (const std::string &p : paths) {
         std::error_code ec;
-        if (fs::is_directory(p, ec)) {
-            auto it = fs::recursive_directory_iterator(
-                p, fs::directory_options::skip_permission_denied, ec);
-            if (ec) {
-                error = p + ": " + ec.message();
-                return false;
-            }
-            for (auto end = fs::end(it); it != end;
-                 it.increment(ec)) {
-                if (ec) {
-                    error = p + ": " + ec.message();
-                    return false;
-                }
-                const fs::directory_entry &entry = *it;
-                std::string name = entry.path().filename().string();
-                if (entry.is_directory()) {
-                    if (skipDirectory(name))
-                        it.disable_recursion_pending();
-                    continue;
-                }
-                if (entry.is_regular_file() && lintableFile(name))
-                    files.push_back(entry.path().generic_string());
-            }
-        } else if (fs::is_regular_file(p, ec)) {
+        if (fs::is_regular_file(p, ec)) {
             files.push_back(p);
-        } else {
+            continue;
+        }
+        if (!fs::is_directory(p, ec)) {
             error = p + ": not a file or directory";
+            return false;
+        }
+        auto it = fs::recursive_directory_iterator(
+            p, fs::directory_options::skip_permission_denied, ec);
+        for (; !ec && it != fs::end(it); it.increment(ec)) {
+            const std::string name = it->path().filename().string();
+            if (it->is_directory() && skipDirectory(name))
+                it.disable_recursion_pending();
+            else if (it->is_regular_file() &&
+                     (endsWith(name, ".hh") || endsWith(name, ".cc")))
+                files.push_back(it->path().generic_string());
+        }
+        if (ec) {
+            error = p + ": " + ec.message();
             return false;
         }
     }
@@ -637,7 +529,6 @@ ruleNames()
     return {
         "no-wall-clock",  "no-libc-random",    "no-unordered-container",
         "error-handling", "cpu-copy-hot-path", "include-guard",
-        "layering",       "stale-suppression",
     };
 }
 
@@ -652,6 +543,7 @@ lintFile(const std::string &path, const std::string &content)
 std::vector<Finding>
 lintPaths(const std::vector<std::string> &paths, std::string &error)
 {
+    error.clear();
     std::vector<std::string> files;
     if (!collectSourceFiles(paths, files, error))
         return {};

@@ -1,50 +1,27 @@
 /**
  * @file
  * smthill-lint: project-specific static analysis over the source
- * tree (see DESIGN.md §9 for the rule catalog and rationale).
+ * tree. DESIGN.md §9 holds the rule catalog and its rationale.
  *
- * The simulator's headline results rest on properties no runtime
- * check can prove — bit-identical replay at any `--jobs` count,
- * checkpoint-clone determinism — and those properties die silently
- * when someone introduces `rand()`, wall-clock time, or
- * unordered-container iteration into a hot path. (Export schemas and
- * names need no rule: each schema is one field table that drives both
- * its writer and its reader, see JsonField in common/json.hh, and
- * every event and stat name is a row of the typed catalog in
- * common/catalog.hh, so an unknown or malformed one fails to
- * compile.) The rules here catch exactly those regressions at build
- * time, before the differential fuzzer ever has to shrink a seed.
- *
- * Rules (each suppressible per line via
- * `// smthill-lint: allow(<rule>)` on the finding line or the line
- * above):
+ * The headline results rest on bit-identical replay at any job count
+ * and across checkpoint clones, which dies silently when `rand()`,
+ * wall-clock time or unordered-container iteration reaches a hot
+ * path. Rules:
  *  - no-wall-clock:          no `time()`/`clock()`/chrono clocks
- *                            outside `src/common/rng.*`
- *  - no-libc-random:         no `rand`/`srand`/`<random>` machinery
- *                            outside `src/common/rng.*`
- *  - no-unordered-container: no `std::unordered_{map,set}` anywhere
- *                            (iteration order feeds exported results)
- *  - error-handling:         no naked `new`/`delete`; no
- *                            `exit`/`abort` outside `common/log.cc`
- *                            (the library builds with
- *                            `-fno-exceptions`, so a `throw` there
- *                            does not compile)
- *  - cpu-copy-hot-path:      no `SmtCpu x = y;` copy-construction in
- *                            `src/` or `bench/` outside the
- *                            checkpoint API (`core/machine_arena.*`);
- *                            hot paths restore warm machines via
- *                            `MachineArena::acquire` instead of
- *                            paying the whole-machine copy per trial
- *  - include-guard:          every header opens with the canonical
- *                            `SMTHILL_<PATH>_HH` `#ifndef` guard
- *  - layering:               `src/` modules include only same-or-
- *                            lower-ranked modules (common -> trace/
- *                            branch/memory -> pipeline -> policy/
- *                            workload -> core -> phase -> harness ->
- *                            validate)
- *  - stale-suppression:      an `allow(<rule>)` marker that suppressed
- *                            no finding, or names no rule; not itself
- *                            suppressible
+ *  - no-libc-random:         no `rand`/`<random>` machinery
+ *  - no-unordered-container: no `std::unordered_{map,set}`
+ *  - error-handling:         no naked `new`/`delete`, no `exit`/`abort`
+ *  - cpu-copy-hot-path:      no `SmtCpu x = y;` copy in `src/` or
+ *                            `bench/`; restore via `MachineArena`
+ *  - include-guard:          the canonical `SMTHILL_<PATH>_HH` guard
+ *
+ * No finding can be suppressed in place. The few files that may
+ * break a rule are named carve-outs in lint.cc: `common/rng.*`
+ * (determinism rules), `common/profile.cc` (its clock),
+ * `common/log.cc` (`exit`/`abort`) and `core/machine_arena.*` (the
+ * checkpoint copy). Module layering is no rule: each module is its
+ * own library target with an include root of its own
+ * (src/CMakeLists.txt), so an upward include does not compile.
  */
 
 #ifndef SMTHILL_LINT_LINT_HH
@@ -58,15 +35,13 @@ namespace smthill
 namespace lint
 {
 
-/** One unsuppressed rule violation. */
+/** One rule violation. */
 struct Finding
 {
     std::string rule;    ///< rule name from ruleNames()
     std::string file;    ///< path as passed to the linter
     int line = 0;        ///< 1-based source line
     std::string message; ///< human-readable description
-
-    bool operator==(const Finding &) const = default;
 };
 
 /** @return the names of every implemented rule. */
@@ -74,7 +49,7 @@ std::vector<std::string> ruleNames();
 
 /**
  * Lint one file given its @p path and @p content. Path-scoped rules
- * (allowlists, module ranks) key off @p path, so tests
+ * (carve-outs, guard names) key off @p path, so tests
  * may lint fixture content under a synthetic path.
  */
 std::vector<Finding> lintFile(const std::string &path,
@@ -82,14 +57,14 @@ std::vector<Finding> lintFile(const std::string &path,
 
 /**
  * Lint files and directory trees. Directories are walked
- * recursively for `.hh`/`.h`/`.cc`/`.cpp` files in deterministic
+ * recursively for `.hh`/`.cc` files in deterministic
  * (sorted) order, skipping build outputs, dot-directories, and
  * `fixtures` directories (which hold intentionally-failing lint
  * fixtures).
  *
  * @param paths files and/or directories to lint
  * @param error receives a message if a path cannot be read
- * @return all unsuppressed findings, or nothing with @p error set
+ * @return all findings, or nothing with @p error set
  */
 std::vector<Finding> lintPaths(const std::vector<std::string> &paths,
                                std::string &error);

@@ -8,7 +8,10 @@
 # Stages:
 #   tier1    default build + full ctest suite
 #   werror   -DSMTHILL_WERROR=ON build (warnings are errors)
-#   lint     smthill_lint over the tree (ctest -R Lint)
+#   lint     smthill_lint over the tree (ctest -R Lint: six rules)
+#            and the layering build tests (LayeringCoreIncludesHarness,
+#            LayeringMemoryIncludesPipeline: an upward include in a
+#            module target must not compile)
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + the ASAN_SUITES
 #            regex below (observability/export, open-system churn,
@@ -63,8 +66,8 @@ echo "== werror: warnings-as-errors build =="
 stage_build "$SRC_DIR/build-werror" -DSMTHILL_WERROR=ON
 record werror $?
 
-echo "== lint: project linter over the tree =="
-(cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Lint$')
+echo "== lint: project linter + layering build tests =="
+(cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Lint$|^Layering')
 record lint $?
 
 echo "== tidy: clang-tidy wrapper =="

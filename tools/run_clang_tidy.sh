@@ -42,8 +42,7 @@ fi
 # Every first-party translation unit; generated header TUs are
 # covered transitively via the headers they include.
 FILES=$(find "$SRC_DIR/src" "$SRC_DIR/bench" "$SRC_DIR/tools" \
-             "$SRC_DIR/tests" "$SRC_DIR/examples" \
-             \( -name '*.cc' -o -name '*.cpp' \) \
+             "$SRC_DIR/tests" -name '*.cc' \
              ! -path '*/fixtures/*' | sort)
 
 STATUS=0
