@@ -47,62 +47,44 @@ HillClimbing::attach(SmtCpu &cpu)
     epochsSinceSample = 0;
     sampleRotation = 0;
     samplingThread = -1;
-    bootstrapPending = 0;
     history.clear();
     roundPos = 0;
     roundDirty = false;
     needsSolo.fill(false);
     residentAccum.fill(0);
     residentFrom.fill(cpu.now());
-    int na = 0;
     for (int i = 0; i < nt; ++i) {
         activeMask[i] = cpu.threadEnabled(static_cast<ThreadId>(i));
-        na += activeMask[i] ? 1 : 0;
-    }
-    openSystemMode = na < nt;
-    for (int i = 0; i < nt; ++i)
         cpu.setFetchLocked(static_cast<ThreadId>(i), false);
-    // Attached over a partially occupied (or empty) machine: the
-    // anchor covers only the active set.
-    if (openSystemMode)
-        anchorPartition =
-            redistributeDetached(anchorPartition, activeMask, cfg.minShare);
+    }
+    // The anchor covers only the active set (unchanged when every
+    // context holds a job).
+    anchorPartition =
+        redistributeDetached(anchorPartition, activeMask, cfg.minShare);
     startLearning(cpu);
 }
 
 void
 HillClimbing::startLearning(SmtCpu &cpu)
 {
-    int nt = cpu.numThreads();
-    if (openSystemMode) {
-        // Solo bootstrapping is driven per-context through needsSolo
-        // as jobs arrive rather than by the closed-system chain below.
-        if (cfg.sampleSingleIpc && needsSingleIpc())
-            for (int i = 0; i < nt; ++i)
-                needsSolo[i] = activeMask[i];
-        int na = numActive(nt);
-        int pending = na > 1 ? nextNeedsSolo() : -1;
-        if (pending >= 0)
-            beginSample(cpu, pending);
-        else if (na > 1)
-            installTrial(cpu);
-        else
-            cpu.clearPartition();
-        return;
-    }
-
-    // Bootstrap the stand-alone IPC estimates (Section 4.2): before
-    // any estimate exists, WIPC/HWIPC degenerate into raw-IPC
-    // learning (evalMetric's solo() fallback), so the first epochs
-    // sample every thread solo once. Learning epochs begin only
-    // after the last bootstrap sample lands.
-    if (cfg.sampleSingleIpc && needsSingleIpc() && nt > 1) {
-        bootstrapPending = nt;
-        beginSample(cpu, 0);
-        sampleRotation = 1 % nt;
-    } else {
+    // Bootstrap the stand-alone IPC estimates (Section 4.2): without
+    // an estimate WIPC/HWIPC degenerate into raw-IPC learning
+    // (evalMetric's solo() fallback), so every job lacking one runs
+    // solo once, lowest context first, before learning begins.
+    for (int i = 0; i < cpu.numThreads(); ++i)
+        queueSolo(i);
+    int pending = nextNeedsSolo();
+    if (pending >= 0)
+        beginSample(cpu, pending);
+    else
         installTrial(cpu);
-    }
+}
+
+void
+HillClimbing::queueSolo(int tid)
+{
+    needsSolo[tid] =
+        samplesSolo() && activeMask[tid] && singleIpcEst[tid] <= 0.0;
 }
 
 int
@@ -130,6 +112,8 @@ HillClimbing::activeAt(int k) const
 int
 HillClimbing::nextNeedsSolo() const
 {
+    if (numActive(anchorPartition.numThreads) < 2)
+        return -1;
     for (int i = 0; i < anchorPartition.numThreads; ++i)
         if (activeMask[i] && needsSolo[i])
             return i;
@@ -147,29 +131,20 @@ HillClimbing::nextActiveFrom(int start, int nt) const
     return start;
 }
 
-double
-HillClimbing::evalActiveMetric(const IpcSample &sample) const
-{
-    if (!openSystemMode)
-        return evalMetric(cfg.metric, sample, singleIpcEst);
-    return evalMetricMasked(cfg.metric, sample, singleIpcEst, activeMask);
-}
-
 void
 HillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
 {
     int nt = cpu.numThreads();
-    openSystemMode = true;
     activeMask[tid] = true;
     residentAccum[tid] = 0;
     residentFrom[tid] = cpu.now();
     lastCommitted[tid] = cpu.stats().committed[tid];
     // A reused context must not learn on the previous occupant's
-    // stand-alone IPC: restart from the supplied estimate (zero when
-    // none) and queue a solo re-bootstrap sample for the new job.
+    // stand-alone IPC: restart from the supplied estimate and, when
+    // none is supplied, queue a bootstrap solo sample for the new job.
     singleIpcEst[tid] = cfg.singleIpc[tid];
     roundPerf[tid] = 0.0;
-    needsSolo[tid] = cfg.sampleSingleIpc && needsSingleIpc();
+    queueSolo(tid);
     // When the last job departed, redistributeDetached freed every
     // share into the void (no survivor to receive them) and the
     // anchor's total dropped to zero. admitAttached conserves the
@@ -203,7 +178,6 @@ void
 HillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
 {
     int nt = cpu.numThreads();
-    openSystemMode = true;
     if (activeMask[tid]) {
         Cycle from = std::max(residentFrom[tid], lastEpochStart);
         residentAccum[tid] += cpu.now() > from ? cpu.now() - from : 0;
@@ -219,17 +193,8 @@ HillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
 
     if (samplingThread == static_cast<int>(tid)) {
         // The thread running solo departed mid-sample: abandon it.
+        // Bootstrap samples still queued run from the next boundary.
         samplingThread = -1;
-        if (bootstrapPending > 0) {
-            // Closed-system bootstrap chain interrupted by churn;
-            // fall back to per-context re-bootstrap for whichever
-            // active threads still lack an estimate.
-            bootstrapPending = 0;
-            if (cfg.sampleSingleIpc && needsSingleIpc())
-                for (int i = 0; i < nt; ++i)
-                    if (activeMask[i] && singleIpcEst[i] <= 0.0)
-                        needsSolo[i] = true;
-        }
         for (int i = 0; i < nt; ++i)
             cpu.setThreadEnabled(static_cast<ThreadId>(i), activeMask[i]);
     }
@@ -273,21 +238,18 @@ HillClimbing::measureEpoch(const SmtCpu &cpu)
     lastElapsed = now > lastEpochStart ? now - lastEpochStart : 1;
     const auto &committed = cpu.stats().committed;
     for (int i = 0; i < s.numThreads; ++i) {
-        Cycle resident = lastElapsed;
-        if (openSystemMode) {
-            // Partial residency (the job attached or departed inside
-            // this window) must not be charged as full residency: the
-            // divisor is the cycles the context actually held a job.
-            resident = residentAccum[i];
-            if (activeMask[i]) {
-                Cycle from = std::max(residentFrom[i], lastEpochStart);
-                resident += now > from ? now - from : 0;
-            }
-            resident = std::min(resident, lastElapsed);
-            if (resident == 0) {
-                s.ipc[i] = 0.0;
-                continue;
-            }
+        // Partial residency (the job attached or departed inside this
+        // window) must not be charged as full residency: the divisor
+        // is the cycles the context actually held a job.
+        Cycle resident = residentAccum[i];
+        if (activeMask[i]) {
+            Cycle from = std::max(residentFrom[i], lastEpochStart);
+            resident += now > from ? now - from : 0;
+        }
+        resident = std::min(resident, lastElapsed);
+        if (resident == 0) {
+            s.ipc[i] = 0.0;
+            continue;
         }
         s.ipc[i] = static_cast<double>(committed[i] - lastCommitted[i]) /
                    static_cast<double>(resident);
@@ -307,7 +269,8 @@ HillClimbing::beginSample(SmtCpu &cpu, int tid)
     if (EventTrace *evt = eventTrace()) {
         Json args = Json::object();
         args.set("thread", tid);
-        args.set("bootstrap", bootstrapPending > 0);
+        // A bootstrap sample fills an estimate that does not exist yet.
+        args.set("bootstrap", singleIpcEst[tid] <= 0.0);
         evt->instant(cpu.now(), eventTracePid(), kControlTid,
                      EventId::HillSampleBegin, std::move(args));
     }
@@ -322,41 +285,22 @@ HillClimbing::chargeBoundary(SmtCpu &cpu)
     cpu.stallUntil(cpu.now() + cfg.softwareCost);
     lastCommitted = cpu.stats().committed;
     lastEpochStart = cpu.now() + cfg.softwareCost;
-    if (openSystemMode) {
-        residentAccum.fill(0);
-        for (int i = 0; i < cpu.numThreads(); ++i)
-            residentFrom[i] = lastEpochStart;
-    }
-}
-
-bool
-HillClimbing::estimatesReady() const
-{
-    // Meaningful only for metrics that use the estimates.
-    for (int i = 0; i < anchorPartition.numThreads; ++i)
-        if (singleIpcEst[i] <= 0.0)
-            return false;
-    return anchorPartition.numThreads > 0;
+    residentAccum.fill(0);
+    residentFrom.fill(lastEpochStart);
 }
 
 void
 HillClimbing::installTrial(SmtCpu &cpu)
 {
-    int nt = cpu.numThreads();
-    int favored;
-    if (openSystemMode) {
-        int na = numActive(nt);
-        if (na < 2) {
-            // Nothing to partition: 0 or 1 jobs resident.
-            cpu.clearPartition();
-            return;
-        }
-        favored = activeAt(roundPos % na);
-    } else {
-        // Closed system: roundPos tracks algEpoch % nt exactly; keep
-        // the Figure 8 indexing verbatim.
-        favored = static_cast<int>(algEpoch % nt);
+    int na = numActive(cpu.numThreads());
+    if (na < 2) {
+        // Nothing to partition: 0 or 1 jobs resident.
+        cpu.clearPartition();
+        return;
     }
+    // Figure 8's epoch k of a round favors the k-th active context
+    // (algEpoch % T when every context holds a job).
+    int favored = activeAt(roundPos % na);
     Partition trial =
         trialPartition(anchorPartition, favored, cfg.delta, cfg.minShare);
     cpu.setPartition(trial);
@@ -439,27 +383,17 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
             evt->instant(cpu.now(), evtPid, kControlTid,
                          EventId::HillSingleIpcUpdate, std::move(args));
         }
-        if (bootstrapPending > 0)
-            --bootstrapPending;
-        if (bootstrapPending > 0) {
-            // Attach-time bootstrap: chain straight into the next
-            // thread's solo epoch until every estimate is populated.
-            int next = sampleRotation;
-            sampleRotation = (sampleRotation + 1) % nt;
-            beginSample(cpu, next);
+        int pending = nextNeedsSolo();
+        if (pending >= 0) {
+            // Chain straight into the next queued bootstrap sample
+            // until every estimate is populated.
+            beginSample(cpu, pending);
         } else {
             samplingThread = -1;
             for (int i = 0; i < nt; ++i)
                 cpu.setThreadEnabled(static_cast<ThreadId>(i),
-                                     !openSystemMode || activeMask[i]);
-            int pending = na > 1 ? nextNeedsSolo() : -1;
-            if (pending >= 0) {
-                // Churn queued more re-bootstrap samples; chain them
-                // like the attach-time bootstrap.
-                beginSample(cpu, pending);
-            } else {
-                installTrial(cpu);
-            }
+                                     activeMask[i]);
+            installTrial(cpu);
         }
         traceEpoch(cpu, epoch_id, sample, ran, ran_partitioned,
                    sample.ipc[sampled], sampled, -1, false);
@@ -467,7 +401,7 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         return;
     }
 
-    if (openSystemMode && na <= 1) {
+    if (na <= 1) {
         // Nothing to learn with 0 or 1 jobs resident — but a full,
         // churn-free solo stretch doubles as a free SingleIPC sample
         // for the lone job.
@@ -554,14 +488,12 @@ HillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
 
     // SingleIPC sampling (Section 4.2): every samplePeriod epochs,
     // run one thread solo for the next epoch. Only the weighted
-    // metrics need stand-alone IPCs. Churn-queued re-bootstrap
-    // samples (needsSolo) take priority over the periodic rotation.
-    int pending = (cfg.sampleSingleIpc && needsSingleIpc() && na > 1)
-                      ? nextNeedsSolo()
-                      : -1;
+    // metrics need stand-alone IPCs. Churn-queued bootstrap samples
+    // (needsSolo) take priority over the periodic rotation.
+    int pending = nextNeedsSolo();
     if (pending >= 0) {
         beginSample(cpu, pending);
-    } else if (cfg.sampleSingleIpc && needsSingleIpc() && na > 1 &&
+    } else if (samplesSolo() &&
                ++epochsSinceSample >= cfg.samplePeriod) {
         epochsSinceSample = 0;
         int next = nextActiveFrom(sampleRotation, nt);

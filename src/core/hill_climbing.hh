@@ -12,12 +12,14 @@
  * is configurable (average IPC, weighted IPC, or harmonic mean of
  * weighted IPC); the weighted metrics learn each thread's stand-alone
  * IPC on-line by periodically running the thread solo for one epoch
- * (Section 4.2); right after attach, every thread is sampled solo
- * once (the bootstrap) so the weighted metrics never run on empty
- * estimates. Every epoch boundary charges the software cost of
- * running the algorithm by stalling the machine (200 cycles), and
- * per-epoch IPCs are measured over the cycles the machine actually
- * executed, not the nominal epoch size.
+ * (Section 4.2). Every job without an estimate, at attach or when it
+ * lands on a context, queues one solo epoch (the bootstrap) that runs
+ * before learning resumes, so the weighted metrics never run on empty
+ * estimates; a supplied estimate (HillConfig::singleIpc) spares it.
+ * Every epoch boundary charges the software cost of running the
+ * algorithm by stalling the machine (200 cycles), and per-epoch IPCs
+ * are measured over the cycles the machine actually executed, not the
+ * nominal epoch size.
  */
 
 #ifndef SMTHILL_CORE_HILL_CLIMBING_HH
@@ -50,14 +52,13 @@ struct HillConfig
      */
     int samplePeriod = 40;
 
-    /** Disable solo sampling (only sane for the AvgIpc metric). */
-    bool sampleSingleIpc = true;
-
     /**
      * Supplied stand-alone IPCs, seeded into the estimates at attach
-     * and whenever a job attaches to a context; zero entries fall
-     * back to evalMetric's solo = 1.0 until a solo sample lands.
-     * HILL's own samples overwrite them; BANDIT and RL never sample,
+     * and whenever a job attaches to a context. A positive entry
+     * spares that context's bootstrap solo epoch; a zero entry is
+     * bootstrapped by a solo sample where the learner samples, and
+     * otherwise falls back to evalMetric's solo = 1.0. HILL's
+     * periodic samples overwrite them; BANDIT and RL never sample,
      * so for them these are the only estimates.
      */
     std::array<double, kMaxThreads> singleIpc{};
@@ -70,7 +71,12 @@ struct HillConfig
  * estimates, drained-anchor re-seed, admit/redistribute,
  * re-feasibility), epoch measurement and boundary charging live
  * here once. A subclass supplies its decision rule through epoch()
- * and the startLearning() / onChurn() hooks.
+ * and the startLearning() / onChurn() / samplesSolo() hooks.
+ *
+ * There is one code path for closed and open systems: a closed
+ * system is the case where every context holds a job for the whole
+ * run, so the active mask stays all-true and the residency, masking
+ * and trial-rotation bookkeeping reduce to the Figure 8 algorithm.
  */
 class HillClimbing : public ResourcePolicy
 {
@@ -112,24 +118,14 @@ class HillClimbing : public ResourcePolicy
     /** @return true while a solo-sampling epoch is in flight. */
     bool samplingActive() const { return samplingThread >= 0; }
 
-    /**
-     * @return true while the initial SingleIPC bootstrap (one solo
-     * epoch per thread, right after attach) is still running. Until
-     * it completes no learning epoch has executed, so the weighted
-     * metrics never see the degenerate all-zero estimate state.
-     */
-    bool bootstrapping() const { return bootstrapPending > 0; }
-
-    /** @return true once every thread has a stand-alone IPC sample. */
-    bool estimatesReady() const;
-
-    /** @return true while context @p tid holds a job (open system). */
+    /** @return true while context @p tid holds a job. */
     bool threadActive(int tid) const { return activeMask[tid]; }
 
     /**
-     * @return true while context @p tid waits for a solo re-bootstrap
-     * sample (queued at threadAttached so a reused context never
-     * learns on the previous occupant's stand-alone IPC).
+     * @return true while context @p tid waits for its bootstrap solo
+     * sample (queued at attach and at threadAttached, so a reused
+     * context never learns on the previous occupant's stand-alone
+     * IPC).
      */
     bool soloResamplePending(int tid) const { return needsSolo[tid]; }
 
@@ -146,10 +142,9 @@ class HillClimbing : public ResourcePolicy
   protected:
     /**
      * Install the first epoch's partition once attach() has reset
-     * the shared state (and, over a partially occupied machine,
-     * fitted the anchor to the active set). HILL starts its solo
-     * bootstrap or its first trial; other learners reset their own
-     * state here.
+     * the shared state and fitted the anchor to the active set. HILL
+     * starts its first bootstrap sample or its first trial; other
+     * learners reset their own state here.
      */
     virtual void startLearning(SmtCpu &cpu);
 
@@ -199,11 +194,20 @@ class HillClimbing : public ResourcePolicy
     /** Charge the software cost and restart the measurement window. */
     void chargeBoundary(SmtCpu &cpu);
 
-    /** @return true if the metric needs stand-alone IPC estimates. */
-    bool needsSingleIpc() const
+    /**
+     * @return true if this learner measures stand-alone IPCs by solo
+     * sampling: HILL does whenever its metric uses them.
+     */
+    virtual bool samplesSolo() const
     {
         return cfg.metric != PerfMetric::AvgIpc;
     }
+
+    /**
+     * Queue context @p tid's bootstrap solo sample if the learner
+     * samples, the context holds a job and its estimate is unknown.
+     */
+    void queueSolo(int tid);
 
     /** @return number of active (job-holding) contexts. */
     int numActive(int nt) const;
@@ -211,17 +215,25 @@ class HillClimbing : public ResourcePolicy
     /** @return thread id of the @p k-th active context. */
     int activeAt(int k) const;
 
-    /** @return lowest-index active context awaiting a solo sample. */
+    /**
+     * @return lowest-index active context awaiting a bootstrap solo
+     * sample, or -1 if none does or fewer than two jobs are resident
+     * (a lone job's solo stretch samples it for free).
+     */
     int nextNeedsSolo() const;
 
     /** @return first active context at or cyclically after @p start. */
     int nextActiveFrom(int start, int nt) const;
 
     /**
-     * Metric over the active subset only; in a closed system (no
-     * churn ever observed) this is plain evalMetric, bit for bit.
+     * Metric over the active subset only; with every context active
+     * this is plain evalMetric, bit for bit.
      */
-    double evalActiveMetric(const IpcSample &sample) const;
+    double evalActiveMetric(const IpcSample &sample) const
+    {
+        return evalMetricMasked(cfg.metric, sample, singleIpcEst,
+                                activeMask);
+    }
 
     /**
      * Append this boundary's record to epochHistory() and, with an
@@ -247,22 +259,19 @@ class HillClimbing : public ResourcePolicy
     int epochsSinceSample = 0;
     int sampleRotation = 0;       ///< next thread to sample
     int samplingThread = -1;      ///< thread running solo, or -1
-    int bootstrapPending = 0;     ///< attach-time solo samples left
     std::vector<EpochTraceRecord> history; ///< see epochHistory()
 
-    // --- Open-system churn state (time-varying active set). All of
-    // --- it is inert in a closed system: activeMask is all-true,
-    // --- openSystemMode stays false, and every churn branch below
-    // --- reduces to the legacy behavior bit for bit.
+    // --- Churn state (time-varying active set). In a closed system
+    // --- activeMask stays all-true and the residency windows equal
+    // --- the measurement window.
     std::array<bool, kMaxThreads> activeMask{};  ///< contexts w/ jobs
-    std::array<bool, kMaxThreads> needsSolo{};   ///< re-bootstrap due
+    std::array<bool, kMaxThreads> needsSolo{};   ///< bootstrap due
     /** Start cycle of each context's current residency stint. */
     std::array<Cycle, kMaxThreads> residentFrom{};
     /** Resident cycles of finished stints inside this window. */
     std::array<Cycle, kMaxThreads> residentAccum{};
     int roundPos = 0;        ///< active-set index of installed trial
     bool roundDirty = false; ///< churn invalidated the running epoch
-    bool openSystemMode = false; ///< any churn (or partial attach) seen
 
   private:
     /** Emit the churnEvent() instant for @p tid with churnArgs(). */

@@ -40,10 +40,6 @@ banditRebuilds()
 BanditAllocator::BanditAllocator(BanditConfig config)
     : HillClimbing(config), bcfg(config), rng(config.seed)
 {
-    // The bandit never solo-samples: the base's sampling machinery
-    // stays inert and weighted rewards normalize by cfg.singleIpc
-    // (or run unnormalized where the caller left it zero).
-    cfg.sampleSingleIpc = false;
     if (bcfg.gamma <= 0.0 || bcfg.gamma > 1.0)
         fatal("BanditAllocator: gamma must be in (0, 1]");
 }

@@ -16,8 +16,8 @@
  * are exactly enumeratePartitions2(total, delta); with more, an
  * equal-split arm plus trialPartition spokes around it.
  *
- * Unlike HILL, the bandit never runs solo-sampling epochs (its
- * constructor pins sampleSingleIpc off): weighted rewards (WIPC/HWIPC)
+ * Unlike HILL, the bandit never runs solo-sampling epochs (it
+ * overrides samplesSolo() to false): weighted rewards (WIPC/HWIPC)
  * normalize by HillConfig::singleIpc when the caller supplies solo
  * estimates (harness soloIpcs), and otherwise fall back to the
  * evalMetric single-IPC <= 0 convention (solo = 1.0, i.e.
@@ -99,6 +99,13 @@ class BanditAllocator : public HillClimbing
   protected:
     /** Re-seed the EXP3 stream, build the lattice, pull the first arm. */
     void startLearning(SmtCpu &cpu) override;
+
+    /**
+     * The bandit never solo-samples: weighted rewards normalize by
+     * cfg.singleIpc (or run unnormalized where the caller left it
+     * zero).
+     */
+    bool samplesSolo() const override { return false; }
 
     /** A changed active set invalidates every arm: rebuild them. */
     void onChurn(SmtCpu &cpu, ThreadId, bool) override

@@ -36,9 +36,6 @@ rlMoves()
 RlAllocator::RlAllocator(RlConfig config)
     : HillClimbing(config), rcfg(config), rng(config.seed)
 {
-    // The RL learner never solo-samples: weighted metrics normalize by
-    // cfg.singleIpc, or run unnormalized via the evalMetric fallback.
-    cfg.sampleSingleIpc = false;
     if (rcfg.alpha <= 0.0 || rcfg.alpha > 1.0)
         fatal("RlAllocator: alpha must be in (0, 1]");
     if (rcfg.discount < 0.0 || rcfg.discount >= 1.0)

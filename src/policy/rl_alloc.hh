@@ -16,7 +16,7 @@
  * charging and open-system residency accounting are the base's; the
  * learner adds its Q update in epoch() and resets its table in the
  * startLearning() / onChurn() hooks. It never runs solo-sampling
- * epochs (its constructor pins sampleSingleIpc off): weighted rewards
+ * epochs (it overrides samplesSolo() to false): weighted rewards
  * normalize by HillConfig::singleIpc when the caller supplies solo
  * estimates, else run unnormalized via the evalMetric fallback.
  */
@@ -85,6 +85,13 @@ class RlAllocator : public HillClimbing
   protected:
     /** Re-seed the exploration stream, zero the Q table. */
     void startLearning(SmtCpu &cpu) override;
+
+    /**
+     * The RL learner never solo-samples: weighted rewards normalize
+     * by cfg.singleIpc, or run unnormalized via the evalMetric
+     * fallback.
+     */
+    bool samplesSolo() const override { return false; }
 
     /**
      * Churn breaks the transition in flight; a fresh job in a reused

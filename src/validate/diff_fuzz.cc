@@ -1069,7 +1069,6 @@ makeFuzzCase(std::uint64_t seed)
     }
     h.softwareCost = rng.chance(0.5) ? 200 : 50;
     h.samplePeriod = 3 + static_cast<int>(rng.nextBelow(6));
-    h.sampleSingleIpc = true;
 
     c.epochs = 5 + static_cast<int>(rng.nextBelow(4));
     c.warmup = 16 * 1024 + 8 * 1024 * rng.nextBelow(3);

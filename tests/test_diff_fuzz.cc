@@ -76,7 +76,6 @@ TEST(FuzzRegression, TraceRoundTripWithSamplingEpochs)
 
     HillConfig hc = c.hill;
     hc.samplePeriod = 1; // a solo-sampling epoch in every round
-    hc.sampleSingleIpc = true;
     HillClimbing hill(hc);
     runPolicyOn(std::move(cpu), hill, 8, hc.epochSize);
     const std::vector<EpochTraceRecord> &history = hill.epochHistory();

@@ -158,7 +158,6 @@ TEST(SyncRunner, TraceHillVsOfflineProducesCurves)
     HillConfig hc;
     hc.epochSize = 8192;
     hc.metric = PerfMetric::AvgIpc;
-    hc.sampleSingleIpc = false;
     HillClimbing hill(hc);
 
     OfflineConfig oc;

@@ -7,6 +7,7 @@
 
 #include "core/hill_climbing.hh"
 #include "harness/runner.hh"
+#include "phase/phase_hill.hh"
 #include "trace/program_profile.hh"
 
 namespace smthill
@@ -49,7 +50,6 @@ fastConfig()
 {
     HillConfig hc;
     hc.epochSize = 16384;
-    hc.sampleSingleIpc = false;
     hc.metric = PerfMetric::AvgIpc;
     return hc;
 }
@@ -159,7 +159,6 @@ TEST(HillClimbing, SamplingEpochRunsThreadSolo)
     SmtCpu cpu = asymmetricCpu();
     HillConfig hc = fastConfig();
     hc.metric = PerfMetric::WeightedIpc;
-    hc.sampleSingleIpc = true;
     hc.samplePeriod = 3; // sample quickly for the test
     HillClimbing hill(hc);
     hill.attach(cpu);
@@ -195,7 +194,6 @@ TEST(HillClimbing, SingleIpcEstimatesConverge)
     SmtCpu cpu = asymmetricCpu();
     HillConfig hc = fastConfig();
     hc.metric = PerfMetric::WeightedIpc;
-    hc.sampleSingleIpc = true;
     hc.samplePeriod = 2;
     HillClimbing hill(hc);
     hill.attach(cpu);
@@ -278,6 +276,42 @@ TEST(HillClimbing, FourThreadRoundsRotateTrials)
     }
 }
 
+/**
+ * A learner on a one-context machine has nothing to learn: it runs
+ * the lone job unpartitioned, never installs a trial, and takes the
+ * job's unpartitioned epoch as its free solo sample.
+ */
+TEST(HillClimbing, LoneContextRunsUnpartitioned)
+{
+    SmtConfig cfg;
+    cfg.numThreads = 1;
+    std::vector<StreamGenerator> gens;
+    gens.emplace_back(profileWith(0.0, 6, "ilp"), 1);
+    SmtCpu cpu(cfg, std::move(gens));
+    cpu.run(50000);
+    HillConfig hc = fastConfig();
+    hc.metric = PerfMetric::WeightedIpc;
+    HillClimbing hill(hc);
+    hill.attach(cpu);
+    EXPECT_FALSE(hill.samplingActive());
+    EXPECT_FALSE(cpu.partitioningEnabled())
+        << "a trial partition was installed on a lone thread";
+    for (int e = 0; e < 4; ++e) {
+        runOneEpoch(cpu, hill, hc.epochSize);
+        hill.epoch(cpu, e);
+        EXPECT_FALSE(cpu.partitioningEnabled());
+    }
+    EXPECT_EQ(hill.anchor(), Partition::equal(1, cfg.intRegs));
+    ASSERT_EQ(hill.epochHistory().size(), 4u);
+    for (const EpochTraceRecord &r : hill.epochHistory()) {
+        EXPECT_FALSE(r.partitioned);
+        EXPECT_EQ(r.gradientThread, -1);
+    }
+    EXPECT_EQ(hill.epochHistory()[0].samplingThread, 0);
+    EXPECT_GT(hill.singleIpc()[0], 0.0);
+    EXPECT_FALSE(hill.soloResamplePending(0));
+}
+
 TEST(HillClimbing, RejectsBadConfig)
 {
     HillConfig hc;
@@ -287,57 +321,114 @@ TEST(HillClimbing, RejectsBadConfig)
 
 // --- Open-system churn (PR 7) ---------------------------------------
 
+/** @return HILL or PHASE-HILL: the learners that sample solo. */
+std::unique_ptr<HillClimbing>
+makeSampler(bool phase, const HillConfig &hc)
+{
+    if (phase)
+        return std::make_unique<PhaseHillClimbing>(hc);
+    return std::make_unique<HillClimbing>(hc);
+}
+
+/** @return the `bootstrap` arg of the last sample.begin of @p tid. */
+bool
+lastSampleWasBootstrap(const EventTrace &trace, int tid)
+{
+    int found = -1;
+    for (const SimEvent &ev : trace.events())
+        if (ev.name == "sample.begin" &&
+            ev.args.find("thread")->asInt() == tid)
+            found = ev.args.find("bootstrap")->asBool();
+    if (found < 0)
+        ADD_FAILURE() << "no sample.begin event for thread " << tid;
+    return found == 1;
+}
+
 /**
  * Regression: a context freed by one job and reused by the next kept
  * the previous occupant's stand-alone IPC estimate, so the weighted
  * metrics scored the new job against a solo speed it never had (and
  * the learner never re-sampled, since the slot already "had" an
- * estimate). A newly attached job must be sampled solo afresh.
+ * estimate). A newly attached job must be sampled solo afresh, unless
+ * the caller supplied the context's estimate.
  */
 TEST(HillClimbingChurn, SingleIpcRebootstrapsOnContextReuse)
 {
-    SmtCpu cpu = asymmetricCpu();
     HillConfig hc = fastConfig();
     hc.metric = PerfMetric::WeightedIpc;
-    hc.sampleSingleIpc = true;
     hc.samplePeriod = 2;
-    HillClimbing hill(hc);
-    hill.attach(cpu);
+    for (bool phase : {false, true}) {
+        SCOPED_TRACE(phase ? "PHASE-HILL" : "HILL");
+        {
+            SCOPED_TRACE("none supplied");
+            SmtCpu cpu = asymmetricCpu();
+            std::unique_ptr<HillClimbing> hill = makeSampler(phase, hc);
+            EventTrace trace;
+            hill->setEventTrace(&trace, 0);
+            hill->attach(cpu);
 
-    // Converge both estimates in the closed system.
-    for (int e = 0; e < 16; ++e) {
-        runOneEpoch(cpu, hill, hc.epochSize);
-        hill.epoch(cpu, e);
+            // Converge both estimates in the closed system.
+            for (int e = 0; e < 16; ++e) {
+                runOneEpoch(cpu, *hill, hc.epochSize);
+                hill->epoch(cpu, e);
+            }
+            ASSERT_GT(hill->singleIpc()[1], 0.0);
+            double old_est = hill->singleIpc()[1];
+
+            // Job on context 1 departs; a different program arrives
+            // on the same context.
+            cpu.idleContext(1);
+            hill->threadDetached(cpu, 1);
+            EXPECT_FALSE(hill->threadActive(1));
+
+            cpu.resetContext(
+                1, StreamGenerator(profileWith(0.0, 4, "new-job"), 7));
+            hill->threadAttached(cpu, 1);
+            EXPECT_TRUE(hill->threadActive(1));
+
+            // The stale estimate must be gone and a solo re-sample
+            // queued.
+            EXPECT_DOUBLE_EQ(hill->singleIpc()[1], 0.0)
+                << "inherited the departed job's solo IPC";
+            EXPECT_TRUE(hill->soloResamplePending(1));
+
+            // Within a few epochs the learner samples the newcomer
+            // solo and installs a fresh estimate.
+            for (int e = 16; e < 28 && hill->soloResamplePending(1); ++e) {
+                runOneEpoch(cpu, *hill, hc.epochSize);
+                hill->epoch(cpu, e);
+            }
+            EXPECT_FALSE(hill->soloResamplePending(1));
+            EXPECT_GT(hill->singleIpc()[1], 0.0);
+            EXPECT_NE(hill->singleIpc()[1], old_est)
+                << "estimate was measured, not inherited";
+            EXPECT_TRUE(lastSampleWasBootstrap(trace, 1))
+                << "the re-bootstrap sample filled a missing estimate";
+        }
+        {
+            SCOPED_TRACE("supplied");
+            HillConfig supplied = hc;
+            supplied.singleIpc[0] = 0.75;
+            supplied.singleIpc[1] = 2.5;
+            SmtCpu cpu = asymmetricCpu();
+            std::unique_ptr<HillClimbing> hill =
+                makeSampler(phase, supplied);
+            hill->attach(cpu);
+            for (int e = 0; e < 4; ++e) {
+                runOneEpoch(cpu, *hill, hc.epochSize);
+                hill->epoch(cpu, e);
+            }
+
+            cpu.idleContext(1);
+            hill->threadDetached(cpu, 1);
+            cpu.resetContext(
+                1, StreamGenerator(profileWith(0.0, 4, "new-job"), 7));
+            hill->threadAttached(cpu, 1);
+            EXPECT_DOUBLE_EQ(hill->singleIpc()[1], 2.5);
+            EXPECT_FALSE(hill->soloResamplePending(1))
+                << "a supplied estimate queued a solo sample";
+        }
     }
-    ASSERT_GT(hill.singleIpc()[1], 0.0);
-    double old_est = hill.singleIpc()[1];
-
-    // Job on context 1 departs; a different program arrives on the
-    // same context.
-    cpu.idleContext(1);
-    hill.threadDetached(cpu, 1);
-    EXPECT_FALSE(hill.threadActive(1));
-
-    cpu.resetContext(1,
-                     StreamGenerator(profileWith(0.0, 4, "new-job"), 7));
-    hill.threadAttached(cpu, 1);
-    EXPECT_TRUE(hill.threadActive(1));
-
-    // The stale estimate must be gone and a solo re-sample queued.
-    EXPECT_DOUBLE_EQ(hill.singleIpc()[1], 0.0)
-        << "inherited the departed job's solo IPC";
-    EXPECT_TRUE(hill.soloResamplePending(1));
-
-    // Within a few epochs the learner samples the newcomer solo and
-    // installs a fresh estimate.
-    for (int e = 16; e < 28 && hill.soloResamplePending(1); ++e) {
-        runOneEpoch(cpu, hill, hc.epochSize);
-        hill.epoch(cpu, e);
-    }
-    EXPECT_FALSE(hill.soloResamplePending(1));
-    EXPECT_GT(hill.singleIpc()[1], 0.0);
-    EXPECT_NE(hill.singleIpc()[1], old_est)
-        << "estimate was measured, not inherited";
 }
 
 } // namespace

@@ -97,7 +97,6 @@ TEST(Integration, HillLearnsOnMlpWorkload)
     HillConfig hc;
     hc.epochSize = rc.epochSize;
     hc.metric = PerfMetric::AvgIpc;
-    hc.sampleSingleIpc = false;
     HillClimbing hill(hc);
     double hill_m = runMetric(w, hill, rc, PerfMetric::AvgIpc, solo);
 
@@ -183,13 +182,11 @@ TEST(Integration, WeightedMetricChangesLearnedAllocation)
     HillConfig a;
     a.epochSize = rc.epochSize;
     a.metric = PerfMetric::AvgIpc;
-    a.sampleSingleIpc = false;
     HillClimbing hill_ipc(a);
     runPolicy(w, hill_ipc, rc);
 
     HillConfig b = a;
     b.metric = PerfMetric::HarmonicWeightedIpc;
-    b.sampleSingleIpc = true;
     b.samplePeriod = 10;
     HillClimbing hill_hw(b);
     runPolicy(w, hill_hw, rc);
@@ -210,7 +207,6 @@ TEST(Integration, FourThreadWorkloadRunsAllPolicies)
     HillConfig hc;
     hc.epochSize = rc.epochSize;
     hc.metric = PerfMetric::AvgIpc;
-    hc.sampleSingleIpc = false;
     HillClimbing hill(hc);
     for (ResourcePolicy *p :
          std::initializer_list<ResourcePolicy *>{&icount, &flush, &dcra,

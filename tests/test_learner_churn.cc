@@ -77,7 +77,6 @@ sharedConfig()
 {
     HillConfig hc;
     hc.epochSize = 16384;
-    hc.sampleSingleIpc = false;
     hc.metric = PerfMetric::AvgIpc;
     return hc;
 }
@@ -239,9 +238,9 @@ TEST_P(LearnerChurn, DrainToEmptyThenRefillReseedsAnchor)
 /**
  * A job attaching to a reused context starts from the supplied
  * stand-alone IPC of that context, or from zero when none is
- * supplied — never from the departed occupant's estimate. HILL and
- * PHASE-HILL sample solo here, so the occupant's estimate is a
- * measured one; BANDIT and RL pin sampling off and keep theirs.
+ * supplied — never from the departed occupant's estimate. With none
+ * supplied HILL and PHASE-HILL sample solo, so the occupant's
+ * estimate is a measured one; BANDIT and RL never sample.
  */
 TEST_P(LearnerChurn, ReattachRestartsFromSuppliedSingleIpc)
 {
@@ -253,7 +252,6 @@ TEST_P(LearnerChurn, ReattachRestartsFromSuppliedSingleIpc)
         SmtCpu cpu = asymmetricCpu();
         HillConfig hc = sharedConfig();
         hc.metric = PerfMetric::WeightedIpc;
-        hc.sampleSingleIpc = true;
         if (supply)
             hc.singleIpc = supplied;
         std::unique_ptr<HillClimbing> learner = GetParam().make(hc);

@@ -8,7 +8,8 @@
  *  - hill-climbing epoch IPCs measured over actual elapsed cycles
  *    (not the nominal epoch size);
  *  - the SingleIPC bootstrap that samples every thread solo at
- *    attach, before the first learning epoch;
+ *    attach, before the first learning epoch, unless its estimate
+ *    is supplied;
  *  - share-conservation / min-share properties of trialPartition and
  *    moveAnchor across the whole anchor space, including extremes.
  */
@@ -20,6 +21,7 @@
 #include "core/partitioning.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "phase/phase_hill.hh"
 #include "trace/program_profile.hh"
 
 namespace smthill
@@ -248,7 +250,6 @@ tracedConfig()
 {
     HillConfig hc;
     hc.epochSize = 16384;
-    hc.sampleSingleIpc = false;
     hc.metric = PerfMetric::AvgIpc;
     return hc;
 }
@@ -301,49 +302,116 @@ TEST(HillMeasurement, ElapsedConsistentAcrossEpochSizes)
         << "measurement window must follow the machine, not the config";
 }
 
+/** @return HILL or PHASE-HILL: the learners that sample solo. */
+std::unique_ptr<HillClimbing>
+makeSampler(bool phase, const HillConfig &hc)
+{
+    if (phase)
+        return std::make_unique<PhaseHillClimbing>(hc);
+    return std::make_unique<HillClimbing>(hc);
+}
+
 TEST(HillBootstrap, SamplesEveryThreadBeforeLearning)
 {
     // Regression: weighted-metric learners used to run their first
     // samplePeriod * T epochs on all-zero SingleIPC estimates, i.e.
-    // on raw IPC. The bootstrap samples each thread solo immediately.
-    SmtCpu cpu = twoThreadCpu();
+    // on raw IPC. The bootstrap samples each thread solo immediately,
+    // except where the caller supplied the thread's estimate.
     HillConfig hc = tracedConfig();
     hc.metric = PerfMetric::WeightedIpc;
-    hc.sampleSingleIpc = true;
     hc.samplePeriod = 40;
-    HillClimbing hill(hc);
-    hill.attach(cpu);
+    for (bool phase : {false, true}) {
+        SCOPED_TRACE(phase ? "PHASE-HILL" : "HILL");
+        {
+            SCOPED_TRACE("none supplied");
+            SmtCpu cpu = twoThreadCpu();
+            std::unique_ptr<HillClimbing> hill = makeSampler(phase, hc);
+            hill->attach(cpu);
 
-    EXPECT_TRUE(hill.bootstrapping());
-    EXPECT_TRUE(hill.samplingActive());
-    EXPECT_FALSE(hill.estimatesReady());
-    EXPECT_FALSE(cpu.partitioningEnabled())
-        << "bootstrap epochs run one thread solo";
+            EXPECT_TRUE(hill->samplingActive());
+            EXPECT_TRUE(hill->soloResamplePending(0));
+            EXPECT_TRUE(hill->soloResamplePending(1));
+            EXPECT_FALSE(cpu.partitioningEnabled())
+                << "bootstrap epochs run one thread solo";
 
-    Partition anchor_before = hill.anchor();
-    // One solo epoch per thread completes the bootstrap.
-    for (int e = 0; e < 2; ++e) {
-        EXPECT_TRUE(hill.bootstrapping());
-        runOneEpoch(cpu, hill, hc.epochSize);
-        hill.epoch(cpu, e);
+            Partition anchor_before = hill->anchor();
+            // One solo epoch per thread completes the bootstrap.
+            for (int e = 0; e < 2; ++e) {
+                EXPECT_TRUE(hill->samplingActive());
+                runOneEpoch(cpu, *hill, hc.epochSize);
+                hill->epoch(cpu, e);
+            }
+            EXPECT_FALSE(hill->samplingActive());
+            EXPECT_FALSE(hill->soloResamplePending(0));
+            EXPECT_FALSE(hill->soloResamplePending(1));
+            EXPECT_GT(hill->singleIpc()[0], 0.0);
+            EXPECT_GT(hill->singleIpc()[1], 0.0);
+            EXPECT_TRUE(cpu.partitioningEnabled())
+                << "learning resumes partitioned after the bootstrap";
+            EXPECT_TRUE(cpu.threadEnabled(0));
+            EXPECT_TRUE(cpu.threadEnabled(1));
+            EXPECT_EQ(hill->anchor(), anchor_before)
+                << "no anchor moves before estimates exist";
+
+            // The trace labels the bootstrap epochs as sampling epochs.
+            ASSERT_EQ(hill->epochHistory().size(), 2u);
+            EXPECT_EQ(hill->epochHistory()[0].samplingThread, 0);
+            EXPECT_EQ(hill->epochHistory()[1].samplingThread, 1);
+            for (const EpochTraceRecord &r : hill->epochHistory())
+                EXPECT_FALSE(r.partitioned);
+        }
+        {
+            SCOPED_TRACE("every estimate supplied");
+            HillConfig supplied = hc;
+            supplied.singleIpc[0] = 1.5;
+            supplied.singleIpc[1] = 2.5;
+            SmtCpu cpu = twoThreadCpu();
+            std::unique_ptr<HillClimbing> hill =
+                makeSampler(phase, supplied);
+            hill->attach(cpu);
+
+            EXPECT_FALSE(hill->samplingActive());
+            EXPECT_FALSE(hill->soloResamplePending(0));
+            EXPECT_FALSE(hill->soloResamplePending(1));
+            EXPECT_TRUE(cpu.partitioningEnabled())
+                << "attach installs a trial at once";
+            for (int e = 0; e < 2; ++e) {
+                runOneEpoch(cpu, *hill, hc.epochSize);
+                hill->epoch(cpu, e);
+            }
+            ASSERT_EQ(hill->epochHistory().size(), 2u);
+            for (const EpochTraceRecord &r : hill->epochHistory()) {
+                EXPECT_EQ(r.samplingThread, -1);
+                EXPECT_TRUE(r.partitioned);
+            }
+            EXPECT_EQ(hill->singleIpc(), supplied.singleIpc);
+        }
+        {
+            SCOPED_TRACE("one of two supplied");
+            HillConfig supplied = hc;
+            supplied.singleIpc[0] = 1.5;
+            SmtCpu cpu = twoThreadCpu();
+            std::unique_ptr<HillClimbing> hill =
+                makeSampler(phase, supplied);
+            hill->attach(cpu);
+
+            EXPECT_TRUE(hill->samplingActive());
+            EXPECT_FALSE(hill->soloResamplePending(0));
+            EXPECT_TRUE(hill->soloResamplePending(1));
+            EXPECT_FALSE(cpu.threadEnabled(0))
+                << "only the unsupplied thread runs solo";
+            EXPECT_TRUE(cpu.threadEnabled(1));
+            runOneEpoch(cpu, *hill, hc.epochSize);
+            hill->epoch(cpu, 0);
+
+            EXPECT_FALSE(hill->samplingActive());
+            EXPECT_TRUE(cpu.partitioningEnabled());
+            ASSERT_EQ(hill->epochHistory().size(), 1u);
+            EXPECT_EQ(hill->epochHistory()[0].samplingThread, 1);
+            EXPECT_DOUBLE_EQ(hill->singleIpc()[0], 1.5);
+            EXPECT_GT(hill->singleIpc()[1], 0.0);
+        }
     }
-    EXPECT_FALSE(hill.bootstrapping());
-    EXPECT_TRUE(hill.estimatesReady());
-    EXPECT_GT(hill.singleIpc()[0], 0.0);
-    EXPECT_GT(hill.singleIpc()[1], 0.0);
-    EXPECT_TRUE(cpu.partitioningEnabled())
-        << "learning resumes partitioned after the bootstrap";
-    EXPECT_TRUE(cpu.threadEnabled(0));
-    EXPECT_TRUE(cpu.threadEnabled(1));
-    EXPECT_EQ(hill.anchor(), anchor_before)
-        << "no anchor moves before estimates exist";
-
-    // The trace labels the bootstrap epochs as sampling epochs.
-    ASSERT_EQ(hill.epochHistory().size(), 2u);
-    EXPECT_EQ(hill.epochHistory()[0].samplingThread, 0);
-    EXPECT_EQ(hill.epochHistory()[1].samplingThread, 1);
-    for (const EpochTraceRecord &r : hill.epochHistory())
-        EXPECT_FALSE(r.partitioned);
 }
 
 TEST(HillBootstrap, SkippedWhenMetricNeedsNoEstimates)
@@ -351,7 +419,8 @@ TEST(HillBootstrap, SkippedWhenMetricNeedsNoEstimates)
     SmtCpu cpu = twoThreadCpu();
     HillClimbing hill(tracedConfig()); // AvgIpc, no sampling
     hill.attach(cpu);
-    EXPECT_FALSE(hill.bootstrapping());
+    EXPECT_FALSE(hill.soloResamplePending(0));
+    EXPECT_FALSE(hill.soloResamplePending(1));
     EXPECT_FALSE(hill.samplingActive());
     EXPECT_TRUE(cpu.partitioningEnabled());
 }
@@ -361,7 +430,6 @@ TEST(HillBootstrap, EstimatesExposedInTrace)
     SmtCpu cpu = twoThreadCpu();
     HillConfig hc = tracedConfig();
     hc.metric = PerfMetric::WeightedIpc;
-    hc.sampleSingleIpc = true;
     HillClimbing hill(hc);
     hill.attach(cpu);
     for (int e = 0; e < 3; ++e) {

@@ -243,7 +243,6 @@ TEST(PhaseHill, RunsAndDetectsPhases)
     HillConfig hc;
     hc.epochSize = 16384;
     hc.metric = PerfMetric::AvgIpc;
-    hc.sampleSingleIpc = false;
     PhaseHillClimbing hill(hc);
     hill.attach(cpu);
     for (int e = 0; e < 30; ++e) {
@@ -270,7 +269,6 @@ TEST(PhaseHill, LearnedPartitionsStayBounded)
     HillConfig hc;
     hc.epochSize = 8192;
     hc.metric = PerfMetric::AvgIpc;
-    hc.sampleSingleIpc = false;
     PhaseHillClimbing hill(hc);
     hill.attach(cpu);
     for (int e = 0; e < 60; ++e) {

@@ -92,7 +92,6 @@ TEST_P(RandomWorkloadStress, AllPoliciesSurvive)
         HillConfig hc;
         hc.epochSize = rc.epochSize;
         hc.metric = PerfMetric::AvgIpc;
-        hc.sampleSingleIpc = false;
         policies.push_back(std::make_unique<HillClimbing>(hc));
     }
 
@@ -175,7 +174,6 @@ TEST(CheckpointStress, HillStateSurvivesClone)
     HillConfig hc;
     hc.epochSize = 8192;
     hc.metric = PerfMetric::AvgIpc;
-    hc.sampleSingleIpc = false;
     HillClimbing hill(hc);
     hill.attach(cpu);
     for (int e = 0; e < 12; ++e) {

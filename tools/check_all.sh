@@ -15,8 +15,9 @@
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + the ASAN_SUITES
 #            regex below (observability/export, open-system churn,
-#            learner, quiet-skip, wakeup-list, zero-allocation,
-#            stream-generator, trial-commit and thread-pool suites,
+#            learner (HILL, PHASE-HILL, BANDIT, RL), quiet-skip,
+#            wakeup-list, zero-allocation, stream-generator,
+#            trial-commit and thread-pool suites,
 #            FuzzSmoke, TsanFixture)
 #   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites and
 #            TsanFixtureRacy, which passes only on TSan's race report
@@ -36,7 +37,7 @@ OVERALL=0
 
 # The one list of suites run under ASan+UBSan (ROADMAP.md and the
 # verify skill point here rather than repeat it).
-ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Observability|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbingChurn|LearnerChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator|TrialCommit|ThreadPool'
+ASAN_SUITES='Json|JsonFields|StatRegistry|EpochTracer|EpochEvent|EventTrace|TraceReport|MachineReport|Profile|HillMeasurement|HillBootstrap|PartitionMoves|OpenSystem|HillClimbing|PhaseHill|LearnerChurn|ChurnRefeasibility|Bandit|RlAlloc|QuietSkip|Attachment|EventCatalog|TraceReportHostSpans|FuzzSmoke|TsanFixture|CpuWakeup|ZeroAlloc|StreamGenerator|TrialCommit|ThreadPool'
 
 record()
 {

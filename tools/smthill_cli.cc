@@ -93,8 +93,9 @@ namespace
 /**
  * @return the policy @p name, or null for an unknown name. BANDIT and
  * RL never solo-sample, so they normalize their weighted rewards by
- * @p solo, the stand-alone IPCs the run is reported against; HILL
- * and PHASE-HILL sample their own.
+ * @p solo, the stand-alone IPCs the run is reported against. HILL
+ * and PHASE-HILL are not handed @p solo: they bootstrap their
+ * estimates with solo epochs on-line.
  */
 std::unique_ptr<ResourcePolicy>
 makePolicy(const std::string &name, Cycle epoch_size,
